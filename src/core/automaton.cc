@@ -62,6 +62,31 @@ Automaton::merge(const Automaton &other)
     return offset;
 }
 
+Automaton
+subAutomaton(const Automaton &a, std::span<const ElementId> members,
+             std::string name)
+{
+    std::vector<ElementId> toLocal(a.size(), kNoElement);
+    for (size_t i = 0; i < members.size(); ++i)
+        toLocal[members[i]] = static_cast<ElementId>(i);
+    auto local = [&](ElementId t) {
+        if (toLocal[t] == kNoElement)
+            panic("subAutomaton: edge leaves the member set");
+        return toLocal[t];
+    };
+    Automaton sub(std::move(name));
+    sub.elements().reserve(members.size());
+    for (ElementId id : members) {
+        Element e = a.element(id);
+        for (auto &t : e.out)
+            t = local(t);
+        for (auto &t : e.resetOut)
+            t = local(t);
+        sub.elements().push_back(std::move(e));
+    }
+    return sub;
+}
+
 uint64_t
 Automaton::edgeCount() const
 {

@@ -1,24 +1,29 @@
 /**
  * @file
- * EngineScratch: reusable per-run simulation state for the enabled-set
+ * EngineScratch: the mutable cursor state of the enabled-set
  * interpreter.
  *
- * NfaEngine::simulate() historically rebuilt five O(n) vectors on
- * every call (stamp, counter values, count/reset stamps, latch bits),
- * which dominates the cost of short-input calls — exactly the shape
- * of batch/streaming workloads where millions of small streams hit
- * the same engine. An EngineScratch owns those vectors and is handed
- * back to simulate(); between calls the stamp arrays are *not*
- * cleared — instead each run stamps with values offset by a
- * monotonically increasing epoch (`base`), so a fresh call can never
+ * NfaEngine's tables are immutable; everything a run mutates lives
+ * here: the enabled set, counter values, latch bits, the stream
+ * position and the last reporting cycle. A run is opened with
+ * NfaEngine::begin(), advanced by any number of NfaEngine::feed()
+ * calls and closed with NfaEngine::end(); simulate() is one feed
+ * between the two. Block runs, StreamingSession and the prefilter's
+ * window replay are all such cursors over an NfaEngine.
+ *
+ * Reusing a scratch avoids rebuilding five O(n) vectors (stamp,
+ * counter values, count/reset stamps, latch bits) per run, which
+ * would dominate short-input calls. Between runs the stamp arrays are
+ * *not* cleared — instead each run stamps with values offset by a
+ * monotonically increasing epoch (`base`), so a fresh run can never
  * observe a stale stamp and re-zeroing is unnecessary. Only the
  * (few) counter values and latch bits are reset, by id list.
  *
- * Ownership rule: a scratch may be used by one simulation at a time.
- * It may be reused across different engines as long as the automata
- * have the same element count (otherwise it transparently
- * reinitializes). ParallelRunner gives each worker slot its own
- * scratch; StreamingSession owns one for its persistent state.
+ * Ownership rule: a scratch may be used by one run at a time. It may
+ * be reused across different engines as long as the automata have
+ * the same element count (otherwise it transparently reinitializes).
+ * ParallelRunner gives each worker slot its own scratch;
+ * StreamingSession and PrefilteredNfa::Session own one each.
  */
 
 #ifndef AZOO_ENGINE_ENGINE_SCRATCH_HH
@@ -49,6 +54,11 @@ struct EngineScratch {
     /** Stamp epoch of the current/next run; advanced by each run so
      *  stamps from prior runs can never collide. */
     uint64_t base = 0;
+    /** Symbols fed since the run began (the stream position). */
+    uint64_t pos = 0;
+    /** Cycle of the most recent report (~0 before the first), so
+     *  reportingCycles counts across feed boundaries. */
+    uint64_t lastReportCycle = ~uint64_t(0);
 
     /**
      * Make the scratch ready for a fresh run over @p n elements whose
@@ -76,14 +86,16 @@ struct EngineScratch {
         counted.clear();
         resets.clear();
         latchedList.clear();
+        pos = 0;
+        lastReportCycle = ~uint64_t(0);
     }
 
-    /** Retire a run of @p len symbols: advance the epoch past every
-     *  stamp value the run could have written (base + len + 1). */
+    /** Retire the run: advance the epoch past every stamp value it
+     *  could have written (base + pos + 1). */
     void
-    endRun(size_t len)
+    endRun()
     {
-        base += static_cast<uint64_t>(len) + 2;
+        base += pos + 2;
     }
 
     /** Resident bytes of the owned vectors (capacities, not sizes —

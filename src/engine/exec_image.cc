@@ -101,4 +101,19 @@ NfaExecTables::view() const
     return v;
 }
 
+size_t
+NfaExecTables::footprintBytes() const
+{
+    return (edgeBegin.capacity() + resetBegin.capacity() +
+            reportCode.capacity() + counterTarget.capacity() +
+            maiBegin.capacity()) * sizeof(uint32_t) +
+        (edgeTarget.capacity() + resetTarget.capacity() +
+         allInput.capacity() + startOfData.capacity() +
+         counters.capacity() + maiTarget.capacity()) *
+        sizeof(ElementId) +
+        label.capacity() * sizeof(LabelWords) + reporting.capacity() +
+        isCounter.capacity() + isAllInput.capacity() +
+        counterMode.capacity();
+}
+
 } // namespace azoo

@@ -105,6 +105,10 @@ struct NfaExecTables {
     /** A view over this storage (valid while *this is alive and
      *  unmodified). */
     NfaExecImage view() const;
+
+    /** Resident bytes of the owned arrays (capacities, not sizes —
+     *  the admission footprint cares what the allocator holds). */
+    size_t footprintBytes() const;
 };
 
 } // namespace azoo

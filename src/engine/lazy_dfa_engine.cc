@@ -213,27 +213,9 @@ void
 LazyDfaEngine::buildFallback(const Automaton &a,
                              const std::vector<ElementId> &members)
 {
-    fallback_ = std::make_unique<Automaton>(a.name() + ".lazy-fallback");
-    std::vector<ElementId> toLocal(a.size(), kNoElement);
-    for (ElementId id : members) {
-        const Element &e = a.element(id);
-        ElementId local;
-        if (e.kind == ElementKind::kSte) {
-            local = fallback_->addSte(e.symbols, e.start, e.reporting,
-                                      e.reportCode);
-        } else {
-            local = fallback_->addCounter(e.target, e.mode, e.reporting,
-                                          e.reportCode);
-        }
-        toLocal[id] = local;
-        fallbackToGlobal_.push_back(id);
-    }
-    for (ElementId id : members) {
-        for (auto t : a.element(id).out)
-            fallback_->addEdge(toLocal[id], toLocal[t]);
-        for (auto t : a.element(id).resetOut)
-            fallback_->addResetEdge(toLocal[id], toLocal[t]);
-    }
+    fallbackToGlobal_ = members;
+    fallback_ = std::make_unique<Automaton>(
+        subAutomaton(a, members, a.name() + ".lazy-fallback"));
     fallbackEngine_ = std::make_unique<NfaEngine>(*fallback_);
 }
 

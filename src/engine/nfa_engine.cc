@@ -55,16 +55,23 @@ NfaEngine::NfaEngine(const NfaExecImage &image)
     noteConstruction("engine.nfa.image_adoptions");
 }
 
-SimResult
-NfaEngine::simulate(const uint8_t *input, size_t len,
-                    EngineScratch &scratch, const SimOptions &opts) const
+void
+NfaEngine::begin(EngineScratch &scratch) const
 {
-    const size_t n = t_.elementCount;
-    SimResult res;
-    res.symbols = len;
+    scratch.beginRun(t_.elementCount, t_.counters);
+    // Start-of-data states are enabled for cycle 0 only.
+    for (auto id : t_.startOfData) {
+        scratch.stamp[id] = scratch.base + 1;
+        scratch.next.push_back(id);
+    }
+}
 
-    scratch.beginRun(n, t_.counters);
+size_t
+NfaEngine::feed(EngineScratch &scratch, const uint8_t *data, size_t len,
+                const SimOptions &opts, SimResult &res) const
+{
     const uint64_t base = scratch.base;
+    const uint64_t t0 = scratch.pos;
     std::vector<uint64_t> &stamp = scratch.stamp;
     std::vector<ElementId> &cur = scratch.cur;
     std::vector<ElementId> &next = scratch.next;
@@ -81,13 +88,8 @@ NfaEngine::simulate(const uint8_t *input, size_t len,
     const bool has_resets = !t_.resetTarget.empty();
     const bool has_counters = !t_.counters.empty();
 
-    // Start-of-data states are enabled for cycle 0 only.
-    for (auto id : t_.startOfData) {
-        stamp[id] = base + 1;
-        next.push_back(id);
-    }
-
-    uint64_t last_report_cycle = ~uint64_t(0);
+    uint64_t last_report_cycle = scratch.lastReportCycle;
+    uint64_t enabled = 0;
     auto emit_report = [&](uint64_t t, ElementId id, uint32_t code) {
         ++res.reportCount;
         if (t != last_report_cycle) {
@@ -102,19 +104,18 @@ NfaEngine::simulate(const uint8_t *input, size_t len,
             ++res.byCode[code];
     };
 
-    for (uint64_t t = 0; t < len; ++t) {
+    size_t i = 0;
+    for (; i < len; ++i) {
+        // Cycle t is the stream position, so poll points and report
+        // offsets are the same under any chunking.
+        const uint64_t t = t0 + i;
         if (opts.guard && (t & (kGuardCheckIntervalSymbols - 1)) == 0) {
             Status st = opts.guard->check(t);
             if (!st.ok()) {
                 // Partial result: everything recorded so far covers
                 // exactly the first t symbols.
-                res.symbols = t;
                 res.guardStatus = std::move(st);
-                scratch.endRun(len);
-                obs::noteGuardStop("engine.nfa",
-                                   res.guardStatus.code());
-                noteNfaRun(res, opts.computeActiveSet);
-                return res;
+                break;
             }
         }
         std::swap(cur, next);
@@ -126,9 +127,9 @@ NfaEngine::simulate(const uint8_t *input, size_t len,
         // reports Snort's active set far below its start-state
         // count).
         if (opts.computeActiveSet)
-            res.totalEnabled += cur.size();
+            enabled += cur.size();
 
-        const uint8_t s = input[t];
+        const uint8_t s = data[i];
         const uint32_t word = s >> 6;
         const uint64_t bit = uint64_t(1) << (s & 63);
 
@@ -230,7 +231,23 @@ NfaEngine::simulate(const uint8_t *input, size_t len,
             }
         }
     }
-    scratch.endRun(len);
+    scratch.pos = t0 + i;
+    scratch.lastReportCycle = last_report_cycle;
+    res.symbols += i;
+    res.totalEnabled += enabled;
+    return i;
+}
+
+SimResult
+NfaEngine::simulate(const uint8_t *input, size_t len,
+                    EngineScratch &scratch, const SimOptions &opts) const
+{
+    SimResult res;
+    begin(scratch);
+    feed(scratch, input, len, opts, res);
+    end(scratch);
+    if (res.truncated())
+        obs::noteGuardStop("engine.nfa", res.guardStatus.code());
     noteNfaRun(res, opts.computeActiveSet);
     return res;
 }

@@ -39,14 +39,15 @@ namespace azoo {
  *    allocation. The storage behind the image must outlive the
  *    engine.
  *
- * Either way, simulate() can be called repeatedly and is internally
- * stateless between calls. Per-run state lives in an EngineScratch —
- * pass one in to amortize its O(n) arrays across calls, or use the
- * convenience overloads, which allocate a fresh scratch per call.
- * The engine is never mutated after construction, so one engine may
- * be shared by any number of threads simulating concurrently as long
- * as each thread uses its own scratch (ParallelRunner's batch mode
- * relies on this).
+ * All run state lives in an EngineScratch, driven as a resumable
+ * cursor: begin() opens a run at stream position 0, feed() advances
+ * it over any number of chunks, end() closes it. This cursor holds
+ * the only copy of the per-symbol loop; simulate() is begin + one
+ * feed + end, StreamingSession is an engine plus a cursor, and the
+ * prefilter replays its windows through one. The engine is never
+ * mutated after construction, so one engine may be shared by any
+ * number of threads running concurrently as long as each thread uses
+ * its own scratch (ParallelRunner's batch mode relies on this).
  */
 class NfaEngine
 {
@@ -55,6 +56,27 @@ class NfaEngine
 
     /** Adopt a precompiled execution image (zero-copy; O(1)). */
     explicit NfaEngine(const NfaExecImage &image);
+
+    /** Open a run on @p scratch: stream position 0, start-of-data
+     *  states enabled for the first symbol. */
+    void begin(EngineScratch &scratch) const;
+
+    /**
+     * Advance the run opened on @p scratch over @p len bytes. Reports,
+     * reportCount, reportingCycles, byCode, totalEnabled and symbols
+     * accumulate into @p result, with offsets counted in stream
+     * position. opts.guard is polled every kGuardCheckIntervalSymbols
+     * symbols of stream position, so chunking never moves a poll
+     * point. Returns the bytes consumed: less than @p len exactly
+     * when the guard stopped the run (result.guardStatus then says
+     * why). Flushes no metrics; callers account per run or per feed.
+     */
+    size_t feed(EngineScratch &scratch, const uint8_t *data, size_t len,
+                const SimOptions &opts, SimResult &result) const;
+
+    /** Close the run on @p scratch, retiring its stamps so the
+     *  scratch can begin() another. */
+    void end(EngineScratch &scratch) const { scratch.endRun(); }
 
     /** Run the automaton over @p input reusing @p scratch (the
      *  allocation-free hot path; see EngineScratch). */
@@ -83,6 +105,15 @@ class NfaEngine
              const SimOptions &opts = SimOptions()) const
     {
         return simulate(input.data(), input.size(), scratch, opts);
+    }
+
+    /** Heap bytes of the tables this engine owns, excluding the
+     *  object itself (0 for a borrowed image, whose storage belongs
+     *  to the caller). */
+    size_t
+    footprintBytes() const
+    {
+        return owned_ ? owned_->footprintBytes() : 0;
     }
 
   private:

@@ -96,30 +96,12 @@ ParallelRunner::buildShards(size_t groups)
     // Materialize the shard sub-automata, elements in original id
     // order so per-shard behaviour is reproducible.
     shards_.resize(g);
-    std::vector<ElementId> localId(n);
-    for (ElementId i = 0; i < n; ++i) {
-        Shard &sh = shards_[shardOf[compOf[i]]];
-        const Element &e = a_.element(i);
-        ElementId id;
-        if (e.kind == ElementKind::kCounter)
-            id = sh.sub.addCounter(e.target, e.mode, e.reporting,
-                                   e.reportCode);
-        else
-            id = sh.sub.addSte(e.symbols, e.start, e.reporting,
-                               e.reportCode);
-        localId[i] = id;
-        sh.origId.push_back(i);
-    }
-    for (ElementId i = 0; i < n; ++i) {
-        Automaton &sub = shards_[shardOf[compOf[i]]].sub;
-        for (auto t : a_.element(i).out)
-            sub.addEdge(localId[i], localId[t]);
-        for (auto t : a_.element(i).resetOut)
-            sub.addResetEdge(localId[i], localId[t]);
-    }
+    for (ElementId i = 0; i < n; ++i)
+        shards_[shardOf[compOf[i]]].origId.push_back(i);
     for (size_t s = 0; s < shards_.size(); ++s) {
-        shards_[s].sub.setName(a_.name() + "/shard" +
-                               std::to_string(s));
+        shards_[s].sub = subAutomaton(a_, shards_[s].origId,
+                                      a_.name() + "/shard" +
+                                          std::to_string(s));
         shards_[s].engine =
             std::make_unique<NfaEngine>(shards_[s].sub);
         if (opts_.engine == ParallelEngine::kLazyDfa) {

@@ -115,42 +115,22 @@ decide(const analysis::ComponentProfile &p, bool hasSod,
 }
 
 /** Copy the components selected by @p wanted into a fresh
- *  sub-automaton, elements in original-id order; fills the
- *  local-to-global remap. Returns nullptr when the group is empty. */
+ *  sub-automaton; fills the local-to-global remap (subAutomaton's
+ *  member list). Returns nullptr when the group is empty. */
 std::unique_ptr<Automaton>
 buildGroup(const Automaton &a, const std::vector<uint32_t> &comp,
            const std::vector<uint8_t> &wanted, const char *suffix,
            std::vector<ElementId> &toGlobal)
 {
     toGlobal.clear();
-    std::vector<ElementId> localId(a.size(), kNoElement);
-    auto sub = std::make_unique<Automaton>(a.name() + suffix);
     for (ElementId i = 0; i < a.size(); ++i) {
-        if (!wanted[comp[i]])
-            continue;
-        const Element &e = a.element(i);
-        ElementId id;
-        if (e.kind == ElementKind::kCounter) {
-            id = sub->addCounter(e.target, e.mode, e.reporting,
-                                 e.reportCode);
-        } else {
-            id = sub->addSte(e.symbols, e.start, e.reporting,
-                             e.reportCode);
-        }
-        localId[i] = id;
-        toGlobal.push_back(i);
+        if (wanted[comp[i]])
+            toGlobal.push_back(i);
     }
     if (toGlobal.empty())
         return nullptr;
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (!wanted[comp[i]])
-            continue;
-        for (auto t : a.element(i).out)
-            sub->addEdge(localId[i], localId[t]);
-        for (auto t : a.element(i).resetOut)
-            sub->addResetEdge(localId[i], localId[t]);
-    }
-    return sub;
+    return std::make_unique<Automaton>(
+        subAutomaton(a, toGlobal, a.name() + suffix));
 }
 
 void

@@ -25,7 +25,7 @@
  *   anchored, bounded depth           -> kAnchoredPrefix
  *   literal-chain, strong literal,
  *     bounded matches, all-input      -> kPrefilter
- *   everything else                   -> kLazyDfa
+ *   everything else                   -> kInterpreter
  *
  * Guard semantics: a planned run polls the caller's RunGuard on the
  * same kGuardCheckIntervalSymbols clock as the serial engines (every

@@ -115,8 +115,7 @@ LiteralScanner::findByte(const uint8_t *p, const uint8_t *end, uint8_t b)
 PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
                                std::vector<ElementId> toGlobal,
                                std::vector<PrefilterPattern> patterns)
-    : tables_(NfaExecTables::compile(sub))
-    , img_(tables_.view())
+    : engine_(sub)
     , toGlobal_(std::move(toGlobal))
     , scanner_([&patterns] {
         std::vector<std::string> lits;
@@ -126,12 +125,15 @@ PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
         return lits;
     }())
 {
-    if (!tables_.counters.empty())
-        panic("PrefilteredNfa: counter elements in a prefilter group");
-    if (!tables_.startOfData.empty())
-        panic("PrefilteredNfa: start-of-data starts in a prefilter "
-              "group (windowed replay would miss anchored matches)");
-    if (toGlobal_.size() != tables_.elementCount)
+    for (const Element &e : sub.elements()) {
+        if (e.kind == ElementKind::kCounter)
+            panic("PrefilteredNfa: counter elements in a prefilter "
+                  "group");
+        if (e.start == StartType::kStartOfData)
+            panic("PrefilteredNfa: start-of-data starts in a prefilter "
+                  "group (windowed replay would miss anchored matches)");
+    }
+    if (toGlobal_.size() != sub.size())
         panic("PrefilteredNfa: toGlobal size mismatch");
     radius_.reserve(patterns.size());
     for (const PrefilterPattern &p : patterns) {
@@ -143,17 +145,16 @@ PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
 void
 PrefilteredNfa::openRun(Exec &x, uint64_t lo) const
 {
-    x.scratch->beginRun(tables_.elementCount, img_.counters);
+    engine_.begin(*x.scratch);
     x.active = true;
     x.runStart = lo;
-    x.fedEnd = lo;
     x.windowEnd = lo;
 }
 
 void
 PrefilteredNfa::closeRun(Exec &x) const
 {
-    x.scratch->endRun(static_cast<size_t>(x.fedEnd - x.runStart));
+    engine_.end(*x.scratch);
     x.active = false;
 }
 
@@ -161,55 +162,22 @@ void
 PrefilteredNfa::feedTo(Exec &x, uint64_t target, const uint8_t *bytes,
                        uint64_t bytesBase) const
 {
-    if (target <= x.fedEnd)
+    const uint64_t from = x.fedEnd();
+    if (target <= from)
         return;
-    const uint64_t base = x.scratch->base;
-    std::vector<uint64_t> &stamp = x.scratch->stamp;
-    std::vector<ElementId> &cur = x.scratch->cur;
-    std::vector<ElementId> &next = x.scratch->next;
-
-    // The counter-free core of NfaEngine::simulate, with absolute
-    // offsets: cycle t of this run is absolute position runStart + t.
+    // Cycle t of the window's cursor is absolute position runStart + t.
     // No start-of-data seeding (the constructor rejects such groups);
     // all-input states enter through the per-byte index, exactly as
     // they would at these offsets in an unfiltered run.
-    for (uint64_t abs = x.fedEnd; abs < target; ++abs) {
-        const uint64_t t = abs - x.runStart;
-        std::swap(cur, next);
-        next.clear();
-        x.totalEnabled += cur.size();
-
-        const uint8_t s = bytes[abs - bytesBase];
-        const uint32_t word = s >> 6;
-        const uint64_t bit = uint64_t(1) << (s & 63);
-
-        auto on_match = [&](ElementId id) {
-            if (img_.reporting[id]) {
-                x.reports.push_back(
-                    {abs, toGlobal_[id], img_.reportCode[id]});
-            }
-            for (uint32_t k = img_.edgeBegin[id];
-                 k < img_.edgeBegin[id + 1]; ++k) {
-                const ElementId tgt = img_.edgeTarget[k];
-                if (!img_.isAllInput[tgt] &&
-                    stamp[tgt] != base + t + 2) {
-                    stamp[tgt] = base + t + 2;
-                    next.push_back(tgt);
-                }
-            }
-        };
-
-        for (auto id : cur) {
-            if (img_.label[id][word] & bit)
-                on_match(id);
-        }
-        for (uint32_t k = img_.maiBegin[s]; k < img_.maiBegin[s + 1];
-             ++k) {
-            on_match(img_.maiTarget[k]);
-        }
+    const size_t first = x.out.reports.size();
+    engine_.feed(*x.scratch, bytes + (from - bytesBase),
+                 static_cast<size_t>(target - from), SimOptions(), x.out);
+    for (size_t k = first; k < x.out.reports.size(); ++k) {
+        Report &r = x.out.reports[k];
+        r.offset += x.runStart;
+        r.element = toGlobal_[r.element];
     }
-    x.stats.windowBytes += target - x.fedEnd;
-    x.fedEnd = target;
+    x.stats.windowBytes += target - from;
 }
 
 void
@@ -273,8 +241,8 @@ PrefilteredNfa::run(const uint8_t *input, size_t len,
     x.stats.skippedBytes = res.symbols - x.stats.windowBytes;
     notePrefilter(x.stats.candidates, x.stats.windowBytes,
                   x.stats.skippedBytes);
-    res.reports = std::move(x.reports);
-    res.totalEnabled = x.totalEnabled;
+    res.reports = std::move(x.out.reports);
+    res.totalEnabled = x.out.totalEnabled;
     res.stats = x.stats;
     return res;
 }
@@ -337,9 +305,9 @@ PrefilteredNfa::Session::reset()
 {
     if (x_.active)
         pf_.closeRun(x_);
-    x_.runStart = x_.fedEnd = x_.windowEnd = 0;
-    x_.totalEnabled = 0;
-    x_.reports.clear();
+    x_.runStart = x_.windowEnd = 0;
+    x_.out.reports.clear();
+    x_.out.totalEnabled = 0;
     x_.stats = PrefilterStats();
     buf_.clear();
     bufBase_ = 0;
@@ -353,22 +321,9 @@ PrefilteredNfa::Session::reset()
 size_t
 PrefilteredNfa::footprintBytes() const
 {
-    const NfaExecTables &t = tables_;
-    size_t n = sizeof(*this);
-    n += (t.edgeBegin.capacity() + t.resetBegin.capacity() +
-          t.reportCode.capacity() + t.counterTarget.capacity() +
-          t.maiBegin.capacity()) * sizeof(uint32_t);
-    n += (t.edgeTarget.capacity() + t.resetTarget.capacity() +
-          t.allInput.capacity() + t.startOfData.capacity() +
-          t.counters.capacity() + t.maiTarget.capacity()) *
-        sizeof(ElementId);
-    n += t.label.capacity() * sizeof(t.label[0]);
-    n += t.reporting.capacity() + t.isCounter.capacity() +
-        t.isAllInput.capacity() + t.counterMode.capacity();
-    n += toGlobal_.capacity() * sizeof(ElementId);
-    n += radius_.capacity() * sizeof(uint32_t);
-    n += scanner_.footprintBytes();
-    return n;
+    return sizeof(*this) + engine_.footprintBytes() +
+        toGlobal_.capacity() * sizeof(ElementId) +
+        radius_.capacity() * sizeof(uint32_t) + scanner_.footprintBytes();
 }
 
 } // namespace azoo

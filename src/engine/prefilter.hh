@@ -33,11 +33,15 @@
  * covered components are counter-free, all-input-start, and bounded,
  * so simulation from a fresh enabled set at the window start is
  * exact: reports (element, offset, code) equal the unfiltered
- * engine's over the same input. Guard handling preserves the serial
- * poll contract: run() polls SimOptions-style RunGuards every
- * kGuardCheckIntervalSymbols consumed symbols — *including across
- * skipped regions* — and truncates at the same poll points the
- * unfiltered engine would.
+ * engine's over the same input. The replay is not a loop of its own:
+ * PrefilteredNfa holds an NfaEngine over the group, each engagement
+ * is a cursor on it (NfaEngine::begin at the window start, feed as
+ * bytes arrive, end when the window closes), and report ids and
+ * offsets are mapped through toGlobal and the window start. Guard
+ * handling preserves the serial poll contract: run() polls
+ * SimOptions-style RunGuards every kGuardCheckIntervalSymbols
+ * consumed symbols — *including across skipped regions* — and
+ * truncates at the same poll points the unfiltered engine would.
  */
 
 #ifndef AZOO_ENGINE_PREFILTER_HH
@@ -52,7 +56,7 @@
 
 #include "core/automaton.hh"
 #include "engine/engine_scratch.hh"
-#include "engine/exec_image.hh"
+#include "engine/nfa_engine.hh"
 #include "engine/report.hh"
 #include "util/status.hh"
 
@@ -217,7 +221,7 @@ class LiteralScanner
  * component; report element ids are remapped through @p toGlobal so
  * output refers to the original automaton.
  *
- * Not movable: the execution image holds spans into owned tables.
+ * Not copyable: sessions and window cursors refer back to it.
  */
 class PrefilteredNfa
 {
@@ -257,16 +261,20 @@ class PrefilteredNfa
 
   private:
     /** Mutable engagement state threaded through run()/Session: the
-     *  current window run (if any) and accumulated outputs. */
+     *  current window's NfaEngine cursor (if any) and accumulated
+     *  outputs. */
     struct Exec {
-        EngineScratch *scratch = nullptr;
+        EngineScratch *scratch = nullptr; ///< the window cursor
         bool active = false;      ///< a window run is open
         uint64_t runStart = 0;    ///< absolute offset of cycle 0
-        uint64_t fedEnd = 0;      ///< bytes simulated so far (absolute)
         uint64_t windowEnd = 0;   ///< current window's right edge
-        uint64_t totalEnabled = 0;
-        std::vector<Report> reports;
+        /** Reports (global ids, absolute offsets) and totalEnabled;
+         *  the other SimResult fields are not read. */
+        SimResult out;
         PrefilterStats stats;
+
+        /** Bytes simulated so far (absolute; valid while active). */
+        uint64_t fedEnd() const { return runStart + scratch->pos; }
     };
 
   public:
@@ -285,8 +293,11 @@ class PrefilteredNfa
         void feed(const uint8_t *data, size_t len);
 
         /** Accumulated reports (global ids, absolute offsets). */
-        const std::vector<Report> &reports() const { return x_.reports; }
-        uint64_t totalEnabled() const { return x_.totalEnabled; }
+        const std::vector<Report> &reports() const
+        {
+            return x_.out.reports;
+        }
+        uint64_t totalEnabled() const { return x_.out.totalEnabled; }
         const PrefilterStats &stats() const { return x_.stats; }
         uint64_t offset() const { return pos_; }
 
@@ -302,7 +313,7 @@ class PrefilteredNfa
                 buf_.capacity() +
                 hits_.capacity() *
                 sizeof(std::pair<uint64_t, uint32_t>) +
-                x_.reports.capacity() * sizeof(Report);
+                x_.out.reports.capacity() * sizeof(Report);
         }
 
       private:
@@ -324,8 +335,8 @@ class PrefilteredNfa
   private:
     void openRun(Exec &x, uint64_t lo) const;
     void closeRun(Exec &x) const;
-    /** Simulate absolute positions [x.fedEnd, target); bytes[i] is
-     *  absolute offset bytesBase + i. */
+    /** Feed the window cursor absolute positions [x.fedEnd(),
+     *  target); bytes[i] is absolute offset bytesBase + i. */
     void feedTo(Exec &x, uint64_t target, const uint8_t *bytes,
                 uint64_t bytesBase) const;
     /** Engage/extend the window for a candidate ending at @p e.
@@ -335,8 +346,8 @@ class PrefilteredNfa
     void applyHit(Exec &x, uint64_t e, uint32_t pat, uint64_t avail,
                   const uint8_t *bytes, uint64_t bytesBase) const;
 
-    NfaExecTables tables_;
-    NfaExecImage img_;
+    /** The group's interpreter; windows are cursors over it. */
+    NfaEngine engine_;
     std::vector<ElementId> toGlobal_;
     LiteralScanner scanner_;
     /** Per-pattern right reach; the left reach is always maxRadius_

@@ -1,113 +1,21 @@
 #include "engine/streaming.hh"
 
-#include "engine/run_guard.hh"
 #include "obs/obs.hh"
-#include "util/logging.hh"
 
 namespace azoo {
 
 StreamingSession::StreamingSession(const Automaton &a)
-    : a_(a)
+    : engine_(a)
 {
-    const size_t n = a.size();
-    edgeBegin_.assign(n + 1, 0);
-    resetBegin_.assign(n + 1, 0);
-    for (ElementId i = 0; i < n; ++i) {
-        edgeBegin_[i + 1] = edgeBegin_[i] +
-            static_cast<uint32_t>(a.element(i).out.size());
-        resetBegin_[i + 1] = resetBegin_[i] +
-            static_cast<uint32_t>(a.element(i).resetOut.size());
-    }
-    label_.resize(n);
-    isCounter_.assign(n, 0);
-    isAllInput_.assign(n, 0);
-    reporting_.assign(n, 0);
-    reportCode_.assign(n, 0);
-    for (ElementId i = 0; i < n; ++i) {
-        const Element &e = a.element(i);
-        for (auto t : e.out)
-            edgeTarget_.push_back(t);
-        for (auto t : e.resetOut)
-            resetTarget_.push_back(t);
-        for (int w = 0; w < 4; ++w)
-            label_[i][w] = e.symbols.word(w);
-        reporting_[i] = e.reporting;
-        reportCode_[i] = e.reportCode;
-        if (e.kind == ElementKind::kCounter) {
-            isCounter_[i] = 1;
-            hasCounters_ = true;
-            counters_.push_back(i);
-            for (auto t : e.out) {
-                if (a.element(t).kind == ElementKind::kCounter)
-                    panic("StreamingSession: counter->counter edges "
-                          "are not supported");
-            }
-        } else if (e.start == StartType::kAllInput) {
-            isAllInput_[i] = 1;
-            for (int v = 0; v < 256; ++v) {
-                if (e.symbols.test(static_cast<uint8_t>(v)))
-                    matchingAllInput_[v].push_back(i);
-            }
-        }
-    }
-    hasResets_ = !resetTarget_.empty();
-    reset();
+    engine_.begin(scratch_);
 }
 
 void
 StreamingSession::reset()
 {
-    const size_t n = a_.size();
+    engine_.end(scratch_);
     result_ = SimResult();
-    // Retire every stamp the previous stream wrote (epoch advance),
-    // then re-arm: O(counters) per reset instead of O(n).
-    scratch_.endRun(t_);
-    t_ = 0;
-    scratch_.beginRun(n, counters_);
-    for (ElementId i = 0; i < n; ++i) {
-        if (a_.element(i).start == StartType::kStartOfData) {
-            scratch_.stamp[i] = scratch_.base + 1;
-            scratch_.next.push_back(i);
-        }
-    }
-}
-
-void
-StreamingSession::onMatch(ElementId id)
-{
-    if (reporting_[id]) {
-        ++result_.reportCount;
-        if (options.recordReports &&
-            result_.reports.size() < options.reportRecordLimit) {
-            result_.reports.push_back({t_, id, reportCode_[id]});
-        }
-        if (options.countByCode)
-            ++result_.byCode[reportCode_[id]];
-    }
-    const uint64_t base = scratch_.base;
-    for (uint32_t k = edgeBegin_[id]; k < edgeBegin_[id + 1]; ++k) {
-        const ElementId tgt = edgeTarget_[k];
-        if (isCounter_[tgt]) {
-            if (scratch_.countStamp[tgt] != base + t_ + 1) {
-                scratch_.countStamp[tgt] = base + t_ + 1;
-                scratch_.counted.push_back(tgt);
-            }
-        } else if (!isAllInput_[tgt] &&
-                   scratch_.stamp[tgt] != base + t_ + 2) {
-            scratch_.stamp[tgt] = base + t_ + 2;
-            scratch_.next.push_back(tgt);
-        }
-    }
-    if (hasResets_) {
-        for (uint32_t k = resetBegin_[id]; k < resetBegin_[id + 1];
-             ++k) {
-            const ElementId tgt = resetTarget_[k];
-            if (scratch_.resetStamp[tgt] != base + t_ + 1) {
-                scratch_.resetStamp[tgt] = base + t_ + 1;
-                scratch_.resets.push_back(tgt);
-            }
-        }
-    }
+    engine_.begin(scratch_);
 }
 
 size_t
@@ -118,118 +26,23 @@ StreamingSession::feed(const uint8_t *data, size_t len)
     // are refused rather than silently appended.
     if (stopped())
         return 0;
-    const RunGuard *guard = options.guard;
-    const uint64_t base = scratch_.base;
-    for (size_t i = 0; i < len; ++i) {
-        // Poll on stream position, not chunk position: any chunking
-        // of the same stream checks the guard at the same symbols,
-        // exactly like the monolithic engines.
-        if (guard && (t_ & (kGuardCheckIntervalSymbols - 1)) == 0) {
-            Status st = guard->check(t_);
-            if (!st.ok()) {
-                obs::noteGuardStop("engine.stream", st.code());
-                result_.guardStatus = std::move(st);
-                return i;
-            }
-        }
-        std::swap(scratch_.cur, scratch_.next);
-        scratch_.next.clear();
-        if (options.computeActiveSet)
-            result_.totalEnabled += scratch_.cur.size();
-
-        symbol_ = data[i];
-        const uint32_t word = symbol_ >> 6;
-        const uint64_t bit = uint64_t(1) << (symbol_ & 63);
-
-        for (auto id : scratch_.cur) {
-            if (label_[id][word] & bit)
-                onMatch(id);
-        }
-        for (auto id : matchingAllInput_[symbol_])
-            onMatch(id);
-
-        if (hasCounters_) {
-            for (auto c : scratch_.resets) {
-                scratch_.value[c] = 0;
-                if (scratch_.latched[c]) {
-                    scratch_.latched[c] = 0;
-                    std::erase(scratch_.latchedList, c);
-                }
-            }
-            scratch_.resets.clear();
-            for (auto c : scratch_.counted) {
-                const Element &e = a_.element(c);
-                ++scratch_.value[c];
-                if (scratch_.value[c] != e.target)
-                    continue;
-                if (e.reporting) {
-                    ++result_.reportCount;
-                    if (options.recordReports &&
-                        result_.reports.size() <
-                            options.reportRecordLimit) {
-                        result_.reports.push_back(
-                            {t_, c, e.reportCode});
-                    }
-                    if (options.countByCode)
-                        ++result_.byCode[e.reportCode];
-                }
-                for (uint32_t k = edgeBegin_[c];
-                     k < edgeBegin_[c + 1]; ++k) {
-                    const ElementId tgt = edgeTarget_[k];
-                    if (!isAllInput_[tgt] &&
-                        scratch_.stamp[tgt] != base + t_ + 2) {
-                        scratch_.stamp[tgt] = base + t_ + 2;
-                        scratch_.next.push_back(tgt);
-                    }
-                }
-                if (e.mode == CounterMode::kLatch &&
-                    !scratch_.latched[c]) {
-                    scratch_.latched[c] = 1;
-                    scratch_.latchedList.push_back(c);
-                } else if (e.mode == CounterMode::kRollover) {
-                    scratch_.value[c] = 0;
-                }
-            }
-            scratch_.counted.clear();
-            for (auto c : scratch_.latchedList) {
-                for (uint32_t k = edgeBegin_[c];
-                     k < edgeBegin_[c + 1]; ++k) {
-                    const ElementId tgt = edgeTarget_[k];
-                    if (!isAllInput_[tgt] &&
-                        scratch_.stamp[tgt] != base + t_ + 2) {
-                        scratch_.stamp[tgt] = base + t_ + 2;
-                        scratch_.next.push_back(tgt);
-                    }
-                }
-            }
-        }
-        ++t_;
-        result_.symbols = t_;
-    }
-    if (obs::kEnabled && len) {
+    const size_t done = engine_.feed(scratch_, data, len, options, result_);
+    if (stopped())
+        obs::noteGuardStop("engine.stream", result_.guardStatus.code());
+    if (obs::kEnabled && done) {
         static obs::Counter &symbols =
             obs::Registry::global().counter("engine.stream.symbols");
-        symbols.add(len);
+        symbols.add(done);
     }
-    return len;
+    return done;
 }
 
 size_t
 StreamingSession::footprintBytes() const
 {
-    size_t n = sizeof(*this);
-    n += (edgeBegin_.capacity() + resetBegin_.capacity() +
-          reportCode_.capacity()) * sizeof(uint32_t);
-    n += (edgeTarget_.capacity() + resetTarget_.capacity() +
-          counters_.capacity()) * sizeof(ElementId);
-    n += label_.capacity() * sizeof(std::array<uint64_t, 4>);
-    n += isCounter_.capacity() + isAllInput_.capacity() +
-        reporting_.capacity();
-    for (const std::vector<ElementId> &v : matchingAllInput_)
-        n += v.capacity() * sizeof(ElementId);
-    n += scratch_.footprintBytes();
-    n += result_.reports.capacity() * sizeof(Report);
-    return n;
+    return sizeof(*this) + engine_.footprintBytes() +
+        scratch_.footprintBytes() +
+        result_.reports.capacity() * sizeof(Report);
 }
 
 } // namespace azoo

@@ -5,11 +5,13 @@
  *
  * Real deployments of the paper's applications (intrusion detection,
  * virus scanning) process unbounded streams in buffers; matches may
- * straddle buffer boundaries. A StreamingSession keeps the enabled
- * set, counter values, and stream offset alive across feed() calls,
- * so feeding one byte at a time, or any chunking, produces exactly
- * the reports of a single monolithic simulate() call (a property the
- * test suite checks).
+ * straddle buffer boundaries. A StreamingSession is an NfaEngine plus
+ * one open cursor (an EngineScratch between NfaEngine::begin() and
+ * end()): the enabled set, counter values and stream offset stay
+ * alive across feed() calls, and each feed() is one NfaEngine::feed().
+ * Feeding one byte at a time, or any chunking, therefore produces
+ * exactly the results of a single monolithic simulate() call (a
+ * property the test suite checks).
  *
  * Sessions honour SimOptions::guard exactly like the monolithic
  * engines: the guard is polled every kGuardCheckIntervalSymbols
@@ -28,6 +30,7 @@
 
 #include "core/automaton.hh"
 #include "engine/engine_scratch.hh"
+#include "engine/nfa_engine.hh"
 #include "engine/report.hh"
 
 namespace azoo {
@@ -36,10 +39,7 @@ namespace azoo {
 class StreamingSession
 {
   public:
-    /** The automaton must outlive the session. (In the serve path
-     *  that lifetime is guaranteed structurally: sessions are owned
-     *  by a MatchSessionPool whose RulesetGeneration pin keeps the
-     *  automaton alive until the last session is destroyed.) */
+    /** Compiles @p a; the automaton need not outlive the session. */
     explicit StreamingSession(const Automaton &a);
 
     /**
@@ -65,12 +65,12 @@ class StreamingSession
     const SimResult &results() const { return result_; }
 
     /** Total symbols consumed. */
-    uint64_t offset() const { return t_; }
+    uint64_t offset() const { return scratch_.pos; }
 
     /** Reset to the start-of-stream state (results cleared). */
     void reset();
 
-    /** Resident bytes: flattened tables + scratch + report storage.
+    /** Resident bytes: exec tables + scratch + report storage.
      *  The serve layer's admission estimate is validated against
      *  this. */
     size_t footprintBytes() const;
@@ -80,30 +80,10 @@ class StreamingSession
     SimOptions options;
 
   private:
-    void onMatch(ElementId id);
-
-    const Automaton &a_;
-    SimResult result_;
-    uint64_t t_ = 0;
-
-    /** Persistent per-element state (enable stamps, counter values,
-     *  worklists). Stamps are epoch-offset by scratch_.base so
-     *  reset() costs O(counters), not O(n): advancing the epoch past
-     *  every stamp the previous stream could have written invalidates
-     *  them all at once. */
+    NfaEngine engine_;
+    /** The open cursor: begun at construction and by reset(). */
     EngineScratch scratch_;
-    std::vector<ElementId> counters_;
-
-    // Engine-style flattened structure.
-    std::vector<uint32_t> edgeBegin_, resetBegin_;
-    std::vector<ElementId> edgeTarget_, resetTarget_;
-    std::vector<std::array<uint64_t, 4>> label_;
-    std::vector<uint8_t> isCounter_, isAllInput_, reporting_;
-    std::vector<uint32_t> reportCode_;
-    std::array<std::vector<ElementId>, 256> matchingAllInput_;
-    bool hasCounters_ = false;
-    bool hasResets_ = false;
-    uint8_t symbol_ = 0;
+    SimResult result_;
 };
 
 } // namespace azoo

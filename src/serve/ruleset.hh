@@ -4,7 +4,7 @@
  * reload possible.
  *
  * The engine stack borrows (`const Automaton &` everywhere:
- * StreamingSession, PlannedSession, the pool). Borrowing is the right
+ * PlannedSession, the pool). Borrowing is the right
  * call inside one run, but a daemon that swaps rulesets under live
  * traffic needs an owner whose lifetime is decided by the *last*
  * borrower, not the first. That owner is a CompiledRuleset: one

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <latch>
 #include <numeric>
+#include <string>
 
 #include "core/builder.hh"
 #include "engine/nfa_engine.hh"
@@ -99,12 +100,14 @@ TEST(ThreadPool, SingleWorkerStillCompletes)
 }
 
 /** Benchmarks covering plain STEs, all-input heavy graphs, and
- *  counters with reset edges. */
-const char *const kZooCases[] = {"Snort", "Protomata",
+ *  counters with reset edges. Held as std::string so the printed
+ *  test parameter (and so the ctest name) is the benchmark name,
+ *  not a pointer address that changes from run to run. */
+const std::string kZooCases[] = {"Snort", "Protomata",
                                  "Seq. Match 6w 6p wC"};
 
 class ParallelVsSerial
-    : public testing::TestWithParam<std::tuple<const char *, size_t>>
+    : public testing::TestWithParam<std::tuple<std::string, size_t>>
 {
 };
 
@@ -161,6 +164,9 @@ TEST_P(ParallelVsSerial, BatchMatchesPerStreamSerial)
         streams.emplace_back(b.input.begin() + cuts[i],
                              b.input.begin() + cuts[i + 1]);
     }
+    // The whole input too: at this scale the cut streams carry no
+    // reports, and every batch mode must be checked on some.
+    streams.push_back(b.input);
 
     NfaEngine serial(b.automaton);
     ParallelOptions popts;
@@ -173,8 +179,14 @@ TEST_P(ParallelVsSerial, BatchMatchesPerStreamSerial)
     ParallelRunner lazyRunner(b.automaton, lazyOpts);
     BatchResult lgot = lazyRunner.runBatch(streams);
 
+    ParallelOptions chunkOpts = popts;
+    chunkOpts.chunkBytes = 37;
+    ParallelRunner chunkRunner(b.automaton, chunkOpts);
+    BatchResult cgot = chunkRunner.runBatch(streams);
+
     ASSERT_EQ(got.perStream.size(), streams.size());
     ASSERT_EQ(lgot.perStream.size(), streams.size());
+    ASSERT_EQ(cgot.perStream.size(), streams.size());
     uint64_t symbols = 0, reports = 0;
     for (size_t i = 0; i < streams.size(); ++i) {
         SimResult expect = serial.simulate(streams[i]);
@@ -190,6 +202,13 @@ TEST_P(ParallelVsSerial, BatchMatchesPerStreamSerial)
         EXPECT_EQ(lgot.perStream[i].totalEnabled, expect.totalEnabled)
             << i;
         EXPECT_EQ(lgot.perStream[i].reports, expect.reports) << i;
+        EXPECT_EQ(cgot.perStream[i].symbols, expect.symbols) << i;
+        EXPECT_EQ(cgot.perStream[i].reportCount, expect.reportCount)
+            << i;
+        EXPECT_EQ(cgot.perStream[i].reportingCycles,
+                  expect.reportingCycles)
+            << i;
+        EXPECT_EQ(cgot.perStream[i].reports, expect.reports) << i;
         symbols += expect.symbols;
         reports += expect.reportCount;
     }

@@ -113,9 +113,12 @@ TEST_P(StreamingProperty, ChunkingInvariance)
     const auto in = bytes(text);
 
     NfaEngine mono(a);
-    auto expect = mono.simulate(in);
+    SimOptions opts;
+    opts.countByCode = true;
+    auto expect = mono.simulate(in, opts);
 
     StreamingSession sess(a);
+    sess.options.countByCode = true;
     size_t pos = 0;
     while (pos < in.size()) {
         const size_t chunk =
@@ -126,6 +129,9 @@ TEST_P(StreamingProperty, ChunkingInvariance)
     EXPECT_EQ(sess.results().reportCount, expect.reportCount);
     EXPECT_EQ(sess.results().reports, expect.reports);
     EXPECT_EQ(sess.results().totalEnabled, expect.totalEnabled);
+    EXPECT_EQ(sess.results().reportingCycles, expect.reportingCycles);
+    EXPECT_EQ(sess.results().symbols, expect.symbols);
+    EXPECT_EQ(sess.results().byCode, expect.byCode);
 
     // Byte-at-a-time feeding too.
     StreamingSession one(a);
