@@ -22,8 +22,9 @@
  * Ownership rule: a scratch may be used by one run at a time. It may
  * be reused across different engines as long as the automata have
  * the same element count (otherwise it transparently reinitializes).
- * ParallelRunner gives each worker slot its own scratch;
- * StreamingSession and PrefilteredNfa::Session own one each.
+ * ParallelRunner gives each worker slot its own scratch (block and
+ * chunked streams alike); StreamingSession and PrefilteredNfa::Session
+ * own one each.
  */
 
 #ifndef AZOO_ENGINE_ENGINE_SCRATCH_HH
@@ -96,6 +97,16 @@ struct EngineScratch {
     endRun()
     {
         base += pos + 2;
+    }
+
+    /** Bytes of the per-element arrays (stamps, counter values, latch
+     *  bits) a run over @p n elements allocates: the part of
+     *  footprintBytes() the automaton's size fixes. The worklists hold
+     *  the active set and are not counted. */
+    static size_t
+    elementBytes(size_t n)
+    {
+        return n * (3 * sizeof(uint64_t) + sizeof(uint32_t) + 1);
     }
 
     /** Resident bytes of the owned vectors (capacities, not sizes —

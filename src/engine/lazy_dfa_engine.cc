@@ -4,7 +4,6 @@
 
 #include "engine/run_guard.hh"
 #include "obs/obs.hh"
-#include "util/union_find.hh"
 
 namespace azoo {
 
@@ -71,39 +70,26 @@ LazyDfaEngine::LazyDfaEngine(const Automaton &a,
                              const LazyDfaOptions &opts)
     : a_(a), opts_(opts)
 {
-    const size_t n = a.size();
-
     // Components over activation *and* reset edges: a counter must
     // stay with everything that counts or resets it, so the split
     // below can never cut a counter off from its sources.
-    UnionFind uf(n);
-    for (ElementId i = 0; i < n; ++i) {
-        for (auto t : a.element(i).out)
-            uf.unite(i, t);
-        for (auto t : a.element(i).resetOut)
-            uf.unite(i, t);
-    }
-    std::vector<uint8_t> rootHasCounter(n, 0);
-    for (ElementId i = 0; i < n; ++i) {
+    uint32_t count = 0;
+    const std::vector<uint32_t> comp = a.connectedComponents(count);
+    std::vector<uint8_t> compHasCounter(count, 0);
+    for (ElementId i = 0; i < a.size(); ++i) {
         if (a.element(i).kind == ElementKind::kCounter)
-            rootHasCounter[uf.find(i)] = 1;
+            compHasCounter[comp[i]] = 1;
     }
 
     std::vector<ElementId> lazyMembers, fallbackMembers;
-    for (ElementId i = 0; i < n; ++i) {
-        if (rootHasCounter[uf.find(i)])
+    for (ElementId i = 0; i < a.size(); ++i) {
+        if (compHasCounter[comp[i]])
             fallbackMembers.push_back(i);
         else
             lazyMembers.push_back(i);
     }
-    std::vector<uint8_t> fallbackRootSeen(n, 0);
-    for (ElementId i : fallbackMembers) {
-        const uint32_t r = uf.find(i);
-        if (!fallbackRootSeen[r]) {
-            fallbackRootSeen[r] = 1;
-            ++fallbackComponentCount_;
-        }
-    }
+    for (uint8_t has : compHasCounter)
+        fallbackComponentCount_ += has;
 
     buildLazyPart(lazyMembers);
     if (!fallbackMembers.empty())

@@ -2,14 +2,31 @@
 
 #include <numeric>
 
-#include "engine/streaming.hh"
 #include "obs/obs.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
-#include "util/union_find.hh"
 
 namespace azoo {
+
+namespace {
+
+/** Feed @p in to @p feed in @p chunk-byte slices; a short feed means
+ *  the guard stopped the stream, so later slices are not offered. */
+template <typename Feed>
+void
+feedChunks(const std::vector<uint8_t> &in, size_t chunk, Feed &&feed)
+{
+    for (size_t pos = 0; pos < in.size();) {
+        const size_t want = std::min(chunk, in.size() - pos);
+        const size_t got = feed(in.data() + pos, want);
+        pos += got;
+        if (got < want)
+            break;
+    }
+}
+
+} // namespace
 
 ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
     : a_(a), opts_(std::move(opts)), engine_(a)
@@ -25,11 +42,16 @@ ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
         for (auto &e : slotLazy_)
             e = std::make_unique<LazyDfaEngine>(a_, lo);
     } else if (opts_.engine == ParallelEngine::kPlanned) {
-        profiles_ = analysis::inferProfiles(a_, opts_.plan.infer);
+        const std::vector<analysis::ComponentProfile> profiles =
+            analysis::inferProfiles(a_, opts_.plan.infer);
         slotPlanned_.resize(pool_->size());
         for (auto &e : slotPlanned_) {
-            e = std::make_unique<PlannedEngine>(a_, profiles_,
+            e = std::make_unique<PlannedEngine>(a_, profiles,
                                                 opts_.plan);
+        }
+        if (opts_.chunkBytes != 0) {
+            program_ = std::make_shared<const PlannedProgram>(
+                a_, profiles, opts_.plan);
         }
     }
     buildShards(threads);
@@ -52,40 +74,22 @@ ParallelRunner::buildShards(size_t groups)
 
     // Components over activation *and* reset edges: a counter must
     // stay in the same shard as everything that counts or resets it.
-    UnionFind uf(n);
-    for (ElementId i = 0; i < n; ++i) {
-        for (auto t : a_.element(i).out)
-            uf.unite(i, t);
-        for (auto t : a_.element(i).resetOut)
-            uf.unite(i, t);
-    }
-
-    // Component sizes, keyed by root.
-    std::vector<uint32_t> compOf(n);
-    std::vector<uint32_t> roots;
-    std::vector<uint64_t> compSize;
-    std::vector<uint32_t> compIndex(n, ~uint32_t(0));
-    for (ElementId i = 0; i < n; ++i) {
-        const uint32_t r = uf.find(i);
-        if (compIndex[r] == ~uint32_t(0)) {
-            compIndex[r] = static_cast<uint32_t>(roots.size());
-            roots.push_back(r);
-            compSize.push_back(0);
-        }
-        compOf[i] = compIndex[r];
-        ++compSize[compIndex[r]];
-    }
+    uint32_t count = 0;
+    const std::vector<uint32_t> compOf = a_.connectedComponents(count);
+    std::vector<uint64_t> compSize(count, 0);
+    for (uint32_t c : compOf)
+        ++compSize[c];
 
     // LPT: biggest component first into the currently lightest shard.
-    const size_t g = std::min(groups, roots.size());
-    std::vector<uint32_t> order(roots.size());
+    const size_t g = std::min<size_t>(groups, count);
+    std::vector<uint32_t> order(count);
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&](uint32_t a, uint32_t b) {
                          return compSize[a] > compSize[b];
                      });
     std::vector<uint64_t> load(g, 0);
-    std::vector<uint32_t> shardOf(roots.size());
+    std::vector<uint32_t> shardOf(count);
     for (uint32_t c : order) {
         const size_t s = static_cast<size_t>(
             std::min_element(load.begin(), load.end()) - load.begin());
@@ -135,10 +139,10 @@ ParallelRunner::runBatch(
     out.perStreamStatus.resize(streams.size());
     if (opts_.chunkBytes != 0 &&
         opts_.engine == ParallelEngine::kLazyDfa) {
-        // Chunked feeding runs on StreamingSession, which is an
-        // interpreter; the lazy-DFA engine has no incremental API.
-        // Fail every stream loudly instead of silently simulating on
-        // a different engine than the caller configured.
+        // Chunked feeding needs a cursor engine; the lazy-DFA engine
+        // has no incremental API. Fail every stream loudly instead of
+        // silently simulating on a different engine than the caller
+        // configured.
         const Status st(
             ErrorCode::kInvalidArgument,
             "chunkBytes requires ParallelEngine::kNfa (the lazy-DFA "
@@ -163,35 +167,26 @@ ParallelRunner::runBatch(
             }
             if (opts_.chunkBytes != 0 &&
                 opts_.engine == ParallelEngine::kPlanned) {
-                PlannedSession sess(a_, profiles_, opts_.plan);
+                PlannedSession sess(program_);
                 sess.options = opts_.sim;
-                const auto &in = streams[i];
-                for (size_t pos = 0; pos < in.size();) {
-                    const size_t want = std::min(
-                        opts_.chunkBytes, in.size() - pos);
-                    const size_t got =
-                        sess.feed(in.data() + pos, want);
-                    pos += got;
-                    if (got < want)
-                        break;
-                }
+                feedChunks(streams[i], opts_.chunkBytes,
+                           [&](const uint8_t *p, size_t n) {
+                               return sess.feed(p, n);
+                           });
                 out.perStream[i] = sess.results();
             } else if (opts_.chunkBytes != 0) {
-                StreamingSession sess(a_);
-                sess.options = opts_.sim;
-                const auto &in = streams[i];
-                for (size_t pos = 0; pos < in.size();) {
-                    const size_t want = std::min(
-                        opts_.chunkBytes, in.size() - pos);
-                    const size_t got =
-                        sess.feed(in.data() + pos, want);
-                    pos += got;
-                    // A short feed means the guard stopped the
-                    // session; further chunks would be refused.
-                    if (got < want)
-                        break;
-                }
-                out.perStream[i] = sess.results();
+                EngineScratch &cursor = slotScratch_[slot];
+                SimResult &r = out.perStream[i];
+                engine_.begin(cursor);
+                feedChunks(streams[i], opts_.chunkBytes,
+                           [&](const uint8_t *p, size_t n) {
+                               return engine_.feed(cursor, p, n,
+                                                   opts_.sim, r);
+                           });
+                engine_.end(cursor);
+                if (r.truncated())
+                    obs::noteGuardStop("engine.stream",
+                                       r.guardStatus.code());
             } else if (opts_.engine == ParallelEngine::kPlanned) {
                 out.perStream[i] =
                     slotPlanned_[slot]->simulate(streams[i],
@@ -332,39 +327,21 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
         }
     }
 
+    std::vector<Report> reports;
     for (const SimResult &p : parts) {
         merged.totalEnabled += p.totalEnabled;
         merged.lazyFlushes += p.lazyFlushes;
         merged.lazyStates += p.lazyStates;
         merged.lazyFallbackComponents += p.lazyFallbackComponents;
-        merged.reports.insert(merged.reports.end(), p.reports.begin(),
-                              p.reports.end());
+        reports.insert(reports.end(), p.reports.begin(),
+                       p.reports.end());
     }
     if (consumed < len) {
-        std::erase_if(merged.reports, [consumed](const Report &r) {
+        std::erase_if(reports, [consumed](const Report &r) {
             return r.offset >= consumed;
         });
     }
-    merged.reportCount = merged.reports.size();
-    std::sort(merged.reports.begin(), merged.reports.end());
-
-    // A reporting cycle is a distinct offset in the full report
-    // stream (the serial engine counts cycles with >= 1 report).
-    uint64_t lastOffset = ~uint64_t(0);
-    for (const Report &r : merged.reports) {
-        if (r.offset != lastOffset) {
-            ++merged.reportingCycles;
-            lastOffset = r.offset;
-        }
-        if (opts_.sim.countByCode)
-            ++merged.byCode[r.code];
-    }
-
-    if (!opts_.sim.recordReports)
-        merged.reports.clear();
-    else if (merged.reports.size() > opts_.sim.reportRecordLimit)
-        merged.reports.resize(
-            static_cast<size_t>(opts_.sim.reportRecordLimit));
+    finishMergedReports(std::move(reports), opts_.sim, merged);
     return merged;
 }
 

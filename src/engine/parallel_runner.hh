@@ -12,8 +12,10 @@
  *    slot owns an EngineScratch (and, under ParallelEngine::kLazyDfa,
  *    a private LazyDfaEngine whose cache warms across that slot's
  *    streams), so the hot path performs no per-stream O(n)
- *    allocation. Chunked mode gives each stream its own
- *    StreamingSession.
+ *    allocation. Chunked streams are cursors too: under kNfa they
+ *    drive the shared engine through the slot's scratch, under
+ *    kPlanned each is a PlannedSession over one PlannedProgram built
+ *    at construction — a batch never compiles per stream.
  *
  *  - **Component-level** (simulateSharded): the automaton's connected
  *    components (activation *and* reset edges, so counters never
@@ -34,7 +36,6 @@
 #ifndef AZOO_ENGINE_PARALLEL_RUNNER_HH
 #define AZOO_ENGINE_PARALLEL_RUNNER_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -49,15 +50,6 @@ namespace azoo {
 
 class ThreadPool;
 
-/** Sort recorded reports into the canonical (offset, element, code)
- *  order all parallel paths emit. Apply to a serial SimResult before
- *  comparing it against ParallelRunner output. */
-inline void
-canonicalizeReports(SimResult &r)
-{
-    std::sort(r.reports.begin(), r.reports.end());
-}
-
 /** Which engine a ParallelRunner drives per stream / per shard. */
 enum class ParallelEngine : uint8_t {
     kNfa,     ///< enabled-set interpreter (NfaEngine)
@@ -69,14 +61,13 @@ enum class ParallelEngine : uint8_t {
 struct ParallelOptions {
     /** Worker threads; 0 means all hardware threads. */
     size_t threads = 0;
-    /** Batch mode: feed each stream through a StreamingSession in
-     *  chunks of this many bytes (0 = one monolithic simulate()).
-     *  Chunking never changes results; it exists to exercise and
-     *  measure the streaming path under parallelism. Chunked feeding
-     *  runs on StreamingSession (an interpreter); combining it with
-     *  ParallelEngine::kLazyDfa is rejected — runBatch() marks every
-     *  stream kInvalidArgument rather than silently substituting a
-     *  different engine. */
+    /** Batch mode: feed each stream to its cursor in chunks of this
+     *  many bytes (0 = one monolithic simulate()). Chunking never
+     *  changes results; it exists to exercise and measure the
+     *  streaming path under parallelism. Only cursor engines stream;
+     *  combining it with ParallelEngine::kLazyDfa is rejected —
+     *  runBatch() marks every stream kInvalidArgument rather than
+     *  silently substituting a different engine. */
     size_t chunkBytes = 0;
     /** Engine for monolithic streams and component shards. */
     ParallelEngine engine = ParallelEngine::kNfa;
@@ -85,7 +76,8 @@ struct ParallelOptions {
     size_t lazyCacheBytes = 8u << 20;
     /** Planning knobs (engine == kPlanned). Each worker slot / shard
      *  owns a private PlannedEngine built from one shared profile
-     *  inference; chunked streams run on PlannedSession. */
+     *  inference; chunked streams are PlannedSession cursors over one
+     *  shared PlannedProgram. */
     PlanOptions plan;
     /** Per-stream simulation options. */
     SimOptions sim;
@@ -179,9 +171,9 @@ class ParallelRunner
     mutable std::vector<EngineScratch> slotScratch_;
     mutable std::vector<std::unique_ptr<LazyDfaEngine>> slotLazy_;
     mutable std::vector<std::unique_ptr<PlannedEngine>> slotPlanned_;
-    /** Shared profile inference for kPlanned (one pass over the
-     *  whole automaton; slots and chunked sessions reuse it). */
-    std::vector<analysis::ComponentProfile> profiles_;
+    /** Program of chunked kPlanned streams (else nullptr); immutable,
+     *  so every slot's sessions share it. */
+    std::shared_ptr<const PlannedProgram> program_;
 };
 
 } // namespace azoo

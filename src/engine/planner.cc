@@ -133,6 +133,55 @@ buildGroup(const Automaton &a, const std::vector<uint32_t> &comp,
         subAutomaton(a, toGlobal, a.name() + suffix));
 }
 
+/** Components of @p plan whose backend @p want accepts. */
+template <typename Pred>
+std::vector<uint8_t>
+groupOf(const EnginePlan &plan, Pred &&want)
+{
+    std::vector<uint8_t> wanted(plan.decisions.size(), 0);
+    for (const ComponentDecision &d : plan.decisions)
+        wanted[d.componentId] = want(d.backend) ? 1 : 0;
+    return wanted;
+}
+
+/** The scan literal and window of one prefilter-routed component. */
+PrefilterPattern
+prefilterPattern(const analysis::ComponentProfile &p,
+                 const PlanOptions &opts)
+{
+    PrefilterPattern pat;
+    pat.literal = p.mandatoryLiteral.substr(0, opts.maxScanLiteral);
+    // +2 slop over the exact reach so off-by-one drift in the length
+    // facts can never clip a match.
+    pat.radius = p.maxMatchLen + 2;
+    return pat;
+}
+
+/** The prefilter group of @p plan: one PrefilteredNfa over its
+ *  components, one scan literal + window per component; null when
+ *  no component was routed there. */
+std::unique_ptr<PrefilteredNfa>
+buildPrefilterGroup(const Automaton &a, const std::vector<uint32_t> &comp,
+                    const EnginePlan &plan,
+                    const std::vector<analysis::ComponentProfile>
+                        &profiles,
+                    const PlanOptions &opts)
+{
+    const std::vector<uint8_t> wanted = groupOf(
+        plan, [](PlanBackend b) { return b == PlanBackend::kPrefilter; });
+    std::vector<ElementId> toGlobal;
+    auto sub = buildGroup(a, comp, wanted, ".prefilter", toGlobal);
+    if (!sub)
+        return nullptr;
+    std::vector<PrefilterPattern> pats;
+    for (const analysis::ComponentProfile &p : profiles) {
+        if (wanted[p.componentId])
+            pats.push_back(prefilterPattern(p, opts));
+    }
+    return std::make_unique<PrefilteredNfa>(*sub, std::move(toGlobal),
+                                            std::move(pats));
+}
+
 void
 notePlan(const EnginePlan &plan)
 {
@@ -198,39 +247,11 @@ PlannedEngine::build(const Automaton &a,
     uint32_t count = 0;
     const std::vector<uint32_t> comp = a.connectedComponents(count);
 
-    auto wantedFor = [&](PlanBackend b) {
-        std::vector<uint8_t> wanted(count, 0);
-        for (const ComponentDecision &d : plan_.decisions) {
-            if (d.backend == b)
-                wanted[d.componentId] = 1;
-        }
-        return wanted;
+    auto wantedFor = [&](PlanBackend want) {
+        return groupOf(plan_, [want](PlanBackend b) { return b == want; });
     };
 
-    // Prefilter group: sub-automaton plus one scan literal + window
-    // radius per component.
-    {
-        const std::vector<uint8_t> wanted =
-            wantedFor(PlanBackend::kPrefilter);
-        std::vector<ElementId> toGlobal;
-        auto sub = buildGroup(a, comp, wanted, ".prefilter", toGlobal);
-        if (sub) {
-            std::vector<PrefilterPattern> pats;
-            for (const analysis::ComponentProfile &p : profiles) {
-                if (!wanted[p.componentId])
-                    continue;
-                PrefilterPattern pat;
-                pat.literal = p.mandatoryLiteral.substr(
-                    0, opts.maxScanLiteral);
-                // +2 slop over the exact reach so off-by-one drift in
-                // the length facts can never clip a match.
-                pat.radius = p.maxMatchLen + 2;
-                pats.push_back(std::move(pat));
-            }
-            prefilter_ = std::make_unique<PrefilteredNfa>(
-                *sub, std::move(toGlobal), std::move(pats));
-        }
-    }
+    prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles, opts);
 
     {
         const std::vector<uint8_t> wanted =
@@ -400,24 +421,43 @@ PlannedEngine::simulate(const uint8_t *input, size_t len,
             return r.offset >= consumed;
         });
     }
-    std::sort(reports.begin(), reports.end());
-    out.reportCount = reports.size();
-    uint64_t lastOffset = ~uint64_t(0);
-    for (const Report &r : reports) {
-        if (r.offset != lastOffset) {
-            ++out.reportingCycles;
-            lastOffset = r.offset;
-        }
-        if (uopts.countByCode)
-            ++out.byCode[r.code];
-    }
-    if (uopts.recordReports) {
-        if (reports.size() > uopts.reportRecordLimit)
-            reports.resize(
-                static_cast<size_t>(uopts.reportRecordLimit));
-        out.reports = std::move(reports);
-    }
+    finishMergedReports(std::move(reports), uopts, out);
     return out;
+}
+
+// ---------------------------------------------------------------------
+// PlannedProgram
+
+PlannedProgram::PlannedProgram(
+    const Automaton &a,
+    const std::vector<analysis::ComponentProfile> &profiles,
+    const PlanOptions &opts)
+    : plan_(planComponents(a, profiles, opts))
+{
+    notePlan(plan_);
+
+    uint32_t count = 0;
+    const std::vector<uint32_t> comp = a.connectedComponents(count);
+    prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles, opts);
+    // The rest group's graph copy lives only as long as its compile.
+    const auto rest = buildGroup(
+        a, comp, groupOf(plan_, [](PlanBackend b) {
+            return b != PlanBackend::kPrefilter && b != PlanBackend::kSkip;
+        }),
+        ".rest", restToGlobal_);
+    if (rest)
+        rest_ = std::make_shared<const NfaEngine>(*rest);
+}
+
+size_t
+PlannedProgram::footprintBytes() const
+{
+    size_t n = sizeof(*this) + restToGlobal_.capacity() * sizeof(ElementId);
+    if (prefilter_)
+        n += prefilter_->footprintBytes();
+    if (rest_)
+        n += sizeof(NfaEngine) + rest_->footprintBytes();
+    return n;
 }
 
 // ---------------------------------------------------------------------
@@ -433,60 +473,23 @@ PlannedSession::PlannedSession(
     const Automaton &a,
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts)
+    : PlannedSession(
+          std::make_shared<const PlannedProgram>(a, profiles, opts))
 {
-    build(a, profiles, opts);
 }
 
-void
-PlannedSession::build(const Automaton &a,
-                      const std::vector<analysis::ComponentProfile>
-                          &profiles,
-                      const PlanOptions &opts)
+PlannedSession::PlannedSession(std::shared_ptr<const PlannedProgram> program)
+    : program_(std::move(program))
 {
-    plan_ = planComponents(a, profiles, opts);
-    notePlan(plan_);
-
-    uint32_t count = 0;
-    const std::vector<uint32_t> comp = a.connectedComponents(count);
-
-    std::vector<uint8_t> wantedPre(count, 0), wantedRest(count, 0);
-    for (const ComponentDecision &d : plan_.decisions) {
-        if (d.backend == PlanBackend::kPrefilter)
-            wantedPre[d.componentId] = 1;
-        else if (d.backend != PlanBackend::kSkip)
-            wantedRest[d.componentId] = 1;
+    // Both cursors keep default options — record every report, no
+    // guard: results() applies the caller's options after the merge,
+    // and feed() owns the poll clock.
+    if (program_->prefilter_) {
+        prefilterSession_ = std::make_unique<PrefilteredNfa::Session>(
+            *program_->prefilter_);
     }
-
-    {
-        std::vector<ElementId> toGlobal;
-        auto sub = buildGroup(a, comp, wantedPre, ".prefilter",
-                              toGlobal);
-        if (sub) {
-            std::vector<PrefilterPattern> pats;
-            for (const analysis::ComponentProfile &p : profiles) {
-                if (!wantedPre[p.componentId])
-                    continue;
-                PrefilterPattern pat;
-                pat.literal = p.mandatoryLiteral.substr(
-                    0, opts.maxScanLiteral);
-                pat.radius = p.maxMatchLen + 2;
-                pats.push_back(std::move(pat));
-            }
-            prefilter_ = std::make_unique<PrefilteredNfa>(
-                *sub, std::move(toGlobal), std::move(pats));
-            prefilterSession_ =
-                std::make_unique<PrefilteredNfa::Session>(*prefilter_);
-        }
-    }
-
-    restSub_ = buildGroup(a, comp, wantedRest, ".rest", restToGlobal_);
-    if (restSub_) {
-        restSession_ = std::make_unique<StreamingSession>(*restSub_);
-        restSession_->options.recordReports = true;
-        restSession_->options.reportRecordLimit = ~uint64_t(0);
-        restSession_->options.countByCode = false;
-        restSession_->options.guard = nullptr;
-    }
+    if (program_->rest_)
+        restSession_ = std::make_unique<StreamingSession>(program_->rest_);
 }
 
 size_t
@@ -537,11 +540,10 @@ PlannedSession::results() const
     std::vector<Report> reports;
     if (restSession_) {
         const SimResult &r = restSession_->results();
+        const std::vector<ElementId> &toGlobal = program_->restToGlobal_;
         reports.reserve(r.reports.size());
-        for (const Report &rep : r.reports) {
-            reports.push_back(
-                {rep.offset, restToGlobal_[rep.element], rep.code});
-        }
+        for (const Report &rep : r.reports)
+            reports.push_back({rep.offset, toGlobal[rep.element], rep.code});
         out.totalEnabled += r.totalEnabled;
     }
     if (prefilterSession_) {
@@ -549,24 +551,7 @@ PlannedSession::results() const
         reports.insert(reports.end(), pre.begin(), pre.end());
         out.totalEnabled += prefilterSession_->totalEnabled();
     }
-
-    std::sort(reports.begin(), reports.end());
-    out.reportCount = reports.size();
-    uint64_t lastOffset = ~uint64_t(0);
-    for (const Report &r : reports) {
-        if (r.offset != lastOffset) {
-            ++out.reportingCycles;
-            lastOffset = r.offset;
-        }
-        if (options.countByCode)
-            ++out.byCode[r.code];
-    }
-    if (options.recordReports) {
-        if (reports.size() > options.reportRecordLimit)
-            reports.resize(
-                static_cast<size_t>(options.reportRecordLimit));
-        out.reports = std::move(reports);
-    }
+    finishMergedReports(std::move(reports), options, out);
     return out;
 }
 
@@ -575,13 +560,8 @@ PlannedSession::reset()
 {
     if (prefilterSession_)
         prefilterSession_->reset();
-    if (restSession_) {
+    if (restSession_)
         restSession_->reset();
-        restSession_->options.recordReports = true;
-        restSession_->options.reportRecordLimit = ~uint64_t(0);
-        restSession_->options.countByCode = false;
-        restSession_->options.guard = nullptr;
-    }
     t_ = 0;
     guardStatus_ = Status();
 }
@@ -589,26 +569,36 @@ PlannedSession::reset()
 size_t
 PlannedSession::footprintBytes() const
 {
-    // Graph-form sub-automaton copies: Elements are value types (the
-    // charset bitmap is inline) plus their edge vectors.
-    auto automatonBytes = [](const Automaton &a) {
-        size_t n = a.size() * sizeof(Element);
-        for (const Element &e : a.elements())
-            n += (e.out.capacity() + e.resetOut.capacity()) *
-                sizeof(ElementId);
-        return n;
-    };
     size_t n = sizeof(*this);
-    if (restSub_)
-        n += automatonBytes(*restSub_);
-    n += restToGlobal_.capacity() * sizeof(ElementId);
     if (restSession_)
         n += restSession_->footprintBytes();
-    if (prefilter_)
-        n += prefilter_->footprintBytes();
     if (prefilterSession_)
         n += prefilterSession_->footprintBytes();
     return n;
+}
+
+size_t
+PlannedSession::cursorBytes(
+    const Automaton &a,
+    const std::vector<analysis::ComponentProfile> &profiles,
+    const PlanOptions &opts, size_t maxReportRecords)
+{
+    // The two cursors' scratches together span at most every element,
+    // and the window keeps at most the widest reach of any component
+    // the planner could route to the prefilter (decide() without the
+    // start-of-data veto, which only ever removes components) — so
+    // this needs no plan and no program.
+    uint64_t radius = 0, literal = 0;
+    for (const analysis::ComponentProfile &p : profiles) {
+        if (decide(p, false, opts) != PlanBackend::kPrefilter)
+            continue;
+        const PrefilterPattern pat = prefilterPattern(p, opts);
+        radius = std::max<uint64_t>(radius, pat.radius);
+        literal = std::max<uint64_t>(literal, pat.literal.size());
+    }
+    return sizeof(PlannedSession) + sizeof(PrefilteredNfa::Session) +
+        StreamingSession::cursorBytes(a.size(), maxReportRecords) +
+        PrefilteredNfa::Session::bufferBound(radius + literal);
 }
 
 } // namespace azoo

@@ -8,7 +8,8 @@
  * match-length and anchoring intervals, a determinization blowup
  * estimate. This module turns those facts into wall-clock throughput:
  * planComponents() assigns each component the cheapest backend that
- * is exact for it, and PlannedEngine / PlannedSession execute the
+ * is exact for it, and PlannedEngine (block mode) / PlannedSession
+ * (streaming; a cursor over a shared PlannedProgram) execute the
  * resulting mixed plan with results bit-identical (on the semantic
  * fields: symbols, reports, reportCount, reportingCycles, byCode,
  * guardStatus) to the serial NfaEngine after canonicalizeReports().
@@ -203,27 +204,62 @@ class PlannedEngine
 };
 
 /**
- * Streaming counterpart of PlannedEngine: chunked feeding with
- * persistent state, same canonical results as a monolithic planned
- * run (and therefore as serial NfaEngine + canonicalizeReports()).
+ * The immutable half of a streamed plan, compiled once and shared by
+ * every PlannedSession over it, on any number of threads. The
+ * automaton need not outlive it.
+ */
+class PlannedProgram
+{
+  public:
+    PlannedProgram(const Automaton &a,
+                   const std::vector<analysis::ComponentProfile>
+                       &profiles,
+                   const PlanOptions &opts = PlanOptions());
+
+    const EnginePlan &plan() const { return plan_; }
+
+    /** Resident bytes of the shared tables. */
+    size_t footprintBytes() const;
+
+  private:
+    friend class PlannedSession;
+
+    EnginePlan plan_;
+    /** Null when no component was planned onto the prefilter. */
+    std::unique_ptr<PrefilteredNfa> prefilter_;
+    /** Anchored + lazy + interpreter components merged: everything
+     *  that needs per-symbol streaming state (null when none). */
+    std::shared_ptr<const NfaEngine> rest_;
+    std::vector<ElementId> restToGlobal_;
+};
+
+/**
+ * Streaming counterpart of PlannedEngine: a cursor over one shared
+ * PlannedProgram, with the same canonical results as a monolithic
+ * planned run (and therefore as serial NfaEngine +
+ * canonicalizeReports()).
  *
- * The prefilter group streams through PrefilteredNfa::Session; every
- * other non-skip group streams through one merged StreamingSession
- * (the lazy DFA has no incremental API, so streamed plans trade its
- * speed for interpretation — block mode keeps it). The session owns
- * the guard poll clock: options.guard is polled every
- * kGuardCheckIntervalSymbols stream symbols regardless of chunking,
- * exactly like StreamingSession.
+ * The prefilter group streams through a PrefilteredNfa::Session, every
+ * other non-skip group through one StreamingSession over the
+ * program's rest engine (the lazy DFA has no incremental API, so
+ * streamed plans trade its speed for interpretation — block mode
+ * keeps it). The session owns the guard poll clock: options.guard is
+ * polled every kGuardCheckIntervalSymbols stream symbols regardless
+ * of chunking, exactly like StreamingSession.
  */
 class PlannedSession
 {
   public:
+    /** Compile a private program for @p a (inferring profiles). */
     explicit PlannedSession(const Automaton &a,
                             const PlanOptions &opts = PlanOptions());
     PlannedSession(const Automaton &a,
                    const std::vector<analysis::ComponentProfile>
                        &profiles,
                    const PlanOptions &opts = PlanOptions());
+
+    /** A cursor over an already-compiled program (no compile). */
+    explicit PlannedSession(std::shared_ptr<const PlannedProgram> program);
 
     /** Feed a chunk; returns bytes consumed (short exactly when
      *  options.guard stopped the session). */
@@ -246,13 +282,23 @@ class PlannedSession
 
     void reset();
 
-    /** Resident bytes: sub-automaton copies, the rest-group
-     *  interpreter session, and the prefilter's shared tables +
-     *  per-session window state. The serve layer's admission
-     *  estimate is validated against this. */
+    /** Resident bytes of this session's own state: the prefilter
+     *  window (scratch, rolling buffer, hits, reports) and the
+     *  rest-group cursor. The program's tables are shared and
+     *  excluded (PlannedProgram::footprintBytes()). */
     size_t footprintBytes() const;
 
-    const EnginePlan &plan() const { return plan_; }
+    /** Bytes a running session over a program of @p a holds, from
+     *  the cursor's layout: the scratches' per-element arrays,
+     *  @p maxReportRecords recorded reports and the prefilter
+     *  window's buffer bound. The serve layer's admission unit;
+     *  computed without compiling the program. */
+    static size_t
+    cursorBytes(const Automaton &a,
+                const std::vector<analysis::ComponentProfile> &profiles,
+                const PlanOptions &opts, size_t maxReportRecords);
+
+    const EnginePlan &plan() const { return program_->plan(); }
 
     const PrefilterStats &
     prefilterStats() const
@@ -264,19 +310,9 @@ class PlannedSession
     SimOptions options;
 
   private:
-    void build(const Automaton &a,
-               const std::vector<analysis::ComponentProfile> &profiles,
-               const PlanOptions &opts);
-
-    EnginePlan plan_;
-
-    std::unique_ptr<PrefilteredNfa> prefilter_;
+    /** Declared first: the cursors below refer into it. */
+    std::shared_ptr<const PlannedProgram> program_;
     std::unique_ptr<PrefilteredNfa::Session> prefilterSession_;
-
-    /** Anchored + lazy + interpreter components merged: everything
-     *  that needs per-symbol streaming state. */
-    std::unique_ptr<Automaton> restSub_;
-    std::vector<ElementId> restToGlobal_;
     std::unique_ptr<StreamingSession> restSession_;
 
     uint64_t t_ = 0;

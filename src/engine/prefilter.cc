@@ -290,8 +290,8 @@ PrefilteredNfa::Session::feed(const uint8_t *data, size_t len)
     //    engagement extended by a hit at e >= pos_ has lo >= pos_ -
     //    maxRadius, and fedEnd never trails the last fed target),
     // so keeping maxRadius + maxLen bytes behind pos_ is safe.
-    const uint64_t keep = pf_.maxRadius_ + pf_.scanner_.maxLen();
-    if (buf_.size() > 4 * keep + 4096 && pos_ - bufBase_ > keep) {
+    const uint64_t keep = pf_.keepBytes();
+    if (buf_.size() > bufferBound(keep) && pos_ - bufBase_ > keep) {
         const size_t drop =
             static_cast<size_t>(pos_ - keep - bufBase_);
         buf_.erase(buf_.begin(),

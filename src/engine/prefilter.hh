@@ -255,6 +255,10 @@ class PrefilteredNfa
     size_t patternCount() const { return scanner_.patternCount(); }
     uint32_t maxRadius() const { return maxRadius_; }
 
+    /** Stream bytes a Session keeps behind its position: maxRadius()
+     *  plus the longest scan literal (see Session::feed). */
+    uint64_t keepBytes() const { return maxRadius_ + scanner_.maxLen(); }
+
     /** Resident bytes of the shared tables (exec tables + scanner);
      *  per-session state is Session::footprintBytes(). */
     size_t footprintBytes() const;
@@ -303,6 +307,15 @@ class PrefilteredNfa
 
         /** Back to start-of-stream; results cleared. */
         void reset();
+
+        /** Rolling-buffer size past which feed() compacts it back to
+         *  @p keep bytes (keepBytes()): the window's resident bound
+         *  between feeds. */
+        static size_t
+        bufferBound(uint64_t keep)
+        {
+            return static_cast<size_t>(4 * keep + 4096);
+        }
 
         /** Resident bytes of this session's own state (scratch,
          *  rolling buffer, hit list, report storage). */

@@ -7,6 +7,7 @@
 #ifndef AZOO_ENGINE_REPORT_HH
 #define AZOO_ENGINE_REPORT_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -117,6 +118,45 @@ struct SimResult {
             ? static_cast<double>(reportingCycles) / symbols : 0.0;
     }
 };
+
+/** Sort recorded reports into the canonical (offset, element, code)
+ *  order every merged path (planned, sharded, batched) emits. Apply
+ *  to a serial SimResult before comparing it against merged output. */
+inline void
+canonicalizeReports(SimResult &r)
+{
+    std::sort(r.reports.begin(), r.reports.end());
+}
+
+/**
+ * Finish a merged result from the complete report stream of its
+ * parts: sort @p reports canonically, count reportCount,
+ * reportingCycles and (when opts.countByCode) byCode from them, then
+ * keep them in @p out as opts.recordReports and opts.reportRecordLimit
+ * allow. A reporting cycle is a distinct offset, exactly as the
+ * serial engine counts cycles with at least one report.
+ */
+inline void
+finishMergedReports(std::vector<Report> reports, const SimOptions &opts,
+                    SimResult &out)
+{
+    std::sort(reports.begin(), reports.end());
+    out.reportCount = reports.size();
+    uint64_t lastOffset = ~uint64_t(0);
+    for (const Report &r : reports) {
+        if (r.offset != lastOffset) {
+            ++out.reportingCycles;
+            lastOffset = r.offset;
+        }
+        if (opts.countByCode)
+            ++out.byCode[r.code];
+    }
+    if (!opts.recordReports)
+        return;
+    if (reports.size() > opts.reportRecordLimit)
+        reports.resize(static_cast<size_t>(opts.reportRecordLimit));
+    out.reports = std::move(reports);
+}
 
 } // namespace azoo
 

@@ -5,17 +5,22 @@
 namespace azoo {
 
 StreamingSession::StreamingSession(const Automaton &a)
-    : engine_(a)
+    : StreamingSession(std::make_shared<const NfaEngine>(a))
 {
-    engine_.begin(scratch_);
+}
+
+StreamingSession::StreamingSession(std::shared_ptr<const NfaEngine> engine)
+    : engine_(std::move(engine))
+{
+    engine_->begin(scratch_);
 }
 
 void
 StreamingSession::reset()
 {
-    engine_.end(scratch_);
+    engine_->end(scratch_);
     result_ = SimResult();
-    engine_.begin(scratch_);
+    engine_->begin(scratch_);
 }
 
 size_t
@@ -26,7 +31,8 @@ StreamingSession::feed(const uint8_t *data, size_t len)
     // are refused rather than silently appended.
     if (stopped())
         return 0;
-    const size_t done = engine_.feed(scratch_, data, len, options, result_);
+    const size_t done =
+        engine_->feed(scratch_, data, len, options, result_);
     if (stopped())
         obs::noteGuardStop("engine.stream", result_.guardStatus.code());
     if (obs::kEnabled && done) {
@@ -40,9 +46,16 @@ StreamingSession::feed(const uint8_t *data, size_t len)
 size_t
 StreamingSession::footprintBytes() const
 {
-    return sizeof(*this) + engine_.footprintBytes() +
-        scratch_.footprintBytes() +
+    return sizeof(*this) + scratch_.footprintBytes() +
         result_.reports.capacity() * sizeof(Report);
+}
+
+size_t
+StreamingSession::cursorBytes(size_t elements, size_t maxReportRecords)
+{
+    return sizeof(StreamingSession) +
+        EngineScratch::elementBytes(elements) +
+        maxReportRecords * sizeof(Report);
 }
 
 } // namespace azoo

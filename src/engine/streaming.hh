@@ -5,13 +5,15 @@
  *
  * Real deployments of the paper's applications (intrusion detection,
  * virus scanning) process unbounded streams in buffers; matches may
- * straddle buffer boundaries. A StreamingSession is an NfaEngine plus
- * one open cursor (an EngineScratch between NfaEngine::begin() and
- * end()): the enabled set, counter values and stream offset stay
- * alive across feed() calls, and each feed() is one NfaEngine::feed().
- * Feeding one byte at a time, or any chunking, therefore produces
- * exactly the results of a single monolithic simulate() call (a
- * property the test suite checks).
+ * straddle buffer boundaries. A StreamingSession is one open cursor
+ * (an EngineScratch between NfaEngine::begin() and end()) over a
+ * shared, immutable NfaEngine: the enabled set, counter values and
+ * stream offset stay alive across feed() calls, and each feed() is
+ * one NfaEngine::feed(). Feeding one byte at a time, or any chunking,
+ * therefore produces exactly the results of a single monolithic
+ * simulate() call (a property the test suite checks).
+ * Any number of sessions, on any threads, may share one engine; a
+ * session owns only its cursor and its results.
  *
  * Sessions honour SimOptions::guard exactly like the monolithic
  * engines: the guard is polled every kGuardCheckIntervalSymbols
@@ -26,6 +28,7 @@
 #define AZOO_ENGINE_STREAMING_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/automaton.hh"
@@ -39,8 +42,12 @@ namespace azoo {
 class StreamingSession
 {
   public:
-    /** Compiles @p a; the automaton need not outlive the session. */
+    /** Compiles @p a into a private engine; the automaton need not
+     *  outlive the session. */
     explicit StreamingSession(const Automaton &a);
+
+    /** A cursor over an already-compiled engine (no compile). */
+    explicit StreamingSession(std::shared_ptr<const NfaEngine> engine);
 
     /**
      * Process a chunk; reports accumulate in results(). Returns the
@@ -70,17 +77,24 @@ class StreamingSession
     /** Reset to the start-of-stream state (results cleared). */
     void reset();
 
-    /** Resident bytes: exec tables + scratch + report storage.
-     *  The serve layer's admission estimate is validated against
-     *  this. */
+    /** Resident bytes of this session's own state: the cursor
+     *  scratch and report storage. The engine's tables are shared
+     *  and excluded (NfaEngine::footprintBytes()). */
     size_t footprintBytes() const;
+
+    /** Bytes a running session over an engine of @p elements
+     *  elements holds, from the cursor's layout: the scratch's
+     *  per-element arrays (EngineScratch::elementBytes()) plus
+     *  @p maxReportRecords recorded reports. The serve layer's
+     *  admission unit. */
+    static size_t cursorBytes(size_t elements, size_t maxReportRecords);
 
     /** Simulation options (reports are always recorded unless
      *  changed here before feeding). */
     SimOptions options;
 
   private:
-    NfaEngine engine_;
+    std::shared_ptr<const NfaEngine> engine_;
     /** The open cursor: begun at construction and by reset(). */
     EngineScratch scratch_;
     SimResult result_;

@@ -3,11 +3,14 @@
  * Ruleset generations: the ownership layer that makes atomic hot
  * reload possible.
  *
- * The engine stack borrows (`const Automaton &` everywhere:
- * PlannedSession, the pool). Borrowing is the right
- * call inside one run, but a daemon that swaps rulesets under live
- * traffic needs an owner whose lifetime is decided by the *last*
- * borrower, not the first. That owner is a CompiledRuleset: one
+ * The engine stack compiles from a borrowed `const Automaton &`
+ * (the automaton need only outlive the compile), and what it compiles
+ * is shared: a generation's pool compiles one NfaEngine or
+ * PlannedProgram on its first session, and every session is a cursor
+ * co-owning it. Borrowing is the right call inside one compile, but a
+ * daemon that swaps rulesets under live traffic needs an owner whose
+ * lifetime is decided by the *last* borrower, not the first. That
+ * owner is a CompiledRuleset: one
  * immutable bundle of everything a generation of sessions needs —
  * the automaton, its inferred component profiles, the engine/plan
  * configuration it was compiled against, and its observability

@@ -1,6 +1,5 @@
 #include "serve/session_manager.hh"
 
-#include "engine/parallel_runner.hh"
 #include "serve/ruleset.hh"
 #include "util/logging.hh"
 
@@ -9,11 +8,16 @@ namespace serve {
 
 namespace {
 
-/** MatchSession over the enabled-set interpreter. */
-class NfaMatchSession final : public MatchSession
+/** MatchSession over a cursor (StreamingSession or PlannedSession)
+ *  on the generation's shared program. */
+template <typename Cursor>
+class CursorMatchSession final : public MatchSession
 {
   public:
-    explicit NfaMatchSession(const Automaton &a) : s_(a) {}
+    template <typename Program>
+    explicit CursorMatchSession(Program program) : s_(std::move(program))
+    {
+    }
 
     size_t
     feed(const uint8_t *data, size_t len) override
@@ -24,6 +28,8 @@ class NfaMatchSession final : public MatchSession
     SimResult
     results() const override
     {
+        // The interpreter emits same-cycle reports in propagation
+        // order; a planned merge is already canonical.
         SimResult r = s_.results();
         canonicalizeReports(r);
         return r;
@@ -38,71 +44,8 @@ class NfaMatchSession final : public MatchSession
     }
 
   private:
-    StreamingSession s_;
+    Cursor s_;
 };
-
-/** MatchSession over the profile-routed planned engine. */
-class PlannedMatchSession final : public MatchSession
-{
-  public:
-    PlannedMatchSession(const Automaton &a,
-                        const std::vector<analysis::ComponentProfile>
-                            &profiles,
-                        const PlanOptions &popts)
-        : s_(a, profiles, popts)
-    {
-    }
-
-    size_t
-    feed(const uint8_t *data, size_t len) override
-    {
-        return s_.feed(data, len);
-    }
-    bool stopped() const override { return s_.stopped(); }
-    SimResult results() const override { return s_.results(); }
-    uint64_t offset() const override { return s_.offset(); }
-    void reset() override { s_.reset(); }
-    SimOptions &options() override { return s_.options; }
-    size_t
-    footprintBytes() const override
-    {
-        return sizeof(*this) + s_.footprintBytes();
-    }
-
-  private:
-    PlannedSession s_;
-};
-
-/**
- * Resident-size estimate for one engine session. For the interpreter
- * the flattened per-element tables dominate (label bitmaps at
- * 32 B/element plus edge/flag arrays); the constant covers worklists,
- * the report vector's record cap, and allocator slack. A planned
- * session additionally copies its components into sub-automata,
- * carries the prefilter's exec tables and literal-scanner tables
- * (the Wu-Manber shift + bucket arrays alone are 64 Ki entries
- * each), and keeps a rolling stream-window buffer — roughly another
- * automaton's worth of tables plus a fixed scanner term. An estimate
- * is enough: admission only needs the right order of magnitude to
- * keep capacity * footprint under the budget, and the session tests
- * hold it to within one order of a measured footprintBytes().
- */
-size_t
-estimateBytes(const Automaton &a, ServeEngine engine,
-              size_t maxReportRecords)
-{
-    size_t edges = 0;
-    for (const Element &e : a.elements())
-        edges += e.out.size() + e.resetOut.size();
-    size_t bytes = a.size() * 64 + edges * 8 +
-        maxReportRecords * sizeof(Report) + (64u << 10);
-    if (engine == ServeEngine::kPlanned) {
-        // Sub-automaton copies (graph Elements are heavier than the
-        // flattened tables) + exec image + scanner tables + window.
-        bytes += a.size() * 160 + edges * 16 + (512u << 10);
-    }
-    return bytes;
-}
 
 } // namespace
 
@@ -113,8 +56,11 @@ MatchSessionPool::MatchSessionPool(
     if (!gen_)
         panic("MatchSessionPool: null generation");
     engine_ = gen_->spec.engine;
-    sessionBytes_ =
-        estimateBytes(gen_->automaton, engine_, maxReportRecords);
+    sessionBytes_ = engine_ == ServeEngine::kPlanned
+        ? PlannedSession::cursorBytes(gen_->automaton, gen_->profiles,
+                                      gen_->spec.plan, maxReportRecords)
+        : StreamingSession::cursorBytes(gen_->automaton.size(),
+                                        maxReportRecords);
 }
 
 MatchSessionPool::MatchSessionPool(const Automaton &a, ServeEngine engine,
@@ -145,11 +91,21 @@ MatchSessionPool::acquire()
         s->options() = SimOptions();
         return s;
     }
+    // The generation compiles here, on its first session, not at
+    // load: a reload publishes without paying for a compile that the
+    // first OPEN after it pays once instead.
     ++created_;
-    if (engine_ == ServeEngine::kPlanned)
-        return std::make_unique<PlannedMatchSession>(
-            gen_->automaton, gen_->profiles, gen_->spec.plan);
-    return std::make_unique<NfaMatchSession>(gen_->automaton);
+    if (engine_ == ServeEngine::kPlanned) {
+        if (!program_) {
+            program_ = std::make_shared<const PlannedProgram>(
+                gen_->automaton, gen_->profiles, gen_->spec.plan);
+        }
+        return std::make_unique<CursorMatchSession<PlannedSession>>(
+            program_);
+    }
+    if (!nfa_)
+        nfa_ = std::make_shared<const NfaEngine>(gen_->automaton);
+    return std::make_unique<CursorMatchSession<StreamingSession>>(nfa_);
 }
 
 void

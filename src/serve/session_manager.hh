@@ -11,17 +11,20 @@
  *    --engine auto) behind feed/results/reset, so the server's data
  *    path has exactly one shape.
  *
- *  - MatchSessionPool recycles engine sessions across client
- *    sessions. Construction is O(automaton), reset() is O(counters),
- *    so a pool turns per-session setup cost into a one-time cost per
- *    concurrency slot. The pool's correctness contract — a reused
- *    session behaves bit-identically to a fresh one, including after
- *    a guard stop — is what the reset-reuse regression in
- *    tests/test_streaming.cc pins across the zoo.
+ *  - MatchSessionPool compiles its generation once — one NfaEngine
+ *    (kNfa) or one PlannedProgram (kPlanned), built when it creates
+ *    its first session — and every session is a cursor over that
+ *    shared, immutable program: opening one allocates only its
+ *    scratch and window state (no compile), reset() is O(counters),
+ *    and the pool recycles cursors across client sessions. The
+ *    pool's correctness contract — a reused session behaves
+ *    bit-identically to a fresh one, including after a guard stop —
+ *    is what the reset-reuse regression in tests/test_streaming.cc
+ *    pins across the zoo.
  *
  *  - SessionManager is the admission controller: a hard session-table
  *    cap and a memory budget translated into a session cap
- *    (budget / per-session footprint), with strict-priority shedding
+ *    (budget / per-session cursor bytes), with strict-priority shedding
  *    — when the table is full, a newcomer of strictly higher priority
  *    evicts the lowest-priority admitted session (which gets an
  *    explicit kShedOverload reply, never a silent drop); an equal- or
@@ -96,8 +99,9 @@ class MatchSession
     virtual SimOptions &options() = 0;
 
     /** Measured resident footprint: the sum of this session's owned
-     *  container capacities (tables, scratch, buffers, report
-     *  vectors). The admission estimate is validated against this in
+     *  container capacities (scratch, window buffers, report
+     *  vectors). The shared program is not the session's and is
+     *  excluded. The admission bound is validated against this in
      *  tests. */
     virtual size_t footprintBytes() const = 0;
 };
@@ -112,21 +116,23 @@ enum class ServeEngine : uint8_t {
  * Free-list of engine sessions over one ruleset generation. acquire()
  * hands out a reset session with default options; release() returns
  * it for the next client. Not thread-safe: the server's event loop
- * owns acquire/release (workers only touch a session between them).
+ * owns acquire/release (workers only touch a session between them,
+ * and sessions on different workers only read the shared program).
  *
  * The pool is keyed by generation by construction: it owns a
- * RulesetGeneration pin, every session it creates references that
- * generation's automaton, and a hot reload swaps in a whole new pool
- * — so a pooled session can never be reused across rulesets, and a
- * retired generation dies exactly when its pool (and therefore its
- * last session) does.
+ * RulesetGeneration pin and the one program compiled from it, every
+ * session it creates is a cursor over that program, and a hot reload
+ * swaps in a whole new pool — so a pooled session can never be
+ * reused across rulesets, and a retired generation dies exactly when
+ * its pool (and therefore its last session) does.
  */
 class MatchSessionPool
 {
   public:
     /** Pin @p gen and serve sessions over it. Profiles for kPlanned
      *  come from the generation (inferred at compile/load time, once,
-     *  not per session). @p maxReportRecords is the effective
+     *  not per session); the program is compiled by the first
+     *  acquire(), not here. @p maxReportRecords is the effective
      *  per-reply record cap (ServeLimits::maxReportRecords), sizing
      *  the report-buffer term of estimatedSessionBytes(). */
     explicit MatchSessionPool(
@@ -145,30 +151,27 @@ class MatchSessionPool
     std::unique_ptr<MatchSession> acquire();
     void release(std::unique_ptr<MatchSession> s);
 
-    /** Estimated resident bytes of one session: flattened automaton
-     *  tables + scratch, plus the planned engine's extra sub-automaton
-     *  copies, prefilter scanner tables, and window buffers; the
+    /** Resident bytes of one running session, from the cursor's
+     *  layout (StreamingSession / PlannedSession::cursorBytes()),
+     *  computed at construction without compiling anything; the
      *  admission controller's memory unit. */
     size_t estimatedSessionBytes() const { return sessionBytes_; }
+
 
     /** Sessions constructed so far (reuse keeps this at the
      *  concurrency high-water mark, not the session count). */
     size_t created() const { return created_; }
 
-    /** The pinned generation (never null). */
-    const std::shared_ptr<const CompiledRuleset> &generation() const
-    {
-        return gen_;
-    }
-
     /** Epoch of the pinned generation. */
     uint64_t epoch() const;
 
   private:
-    /** Declared first so it outlives free_: pooled sessions reference
-     *  the generation's automaton and must be destroyed before it. */
     std::shared_ptr<const CompiledRuleset> gen_;
     ServeEngine engine_;
+    /** The generation's program, compiled by the first acquire()
+     *  (exactly one is set, per engine_); sessions co-own it. */
+    std::shared_ptr<const NfaEngine> nfa_;
+    std::shared_ptr<const PlannedProgram> program_;
     std::vector<std::unique_ptr<MatchSession>> free_;
     size_t created_ = 0;
     size_t sessionBytes_ = 0;

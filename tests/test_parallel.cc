@@ -17,6 +17,7 @@
 #include "core/builder.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
+#include "obs/obs.hh"
 #include "util/thread_pool.hh"
 #include "zoo/registry.hh"
 
@@ -255,6 +256,47 @@ TEST(ParallelRunner, ChunkedBatchEqualsMonolithicBatch)
     }
     EXPECT_EQ(got.totalSymbols, want.totalSymbols);
     EXPECT_EQ(got.totalReports, want.totalReports);
+}
+
+TEST(ParallelRunner, ChunkedBatchCompilesOnlyAtConstruction)
+{
+    // Chunked streams are cursors over what the runner compiled: the
+    // shared engine (kNfa) or one PlannedProgram (kPlanned). A batch
+    // of any size must not compile again.
+    zoo::Benchmark b = zoo::makeBenchmark("Snort", tinyConfig());
+    std::vector<std::vector<uint8_t>> streams;
+    for (size_t i = 0; i < 8; ++i) {
+        streams.emplace_back(b.input.begin() + i * 4096,
+                             b.input.begin() + (i + 1) * 4096);
+    }
+    obs::Registry &reg = obs::Registry::global();
+    for (ParallelEngine eng :
+         {ParallelEngine::kNfa, ParallelEngine::kPlanned}) {
+        SCOPED_TRACE(static_cast<int>(eng));
+        ParallelOptions popts;
+        popts.threads = 3;
+        popts.chunkBytes = 1000;
+        popts.engine = eng;
+        ParallelRunner runner(b.automaton, popts);
+        const uint64_t built = reg.counterValue("engine.nfa.compiles");
+        const BatchResult got = runner.runBatch(streams);
+        ASSERT_TRUE(got.allOk());
+        if (obs::kEnabled) {
+            EXPECT_EQ(reg.counterValue("engine.nfa.compiles"), built);
+        }
+
+        NfaEngine serial(b.automaton);
+        for (size_t i = 0; i < streams.size(); ++i) {
+            SimResult want = serial.simulate(streams[i]);
+            canonicalizeReports(want);
+            EXPECT_EQ(got.perStream[i].reportCount, want.reportCount)
+                << i;
+            EXPECT_EQ(got.perStream[i].reportingCycles,
+                      want.reportingCycles)
+                << i;
+            EXPECT_EQ(got.perStream[i].reports, want.reports) << i;
+        }
+    }
 }
 
 TEST(ParallelRunner, ZeroLengthStreams)

@@ -26,6 +26,7 @@
 #include "core/serialize.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
+#include "obs/obs.hh"
 #include "serve/client.hh"
 #include "serve/ruleset.hh"
 #include "serve/server.hh"
@@ -33,6 +34,7 @@
 #include "util/logging.hh"
 #include "util/net.hh"
 #include "util/rng.hh"
+#include "zoo/registry.hh"
 
 namespace azoo {
 namespace serve {
@@ -878,6 +880,71 @@ TEST(ServeSession, EstimateWithinOrderOfMagnitudeOfMeasured)
             << "engine " << static_cast<int>(eng) << ": estimate "
             << estimate << " vs measured " << measured;
         pool.release(std::move(s));
+    }
+}
+
+// ---------------------------------------------------------------
+// One program per generation; sessions are cursors over it.
+
+TEST(ServeSession, ConcurrentSessionsShareOneProgram)
+{
+    // Snort plans onto the prefilter and the rest group, so a planned
+    // program compiles both.
+    zoo::ZooConfig cfg;
+    cfg.scale = 0.01;
+    cfg.inputBytes = 3 * 8192;
+    const zoo::Benchmark b = zoo::makeBenchmark("Snort", cfg);
+    const size_t slice = b.input.size() / 3;
+    obs::Registry &reg = obs::Registry::global();
+    for (ServeEngine eng : {ServeEngine::kNfa, ServeEngine::kPlanned}) {
+        SCOPED_TRACE(static_cast<int>(eng));
+        // What compiling one program costs, and the tables it holds,
+        // on a standalone one.
+        uint64_t before = reg.counterValue("engine.nfa.compiles");
+        size_t sharedBytes = 0;
+        if (eng == ServeEngine::kPlanned) {
+            sharedBytes = PlannedProgram(b.automaton,
+                                         analysis::inferProfiles(
+                                             b.automaton))
+                              .footprintBytes();
+        } else {
+            sharedBytes = NfaEngine(b.automaton).footprintBytes();
+        }
+        const uint64_t perProgram =
+            reg.counterValue("engine.nfa.compiles") - before;
+
+        before = reg.counterValue("engine.nfa.compiles");
+        MatchSessionPool pool(b.automaton, eng);
+        std::vector<std::unique_ptr<MatchSession>> sessions;
+        for (int i = 0; i < 3; ++i)
+            sessions.push_back(pool.acquire());
+        EXPECT_EQ(pool.created(), 3u);
+        if (obs::kEnabled) {
+            EXPECT_GT(perProgram, 0u);
+            EXPECT_EQ(reg.counterValue("engine.nfa.compiles") - before,
+                      perProgram);
+        }
+
+        // Interleaved feeds: three streams live on one program.
+        for (size_t pos = 0; pos < slice; pos += 1000) {
+            for (size_t i = 0; i < 3; ++i) {
+                sessions[i]->feed(b.input.data() + i * slice + pos,
+                                  std::min<size_t>(1000, slice - pos));
+            }
+        }
+        for (size_t i = 0; i < 3; ++i) {
+            // Were the shared tables counted, every session would
+            // hold at least the whole program.
+            EXPECT_LT(sessions[i]->footprintBytes(), sharedBytes) << i;
+            const SimResult got = sessions[i]->results();
+            const SimResult want =
+                serialRun(b.automaton, b.input.data() + i * slice, slice);
+            EXPECT_EQ(got.symbols, want.symbols) << i;
+            EXPECT_EQ(got.reportCount, want.reportCount) << i;
+            EXPECT_EQ(got.reports, want.reports) << i;
+        }
+        for (auto &s : sessions)
+            pool.release(std::move(s));
     }
 }
 

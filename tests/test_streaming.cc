@@ -2,10 +2,15 @@
  * @file
  * StreamingSession tests: chunked feeding is equivalent to monolithic
  * simulation for arbitrary chunkings, including single-byte feeds,
- * counter state across boundaries, and reset semantics.
+ * counter state across boundaries, reset semantics, and cursors on
+ * different threads over one shared program. Run under
+ * -fsanitize=thread in CI.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <thread>
 
 #include "core/builder.hh"
 #include "engine/nfa_engine.hh"
@@ -365,6 +370,59 @@ TEST(SessionReuse, StreamingResetIsBitIdenticalAcrossZoo)
 TEST(SessionReuse, PlannedResetIsBitIdenticalAcrossZoo)
 {
     cycleResetAcrossZoo<PlannedSession>();
+}
+
+// ---------------------------------------------------------------
+// One compiled program, many cursors: sessions only read the shared
+// engine or PlannedProgram, so cursors on different threads may run
+// over it at once.
+
+TEST(SharedProgram, ConcurrentCursorsMatchSerial)
+{
+    zoo::ZooConfig cfg;
+    cfg.scale = 0.01;
+    cfg.inputBytes = 32 * 1024;
+    // Snort plans onto the prefilter and the rest group; ClamAV is
+    // prefilter-dominated.
+    for (const char *name : {"Snort", "ClamAV"}) {
+        SCOPED_TRACE(name);
+        zoo::Benchmark b = zoo::makeBenchmark(name, cfg);
+        const size_t half = b.input.size() / 2;
+        const std::vector<uint8_t> in[2] = {
+            {b.input.begin(), b.input.begin() + half},
+            {b.input.begin() + half, b.input.end()}};
+        const auto engine = std::make_shared<const NfaEngine>(b.automaton);
+        const auto program =
+            std::make_shared<const PlannedProgram>(
+            b.automaton, analysis::inferProfiles(b.automaton));
+
+        SimResult streamed[2], planned[2];
+        auto run = [&](size_t i) {
+            StreamingSession s(engine);
+            PlannedSession p(program);
+            for (size_t pos = 0; pos < in[i].size(); pos += 1500) {
+                const size_t n = std::min<size_t>(1500, in[i].size() - pos);
+                s.feed(in[i].data() + pos, n);
+                p.feed(in[i].data() + pos, n);
+            }
+            streamed[i] = canon(s.results());
+            planned[i] = p.results();
+        };
+        std::thread t0(run, 0), t1(run, 1);
+        t0.join();
+        t1.join();
+
+        for (size_t i = 0; i < 2; ++i) {
+            const SimResult want = canon(engine->simulate(in[i]));
+            for (const SimResult *got : {&streamed[i], &planned[i]}) {
+                EXPECT_EQ(got->symbols, want.symbols) << i;
+                EXPECT_EQ(got->reportCount, want.reportCount) << i;
+                EXPECT_EQ(got->reportingCycles, want.reportingCycles)
+                    << i;
+                EXPECT_EQ(got->reports, want.reports) << i;
+            }
+        }
+    }
 }
 
 } // namespace
