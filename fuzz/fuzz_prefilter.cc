@@ -7,7 +7,7 @@
  * NfaEngine, PlannedEngine with the prefilter enabled, PlannedEngine
  * with it disabled, and a chunked PlannedSession — and traps unless
  * all four produce identical canonical reports. Literal lengths span
- * 1..8 so the fuzzer drives both plannable (>= minScanLiteral) and
+ * 1..8 so the fuzzer drives both plannable (4 bytes or longer) and
  * interpreter-routed chains, and the chunk size spans the guard-poll
  * interval so feeds straddle poll boundaries.
  */

@@ -382,71 +382,19 @@ LazyDfaEngine::simulate(const uint8_t *input, size_t len,
         return res;
     }
 
-    // Hybrid path: both halves record their full report streams so
-    // the merge can reconstruct reportingCycles (distinct offsets)
-    // and byCode exactly; the caller's recording options are applied
-    // to the merged stream afterwards.
-    SimOptions inner;
-    inner.recordReports = true;
-    inner.reportRecordLimit = ~uint64_t(0);
-    inner.countByCode = false;
-    inner.computeActiveSet = opts.computeActiveSet;
-    inner.guard = opts.guard;
-
-    SimResult lz;
-    simulateLazy(input, len, inner, lz);
-    // The fallback interpreter only scans the prefix the lazy half
-    // consumed; if its guard poll truncates even earlier, the merged
-    // result shrinks to the shorter prefix below.
-    SimResult fb = fallbackEngine_->simulate(
-        input, static_cast<size_t>(lz.symbols), fallbackScratch_,
-        inner);
-    for (Report &r : fb.reports)
-        r.element = fallbackToGlobal_[r.element];
-    // The interpreter emits same-cycle reports in propagation order;
-    // normalize, then merge the two (now both canonical) streams.
-    std::sort(fb.reports.begin(), fb.reports.end());
-
-    const uint64_t m = std::min(lz.symbols, fb.symbols);
-    if (lz.symbols > m) {
-        std::erase_if(lz.reports, [m](const Report &r) {
-            return r.offset >= m;
-        });
-        lz.reportCount = lz.reports.size();
-    }
-    res.symbols = m;
-    res.guardStatus =
-        !fb.guardStatus.ok() ? fb.guardStatus : lz.guardStatus;
-    res.reportCount = lz.reportCount + fb.reportCount;
-    // When truncated, the two halves may have scanned slightly
-    // different prefixes; totalEnabled then covers their union and
-    // can overcount the merged prefix by up to one guard interval.
-    res.totalEnabled = lz.totalEnabled + fb.totalEnabled;
-    res.lazyFlushes = lz.lazyFlushes;
-    res.lazyStates = lz.lazyStates;
-    res.lazyFallbackComponents = fallbackComponentCount_;
-
-    res.reports.resize(lz.reports.size() + fb.reports.size());
-    std::merge(lz.reports.begin(), lz.reports.end(),
-               fb.reports.begin(), fb.reports.end(),
-               res.reports.begin());
-
-    uint64_t lastOffset = ~uint64_t(0);
-    for (const Report &r : res.reports) {
-        if (r.offset != lastOffset) {
-            ++res.reportingCycles;
-            lastOffset = r.offset;
-        }
-        if (opts.countByCode)
-            ++res.byCode[r.code];
-    }
-
-    if (!opts.recordReports)
-        res.reports.clear();
-    else if (res.reports.size() > opts.reportRecordLimit)
-        res.reports.resize(
-            static_cast<size_t>(opts.reportRecordLimit));
-    return res;
+    // Hybrid path: the lazy half and the counter fallback are two
+    // parts of one merge. The fallback only scans the prefix the lazy
+    // half consumed; if its own poll stops even earlier, the merge
+    // cuts both to the shorter prefix.
+    PartMerger merger(len);
+    const SimOptions inner = PartMerger::partOptions(opts);
+    simulateLazy(input, len, inner, res);
+    merger.add(std::move(res));
+    merger.add(fallbackEngine_->simulate(
+                   input, static_cast<size_t>(merger.consumed()),
+                   fallbackScratch_, inner),
+               fallbackToGlobal_);
+    return merger.finish(opts);
 }
 
 } // namespace azoo

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "analysis/profile.hh"
+#include "engine/run_guard.hh"
 #include "obs/obs.hh"
 #include "util/logging.hh"
 
@@ -278,24 +279,26 @@ SimResult
 MultiDfaEngine::simulate(const uint8_t *input, size_t len,
                          const SimOptions &opts) const
 {
-    SimResult res;
-    res.symbols = len;
+    // The compiled DFAs are one part, the lazy-DFA fallback over the
+    // prefix they consumed is another, and one merge finishes both.
+    PartMerger merger(len);
+    const SimOptions inner = PartMerger::partOptions(opts);
 
-    auto emit = [&](uint64_t t, ElementId el, uint32_t code) {
-        ++res.reportCount;
-        if (opts.recordReports &&
-            res.reports.size() < opts.reportRecordLimit) {
-            res.reports.push_back({t, el, code});
-        }
-        if (opts.countByCode)
-            ++res.byCode[code];
-    };
-
+    SimResult dfaPart;
     std::vector<uint32_t> state(dfas_.size());
     for (size_t d = 0; d < dfas_.size(); ++d)
         state[d] = dfas_[d].start;
 
     for (uint64_t t = 0; t < len; ++t) {
+        // Same poll clock as NfaEngine, so a stop lands on the same
+        // input position.
+        if (inner.guard && (t & (kGuardCheckIntervalSymbols - 1)) == 0) {
+            Status st = inner.guard->check(t);
+            if (!st.ok()) {
+                merger.stop(t, st);
+                break;
+            }
+        }
         const uint8_t s = input[t];
         for (size_t d = 0; d < dfas_.size(); ++d) {
             const Dfa &dfa = dfas_[d];
@@ -304,30 +307,20 @@ MultiDfaEngine::simulate(const uint8_t *input, size_t len,
             const uint32_t ridx = dfa.reportIdx[cell];
             if (ridx) {
                 for (const auto &r : dfa.pool[ridx])
-                    emit(t, r.element, r.code);
+                    dfaPart.reports.push_back({t, r.element, r.code});
             }
             state[d] = dfa.next[cell];
         }
     }
+    merger.add(std::move(dfaPart));
 
     if (fallbackEngine_) {
-        SimResult fres = fallbackEngine_->simulate(input, len, opts);
-        res.reportCount += fres.reportCount;
-        res.totalEnabled += fres.totalEnabled;
-        res.lazyFlushes = fres.lazyFlushes;
-        res.lazyStates = fres.lazyStates;
-        res.lazyFallbackComponents = fres.lazyFallbackComponents;
-        for (auto &r : fres.reports) {
-            if (opts.recordReports &&
-                res.reports.size() < opts.reportRecordLimit) {
-                res.reports.push_back(
-                    {r.offset, fallbackToGlobal_[r.element], r.code});
-            }
-        }
-        for (auto &[code, cnt] : fres.byCode)
-            res.byCode[code] += cnt;
+        merger.add(fallbackEngine_->simulate(
+                       input, static_cast<size_t>(merger.consumed()),
+                       inner),
+                   fallbackToGlobal_);
     }
-    return res;
+    return merger.finish(opts);
 }
 
 } // namespace azoo

@@ -64,8 +64,11 @@ class MultiDfaEngine
                             const MultiDfaOptions &opts =
                                 MultiDfaOptions());
 
-    /** Run over @p input. Report element ids refer to the original
-     *  automaton, so results are comparable with NfaEngine's. */
+    /** Run over @p input. Equals serial NfaEngine after
+     *  canonicalizeReports() on every field but totalEnabled, which
+     *  counts only the fallback's enabled states: element ids refer
+     *  to the original automaton, reports come out in canonical
+     *  order, and opts.guard is polled on NfaEngine's clock. */
     SimResult simulate(const uint8_t *input, size_t len,
                        const SimOptions &opts = SimOptions()) const;
 

@@ -37,7 +37,7 @@ ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
     slotScratch_.resize(pool_->size());
     if (opts_.engine == ParallelEngine::kLazyDfa) {
         LazyDfaOptions lo;
-        lo.cacheBytes = opts_.lazyCacheBytes;
+        lo.cacheBytes = opts_.plan.lazyCacheBytes;
         slotLazy_.resize(pool_->size());
         for (auto &e : slotLazy_)
             e = std::make_unique<LazyDfaEngine>(a_, lo);
@@ -110,7 +110,7 @@ ParallelRunner::buildShards(size_t groups)
             std::make_unique<NfaEngine>(shards_[s].sub);
         if (opts_.engine == ParallelEngine::kLazyDfa) {
             LazyDfaOptions lo;
-            lo.cacheBytes = opts_.lazyCacheBytes;
+            lo.cacheBytes = opts_.plan.lazyCacheBytes;
             shards_[s].lazy =
                 std::make_unique<LazyDfaEngine>(shards_[s].sub, lo);
         } else if (opts_.engine == ParallelEngine::kPlanned) {
@@ -232,20 +232,10 @@ ParallelRunner::runBatch(
 SimResult
 ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
 {
-    SimResult merged;
-    merged.symbols = len;
+    PartMerger merger(len);
     if (shards_.empty())
-        return merged;
-
-    // Shards record every report internally (the merge needs full
-    // offset streams to reconstruct reportingCycles and byCode
-    // exactly); the caller's recording options apply after the merge.
-    SimOptions inner;
-    inner.recordReports = true;
-    inner.reportRecordLimit = ~uint64_t(0);
-    inner.countByCode = false;
-    inner.computeActiveSet = opts_.sim.computeActiveSet;
-    inner.guard = opts_.sim.guard;
+        return merger.finish(opts_.sim);
+    const SimOptions inner = PartMerger::partOptions(opts_.sim);
 
     obs::ScopedTimer wall(
         obs::Registry::global().histogram("runner.sharded.wall_us"));
@@ -272,8 +262,6 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
                     parts[s] = sh.engine->simulate(
                         input, simLen, sh.scratch, shardOpts);
                 }
-                for (Report &r : parts[s].reports)
-                    r.element = sh.origId[r.element];
             });
         } catch (const StatusError &e) {
             return e.status();
@@ -290,19 +278,11 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
         return failed;
     }
 
-    // Guard truncation reconciliation: if any shard stopped early,
-    // the merged result covers only the prefix every shard consumed.
-    uint64_t consumed = len;
     for (const SimResult &p : parts) {
-        if (!p.guardStatus.ok()) {
-            consumed = std::min(consumed, p.symbols);
-            if (merged.guardStatus.ok())
-                merged.guardStatus = p.guardStatus;
-        }
+        if (p.truncated())
+            merger.stop(p.symbols, p.guardStatus);
     }
-    merged.symbols = consumed;
-
-    if (consumed < len) {
+    if (merger.consumed() < len) {
         // Shards poll the guard independently, so on a wall-clock or
         // injected stop they consume *different* prefixes — summing
         // their counters (totalEnabled, per-shard report streams)
@@ -314,12 +294,10 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
         // work the shards already did. (Symbol-budget guards stop all
         // shards at the same poll point, so this path is really about
         // deadline/cancellation/injected stops.)
-        obs::noteGuardStop("runner.sharded",
-                           merged.guardStatus.code());
         SimOptions replay = inner;
         replay.guard = nullptr;
-        if (Status st = runShards(static_cast<size_t>(consumed),
-                                  replay);
+        if (Status st = runShards(
+                static_cast<size_t>(merger.consumed()), replay);
             !st.ok()) {
             SimResult failed;
             failed.guardStatus = st;
@@ -327,21 +305,11 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
         }
     }
 
-    std::vector<Report> reports;
-    for (const SimResult &p : parts) {
-        merged.totalEnabled += p.totalEnabled;
-        merged.lazyFlushes += p.lazyFlushes;
-        merged.lazyStates += p.lazyStates;
-        merged.lazyFallbackComponents += p.lazyFallbackComponents;
-        reports.insert(reports.end(), p.reports.begin(),
-                       p.reports.end());
-    }
-    if (consumed < len) {
-        std::erase_if(reports, [consumed](const Report &r) {
-            return r.offset >= consumed;
-        });
-    }
-    finishMergedReports(std::move(reports), opts_.sim, merged);
+    for (size_t s = 0; s < parts.size(); ++s)
+        merger.add(std::move(parts[s]), shards_[s].origId);
+    SimResult merged = merger.finish(opts_.sim);
+    if (merged.truncated())
+        obs::noteGuardStop("runner.sharded", merged.guardStatus.code());
     return merged;
 }
 

@@ -71,13 +71,11 @@ struct ParallelOptions {
     size_t chunkBytes = 0;
     /** Engine for monolithic streams and component shards. */
     ParallelEngine engine = ParallelEngine::kNfa;
-    /** Lazy-DFA transition-cache budget (engine == kLazyDfa). Each
-     *  worker slot / shard owns a private cache of this size. */
-    size_t lazyCacheBytes = 8u << 20;
     /** Planning knobs (engine == kPlanned). Each worker slot / shard
      *  owns a private PlannedEngine built from one shared profile
      *  inference; chunked streams are PlannedSession cursors over one
-     *  shared PlannedProgram. */
+     *  shared PlannedProgram. plan.lazyCacheBytes is also the cache
+     *  budget of every slot's / shard's engine under kLazyDfa. */
     PlanOptions plan;
     /** Per-stream simulation options. */
     SimOptions sim;

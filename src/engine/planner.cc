@@ -78,6 +78,12 @@ sodComponents(const Automaton &a)
     return hasSod;
 }
 
+/** Shortest mandatory literal worth scanning for. */
+constexpr uint32_t kMinScanLiteral = 4;
+/** Scan-literal length cap: longer factors are truncated, and the
+ *  verify step inside the window restores exactness. */
+constexpr uint32_t kMaxScanLiteral = 8;
+
 PlanBackend
 decide(const analysis::ComponentProfile &p, bool hasSod,
        const PlanOptions &opts)
@@ -92,16 +98,12 @@ decide(const analysis::ComponentProfile &p, bool hasSod,
         // once active they stay active, so the lazy DFA's state-sets
         // converge to a small hot set regardless of the static blowup
         // estimate.
-        return p.blowupLog2 <= opts.maxLazyBlowupLog2
-            ? PlanBackend::kLazyDfa
-            : PlanBackend::kInterpreter;
+        return PlanBackend::kLazyDfa;
     }
     // Acyclic, counter-free from here on.
-    if (p.anchored && p.maxActivationDepth != analysis::kUnboundedLen)
-        return PlanBackend::kAnchoredPrefix;
     if (opts.enablePrefilter &&
         p.cls == ComponentClass::kLiteralChain &&
-        p.mandatoryLiteral.size() >= opts.minScanLiteral &&
+        p.mandatoryLiteral.size() >= kMinScanLiteral &&
         p.maxMatchLen != analysis::kUnboundedLen && !hasSod) {
         return PlanBackend::kPrefilter;
     }
@@ -110,7 +112,8 @@ decide(const analysis::ComponentProfile &p, bool hasSod,
     // rarely repeats — the transition cache churns instead of
     // converging (mesh kernels are the worst case). The enabled-set
     // interpreter pays per active state but never constructs
-    // state-sets.
+    // state-sets. Anchored bounded components land here too: once
+    // quiesced they cost the interpreter nothing per symbol.
     return PlanBackend::kInterpreter;
 }
 
@@ -146,11 +149,10 @@ groupOf(const EnginePlan &plan, Pred &&want)
 
 /** The scan literal and window of one prefilter-routed component. */
 PrefilterPattern
-prefilterPattern(const analysis::ComponentProfile &p,
-                 const PlanOptions &opts)
+prefilterPattern(const analysis::ComponentProfile &p)
 {
     PrefilterPattern pat;
-    pat.literal = p.mandatoryLiteral.substr(0, opts.maxScanLiteral);
+    pat.literal = p.mandatoryLiteral.substr(0, kMaxScanLiteral);
     // +2 slop over the exact reach so off-by-one drift in the length
     // facts can never clip a match.
     pat.radius = p.maxMatchLen + 2;
@@ -164,8 +166,7 @@ std::unique_ptr<PrefilteredNfa>
 buildPrefilterGroup(const Automaton &a, const std::vector<uint32_t> &comp,
                     const EnginePlan &plan,
                     const std::vector<analysis::ComponentProfile>
-                        &profiles,
-                    const PlanOptions &opts)
+                        &profiles)
 {
     const std::vector<uint8_t> wanted = groupOf(
         plan, [](PlanBackend b) { return b == PlanBackend::kPrefilter; });
@@ -176,7 +177,7 @@ buildPrefilterGroup(const Automaton &a, const std::vector<uint32_t> &comp,
     std::vector<PrefilterPattern> pats;
     for (const analysis::ComponentProfile &p : profiles) {
         if (wanted[p.componentId])
-            pats.push_back(prefilterPattern(p, opts));
+            pats.push_back(prefilterPattern(p));
     }
     return std::make_unique<PrefilteredNfa>(*sub, std::move(toGlobal),
                                             std::move(pats));
@@ -240,7 +241,6 @@ PlannedEngine::build(const Automaton &a,
                          &profiles,
                      const PlanOptions &opts)
 {
-    popts_ = opts;
     plan_ = planComponents(a, profiles, opts);
     notePlan(plan_);
 
@@ -251,25 +251,7 @@ PlannedEngine::build(const Automaton &a,
         return groupOf(plan_, [want](PlanBackend b) { return b == want; });
     };
 
-    prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles, opts);
-
-    {
-        const std::vector<uint8_t> wanted =
-            wantedFor(PlanBackend::kAnchoredPrefix);
-        anchoredSub_ =
-            buildGroup(a, comp, wanted, ".anchored", anchoredToGlobal_);
-        if (anchoredSub_) {
-            for (const analysis::ComponentProfile &p : profiles) {
-                if (wanted[p.componentId]) {
-                    anchoredPrefix_ = std::max<uint64_t>(
-                        anchoredPrefix_,
-                        uint64_t(p.maxActivationDepth) + 2);
-                }
-            }
-            anchoredEngine_ =
-                std::make_unique<NfaEngine>(*anchoredSub_);
-        }
-    }
+    prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles);
 
     {
         lazySub_ = buildGroup(a, comp,
@@ -296,54 +278,7 @@ SimResult
 PlannedEngine::simulate(const uint8_t *input, size_t len,
                         const SimOptions &uopts)
 {
-    // Single-group fast path: when one backend covers every non-skip
-    // component it already runs the whole input with the serial guard
-    // contract, so delegating with the caller's options (instead of
-    // full-record + merge) keeps counter-coupled plans at interpreter
-    // parity. Only the report ids need the remap, plus a canonical
-    // sort; the caller's record limit is applied after the sort so
-    // the recorded subset matches the merge path's.
-    const bool soloInterp = interpEngine_ && !lazyEngine_ &&
-        !anchoredEngine_ && !prefilter_;
-    const bool soloLazy = lazyEngine_ && !interpEngine_ &&
-        !anchoredEngine_ && !prefilter_;
-    if (soloInterp || soloLazy) {
-        lastPrefilterStats_ = PrefilterStats();
-        SimOptions inner = uopts;
-        if (inner.recordReports)
-            inner.reportRecordLimit = ~uint64_t(0);
-        SimResult r = soloInterp
-            ? interpEngine_->simulate(input, len, interpScratch_,
-                                      inner)
-            : lazyEngine_->simulate(input, len, inner);
-        const std::vector<ElementId> &toGlobal =
-            soloInterp ? interpToGlobal_ : lazyToGlobal_;
-        for (Report &rep : r.reports)
-            rep.element = toGlobal[rep.element];
-        std::sort(r.reports.begin(), r.reports.end());
-        if (r.reports.size() > uopts.reportRecordLimit)
-            r.reports.resize(
-                static_cast<size_t>(uopts.reportRecordLimit));
-        return r;
-    }
-
-    // Backends record everything; the caller's recording options
-    // apply after the merge (same contract as simulateSharded()).
-    SimOptions inner;
-    inner.recordReports = true;
-    inner.reportRecordLimit = ~uint64_t(0);
-    inner.countByCode = false;
-    inner.computeActiveSet = uopts.computeActiveSet;
-    inner.guard = uopts.guard;
-
-    uint64_t consumed = len;
-    Status gstat;
-    auto truncate = [&](uint64_t sym, const Status &st) {
-        if (sym < consumed || gstat.ok()) {
-            consumed = std::min(consumed, sym);
-            gstat = st;
-        }
-    };
+    PartMerger merger(len);
 
     // Poll sweep over the whole input *before* the backends run: the
     // poll clock must tick even where every backend is absent or
@@ -356,73 +291,32 @@ PlannedEngine::simulate(const uint8_t *input, size_t len,
              t += kGuardCheckIntervalSymbols) {
             Status st = uopts.guard->check(t);
             if (!st.ok()) {
-                truncate(t, st);
+                merger.stop(t, st);
                 break;
             }
         }
     }
 
-    std::vector<Report> reports;
-    SimResult out;
-
-    auto collect = [&](SimResult &&r,
-                       const std::vector<ElementId> &toGlobal) {
-        for (Report &rep : r.reports)
-            rep.element = toGlobal[rep.element];
-        reports.insert(reports.end(), r.reports.begin(),
-                       r.reports.end());
-        out.totalEnabled += r.totalEnabled;
-        out.lazyFlushes += r.lazyFlushes;
-        out.lazyStates += r.lazyStates;
-        out.lazyFallbackComponents += r.lazyFallbackComponents;
-        if (!r.guardStatus.ok())
-            truncate(r.symbols, r.guardStatus);
-    };
-
-    if (interpEngine_ && consumed > 0) {
-        collect(interpEngine_->simulate(input, len, interpScratch_,
-                                        inner),
-                interpToGlobal_);
+    // Each group is one part over the prefix not yet cut by a stop.
+    const SimOptions inner = PartMerger::partOptions(uopts);
+    auto live = [&] { return static_cast<size_t>(merger.consumed()); };
+    if (interpEngine_ && live() > 0) {
+        merger.add(interpEngine_->simulate(input, live(), interpScratch_,
+                                           inner),
+                   interpToGlobal_);
     }
-    if (lazyEngine_ && consumed > 0) {
-        collect(lazyEngine_->simulate(input, len, inner),
-                lazyToGlobal_);
-    }
-    if (anchoredEngine_ && consumed > 0) {
-        // Anchored components quiesce after anchoredPrefix_ symbols,
-        // so a completed prefix run covers the whole input.
-        const size_t alen = static_cast<size_t>(
-            std::min<uint64_t>(len, anchoredPrefix_));
-        collect(anchoredEngine_->simulate(input, alen,
-                                          anchoredScratch_, inner),
-                anchoredToGlobal_);
+    if (lazyEngine_ && live() > 0) {
+        merger.add(lazyEngine_->simulate(input, live(), inner),
+                   lazyToGlobal_);
     }
     lastPrefilterStats_ = PrefilterStats();
-    if (prefilter_ && consumed > 0) {
+    if (prefilter_ && live() > 0) {
         PrefilteredNfa::RunResult rr = prefilter_->run(
-            input, len, uopts.guard, prefilterScratch_);
-        reports.insert(reports.end(), rr.reports.begin(),
-                       rr.reports.end());
-        out.totalEnabled += rr.totalEnabled;
+            input, live(), uopts.guard, prefilterScratch_);
         lastPrefilterStats_ = rr.stats;
-        if (!rr.guardStatus.ok())
-            truncate(rr.symbols, rr.guardStatus);
+        merger.add(std::move(rr));
     }
-
-    // Merge to the shortest consumed prefix. Every backend's report
-    // stream is complete over [0, consumed) (each ran at least that
-    // far), so clipping + canonical sort is exact — no re-simulation
-    // needed, unlike simulateSharded(), because backends are built
-    // once and reports are never sampled.
-    out.symbols = consumed;
-    out.guardStatus = gstat;
-    if (consumed < len) {
-        std::erase_if(reports, [consumed](const Report &r) {
-            return r.offset >= consumed;
-        });
-    }
-    finishMergedReports(std::move(reports), uopts, out);
-    return out;
+    return merger.finish(uopts);
 }
 
 // ---------------------------------------------------------------------
@@ -438,7 +332,7 @@ PlannedProgram::PlannedProgram(
 
     uint32_t count = 0;
     const std::vector<uint32_t> comp = a.connectedComponents(count);
-    prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles, opts);
+    prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles);
     // The rest group's graph copy lives only as long as its compile.
     const auto rest = buildGroup(
         a, comp, groupOf(plan_, [](PlanBackend b) {
@@ -533,26 +427,18 @@ PlannedSession::feed(const uint8_t *data, size_t len)
 SimResult
 PlannedSession::results() const
 {
-    SimResult out;
-    out.symbols = t_;
-    out.guardStatus = guardStatus_;
-
-    std::vector<Report> reports;
-    if (restSession_) {
-        const SimResult &r = restSession_->results();
-        const std::vector<ElementId> &toGlobal = program_->restToGlobal_;
-        reports.reserve(r.reports.size());
-        for (const Report &rep : r.reports)
-            reports.push_back({rep.offset, toGlobal[rep.element], rep.code});
-        out.totalEnabled += r.totalEnabled;
-    }
+    PartMerger merger(t_);
+    if (stopped())
+        merger.stop(t_, guardStatus_);
+    if (restSession_)
+        merger.add(restSession_->results(), program_->restToGlobal_);
     if (prefilterSession_) {
-        const std::vector<Report> &pre = prefilterSession_->reports();
-        reports.insert(reports.end(), pre.begin(), pre.end());
-        out.totalEnabled += prefilterSession_->totalEnabled();
+        SimResult pre;
+        pre.reports = prefilterSession_->reports();
+        pre.totalEnabled = prefilterSession_->totalEnabled();
+        merger.add(std::move(pre));
     }
-    finishMergedReports(std::move(reports), options, out);
-    return out;
+    return merger.finish(options);
 }
 
 void
@@ -592,7 +478,7 @@ PlannedSession::cursorBytes(
     for (const analysis::ComponentProfile &p : profiles) {
         if (decide(p, false, opts) != PlanBackend::kPrefilter)
             continue;
-        const PrefilterPattern pat = prefilterPattern(p, opts);
+        const PrefilterPattern pat = prefilterPattern(p);
         radius = std::max<uint64_t>(radius, pat.radius);
         literal = std::max<uint64_t>(literal, pat.literal.size());
     }

@@ -21,18 +21,18 @@
  *
  *   reportCount == 0                  -> kSkip        (never reports)
  *   counter-coupled                   -> kInterpreter (exact counters)
- *   cyclic-unbounded, small blowup    -> kLazyDfa
- *   cyclic-unbounded, huge blowup     -> kInterpreter
- *   anchored, bounded depth           -> kAnchoredPrefix
- *   literal-chain, strong literal,
- *     bounded matches, all-input      -> kPrefilter
+ *   cyclic-unbounded                  -> kLazyDfa
+ *   literal-chain, literal of >= 4
+ *     bytes, bounded matches,
+ *     all-input                       -> kPrefilter
  *   everything else                   -> kInterpreter
  *
  * Guard semantics: a planned run polls the caller's RunGuard on the
  * same kGuardCheckIntervalSymbols clock as the serial engines (every
- * backend polls, and a sweep covers skipped/absent work), and on a
- * stop all backends are reconciled to the shortest consumed prefix —
- * the same contract ParallelRunner::simulateSharded() keeps.
+ * backend polls, and a sweep covers skipped/absent work), and each
+ * backend group is one part of a PartMerger, which cuts the merged
+ * result to the shortest consumed prefix — the same contract
+ * ParallelRunner::simulateSharded() keeps.
  */
 
 #ifndef AZOO_ENGINE_PLANNER_HH
@@ -58,7 +58,10 @@ namespace azoo {
 /** Execution backend a component is planned onto. */
 enum class PlanBackend : uint8_t {
     kPrefilter = 0,      ///< literal scan + windowed interpreter
-    kAnchoredPrefix = 1, ///< interpreter over a bounded input prefix
+    /** Never planned: anchored bounded components interpret. The
+     *  slot keeps its name and census letter so per-backend
+     *  counters and metric names stay stable. */
+    kAnchoredPrefix = 1,
     kLazyDfa = 2,        ///< lazy-DFA hybrid
     kInterpreter = 3,    ///< enabled-set interpreter
     kSkip = 4,           ///< no reporting member: never simulated
@@ -78,19 +81,8 @@ struct PlanOptions {
     /** Allow the literal-prefilter backend (`--no-prefilter` routes
      *  literal chains to the interpreter instead). */
     bool enablePrefilter = true;
-    /** Shortest mandatory literal worth scanning for. */
-    uint32_t minScanLiteral = 4;
-    /** Scan-literal length cap (longer factors are truncated; the
-     *  verify step inside the window restores exactness). */
-    uint32_t maxScanLiteral = 8;
-    /** Cyclic components with blowupLog2 above this interpret rather
-     *  than use the lazy DFA. The estimate saturates at 32, so the
-     *  default keeps every cyclic component on the lazy DFA: gap
-     *  self-loops are absorbing, the set of state-sets actually
-     *  visited stays small, and a saturated static estimate says
-     *  nothing about the run-time working set. */
-    uint32_t maxLazyBlowupLog2 = 32;
-    /** Transition-cache budget of the lazy-DFA backend. */
+    /** Transition-cache budget of the lazy-DFA backend (and of
+     *  ParallelEngine::kLazyDfa's per-slot engines). */
     size_t lazyCacheBytes = 8u << 20;
     /** Profile-inference knobs (when the planner infers them). */
     analysis::InferOptions infer;
@@ -124,8 +116,8 @@ EnginePlan planComponents(const Automaton &a,
 
 /**
  * Executes an EnginePlan: one engine per backend group over a
- * sub-automaton of that group's components, merged into a single
- * canonical SimResult.
+ * sub-automaton of that group's components, each group one part of
+ * a PartMerger that yields a single canonical SimResult.
  *
  * simulate() mutates per-engine state (lazy cache, scratches), so a
  * PlannedEngine must not be shared by concurrently simulating threads
@@ -177,19 +169,10 @@ class PlannedEngine
                const std::vector<analysis::ComponentProfile> &profiles,
                const PlanOptions &opts);
 
-    PlanOptions popts_;
     EnginePlan plan_;
 
     std::unique_ptr<PrefilteredNfa> prefilter_;
     EngineScratch prefilterScratch_;
-
-    std::unique_ptr<Automaton> anchoredSub_;
-    std::vector<ElementId> anchoredToGlobal_;
-    std::unique_ptr<NfaEngine> anchoredEngine_;
-    EngineScratch anchoredScratch_;
-    /** Input prefix after which every anchored component has
-     *  quiesced. */
-    uint64_t anchoredPrefix_ = 0;
 
     std::unique_ptr<Automaton> lazySub_;
     std::vector<ElementId> lazyToGlobal_;
@@ -227,7 +210,7 @@ class PlannedProgram
     EnginePlan plan_;
     /** Null when no component was planned onto the prefilter. */
     std::unique_ptr<PrefilteredNfa> prefilter_;
-    /** Anchored + lazy + interpreter components merged: everything
+    /** Lazy + interpreter components merged: everything
      *  that needs per-symbol streaming state (null when none). */
     std::shared_ptr<const NfaEngine> rest_;
     std::vector<ElementId> restToGlobal_;

@@ -231,14 +231,12 @@ class PrefilteredNfa
     PrefilteredNfa(const PrefilteredNfa &) = delete;
     PrefilteredNfa &operator=(const PrefilteredNfa &) = delete;
 
-    /** Outcome of one block-mode run. Reports carry global element
-     *  ids and absolute offsets, in emission (ascending-offset)
-     *  order. */
-    struct RunResult {
-        uint64_t symbols = 0; ///< consumed prefix (== len unless guarded)
-        Status guardStatus;
-        std::vector<Report> reports;
-        uint64_t totalEnabled = 0;
+    /** Outcome of one block-mode run: a PartMerger part. It sets
+     *  symbols (the consumed prefix), guardStatus, totalEnabled and
+     *  reports, which carry global element ids and absolute offsets
+     *  in emission (ascending-offset) order; the counts are left to
+     *  the merger. */
+    struct RunResult : SimResult {
         PrefilterStats stats;
     };
 

@@ -129,34 +129,123 @@ canonicalizeReports(SimResult &r)
 }
 
 /**
- * Finish a merged result from the complete report stream of its
- * parts: sort @p reports canonically, count reportCount,
- * reportingCycles and (when opts.countByCode) byCode from them, then
- * keep them in @p out as opts.recordReports and opts.reportRecordLimit
- * allow. A reporting cycle is a distinct offset, exactly as the
- * serial engine counts cycles with at least one report.
+ * The one merge rule of every composite engine: PlannedEngine's
+ * backend groups, the LazyDfaEngine and MultiDfaEngine hybrids,
+ * ParallelRunner's component shards and PlannedSession's cursors are
+ * each a list of parts run with partOptions(), handed to add(), and
+ * finished once with the caller's options.
+ *
+ * Every part records its complete report stream over the prefix it
+ * consumed, so the merged result is exact over the shortest prefix
+ * any part stopped at: reports at or past it are dropped, and
+ * reportCount, reportingCycles and byCode are counted from the
+ * merged stream. A reporting cycle is a distinct offset, exactly as
+ * the serial engine counts cycles with at least one report.
+ * totalEnabled and the lazy-DFA statistics are summed over the
+ * parts, so under a stop they may cover more than the merged prefix.
  */
-inline void
-finishMergedReports(std::vector<Report> reports, const SimOptions &opts,
-                    SimResult &out)
+class PartMerger
 {
-    std::sort(reports.begin(), reports.end());
-    out.reportCount = reports.size();
-    uint64_t lastOffset = ~uint64_t(0);
-    for (const Report &r : reports) {
-        if (r.offset != lastOffset) {
-            ++out.reportingCycles;
-            lastOffset = r.offset;
-        }
-        if (opts.countByCode)
-            ++out.byCode[r.code];
+  public:
+    /** Merge parts of a run over @p len input symbols. */
+    explicit PartMerger(uint64_t len) : len_(len), consumed_(len) {}
+
+    /** Options every part runs with: record every report, no byCode,
+     *  and the caller's guard and computeActiveSet. */
+    static SimOptions
+    partOptions(const SimOptions &caller)
+    {
+        SimOptions inner;
+        inner.computeActiveSet = caller.computeActiveSet;
+        inner.guard = caller.guard;
+        return inner;
     }
-    if (!opts.recordReports)
-        return;
-    if (reports.size() > opts.reportRecordLimit)
-        reports.resize(static_cast<size_t>(opts.reportRecordLimit));
-    out.reports = std::move(reports);
-}
+
+    /** Add one part's result. @p toGlobal maps its element ids to the
+     *  merged automaton's (empty: they already are). A part the guard
+     *  stopped records its stop. */
+    void
+    add(SimResult part, const std::vector<ElementId> &toGlobal = {})
+    {
+        if (!toGlobal.empty()) {
+            for (Report &r : part.reports)
+                r.element = toGlobal[r.element];
+        }
+        if (reports_.empty()) {
+            reports_ = std::move(part.reports);
+        } else {
+            reports_.insert(reports_.end(), part.reports.begin(),
+                            part.reports.end());
+        }
+        out_.totalEnabled += part.totalEnabled;
+        out_.lazyFlushes += part.lazyFlushes;
+        out_.lazyStates += part.lazyStates;
+        out_.lazyFallbackComponents += part.lazyFallbackComponents;
+        if (part.truncated())
+            stop(part.symbols, part.guardStatus);
+    }
+
+    /** Record a guard stop after @p symbols. The shortest stopped
+     *  prefix wins; on a tie, the first stop's status is kept. */
+    void
+    stop(uint64_t symbols, const Status &st)
+    {
+        if (symbols < consumed_ || status_.ok()) {
+            consumed_ = std::min(consumed_, symbols);
+            status_ = st;
+        }
+    }
+
+    /** The prefix the merged result covers so far: the input length
+     *  until a stop. Parts added later need only run this far. */
+    uint64_t consumed() const { return consumed_; }
+
+    /** The merged result, with the caller's recording options applied
+     *  once: canonical (offset, element, code) order, counts over the
+     *  consumed prefix, then opts.recordReports and
+     *  opts.reportRecordLimit. Call once; the merger is spent. */
+    SimResult
+    finish(const SimOptions &opts)
+    {
+        out_.symbols = consumed_;
+        out_.guardStatus = status_;
+        if (consumed_ < len_) {
+            std::erase_if(reports_, [this](const Report &r) {
+                return r.offset >= consumed_;
+            });
+        }
+        // A lone lazy-DFA part is already canonical, and sorting a
+        // sorted stream still costs n log n comparisons.
+        if (!std::is_sorted(reports_.begin(), reports_.end()))
+            std::sort(reports_.begin(), reports_.end());
+        out_.reportCount = reports_.size();
+        uint64_t lastOffset = ~uint64_t(0);
+        for (const Report &r : reports_) {
+            if (r.offset != lastOffset) {
+                ++out_.reportingCycles;
+                lastOffset = r.offset;
+            }
+            if (opts.countByCode)
+                ++out_.byCode[r.code];
+        }
+        if (opts.recordReports) {
+            if (reports_.size() > opts.reportRecordLimit)
+                reports_.resize(
+                    static_cast<size_t>(opts.reportRecordLimit));
+            out_.reports = std::move(reports_);
+        }
+        return std::move(out_);
+    }
+
+  private:
+    uint64_t len_;
+    uint64_t consumed_;
+    Status status_;
+    /** Every part's reports, global ids, in arrival order. */
+    std::vector<Report> reports_;
+    /** The summed fields; the rest are filled by finish(). */
+    SimResult out_;
+};
 
 } // namespace azoo
 

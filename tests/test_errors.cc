@@ -19,6 +19,7 @@
 #include "core/automaton.hh"
 #include "core/mnrl.hh"
 #include "core/serialize.hh"
+#include "engine/multidfa_engine.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
 #include "tool_common.hh"
@@ -378,6 +379,65 @@ TEST(RunGuard, SymbolBudgetYieldsExactPrefix)
     EXPECT_EQ(r.reportCount, r.symbols);
     for (const Report &rep : r.reports)
         EXPECT_LT(rep.offset, r.symbols);
+}
+
+TEST(RunGuard, SymbolBudgetStopsEveryEngineOnTheSerialPrefix)
+{
+    // Once with every component compiled to a DFA, once with a
+    // counter component on MultiDfaEngine's fallback (and on the lazy
+    // DFA's interpreter half): each engine returns serial's prefix,
+    // stop status and canonical reports under the same budget.
+    Automaton dfaOnly("t");
+    const ElementId s = dfaOnly.addSte(CharSet::single('a'),
+                                       StartType::kAllInput, true, 1);
+    dfaOnly.addEdge(s, s);
+    const ElementId b = dfaOnly.addSte(CharSet::single('b'),
+                                       StartType::kAllInput, false, 0);
+    dfaOnly.addEdge(b, dfaOnly.addSte(CharSet::single('a'),
+                                      StartType::kNone, true, 2));
+    Automaton withCounter = dfaOnly;
+    const ElementId c = withCounter.addSte(
+        CharSet::single('b'), StartType::kAllInput, false, 0);
+    withCounter.addEdge(c, withCounter.addCounter(
+                               3, CounterMode::kRollover, true, 3));
+
+    std::vector<uint8_t> input(100000, 'a');
+    for (size_t i = 2; i < input.size(); i += 3)
+        input[i] = 'b';
+
+    for (const Automaton *a : {&dfaOnly, &withCounter}) {
+        RunGuard guard;
+        guard.setSymbolBudget(5000);
+        SimOptions opts;
+        opts.countByCode = true;
+        opts.guard = &guard;
+        SimResult want = NfaEngine(*a).simulate(input, opts);
+        canonicalizeReports(want);
+        ASSERT_EQ(want.symbols, 5120u);
+        ASSERT_EQ(want.guardStatus.code(), ErrorCode::kLimitExceeded);
+
+        MultiDfaEngine dfa(*a);
+        EXPECT_EQ(dfa.fallbackComponents(), a == &dfaOnly ? 0u : 1u);
+        LazyDfaEngine lazy(*a);
+        PlannedEngine planned(*a);
+        const std::pair<const char *, SimResult> runs[] = {
+            {"multidfa", dfa.simulate(input, opts)},
+            {"lazydfa", lazy.simulate(input, opts)},
+            {"planned", planned.simulate(input, opts)},
+        };
+        for (const auto &[engine, got] : runs) {
+            const std::string label =
+                cat(engine, " on ", a->size(), " elements");
+            EXPECT_EQ(got.symbols, want.symbols) << label;
+            EXPECT_EQ(got.guardStatus.code(), want.guardStatus.code())
+                << label;
+            EXPECT_EQ(got.reports, want.reports) << label;
+            EXPECT_EQ(got.reportCount, want.reportCount) << label;
+            EXPECT_EQ(got.reportingCycles, want.reportingCycles)
+                << label;
+            EXPECT_EQ(got.byCode, want.byCode) << label;
+        }
+    }
 }
 
 TEST(RunGuard, CancelStopsImmediately)

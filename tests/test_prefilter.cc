@@ -485,6 +485,37 @@ TEST(PlannedEngine, LiteralZooBenchmarksActuallyPrefilter)
         0u);
 }
 
+TEST(PlannedEngine, AnchoredComponentsInterpret)
+{
+    // An anchored bounded chain beside literal chains: the chain is
+    // planned onto the interpreter, the literals onto the prefilter,
+    // and the mixed plan still equals serial.
+    Automaton a = literalAutomaton(kLits);
+    addLiteral(a, "abc", StartType::kStartOfData, true, 99);
+    const std::vector<analysis::ComponentProfile> profiles =
+        analysis::inferProfiles(a);
+    PlannedEngine e(a, profiles);
+    size_t anchored = 0;
+    for (const ComponentDecision &d : e.plan().decisions) {
+        if (!profiles[d.componentId].anchored)
+            continue;
+        ++anchored;
+        EXPECT_EQ(d.backend, PlanBackend::kInterpreter);
+    }
+    EXPECT_EQ(anchored, 1u);
+    EXPECT_GT(e.prefilterPatterns(), 0u);
+
+    Rng rng(5);
+    std::vector<uint8_t> in = plantedInput(rng, kLits, 8192);
+    std::copy_n("abc", 3, in.begin());
+    SimOptions sim;
+    sim.countByCode = true;
+    SimResult want = NfaEngine(a).simulate(in, sim);
+    canonicalizeReports(want);
+    ASSERT_EQ(want.byCode[99], 1u);
+    expectSemanticallyEqual(e.simulate(in, sim), want, "anchored");
+}
+
 TEST(PlannedSession, ZeroLengthStream)
 {
     zoo::Benchmark b = zoo::makeBenchmark("ClamAV", tinyConfig());

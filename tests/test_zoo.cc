@@ -122,14 +122,18 @@ TEST_P(ZooEngineEquivalence, NfaAndDfaReportIdentically)
     cfg.inputBytes = 16 * 1024;
     zoo::Benchmark b = zoo::makeBenchmark(GetParam(), cfg);
 
+    SimOptions opts;
+    opts.countByCode = true;
     NfaEngine nfa(b.automaton);
     MultiDfaEngine dfa(b.automaton);
-    auto sorted = [](SimResult r) {
-        std::sort(r.reports.begin(), r.reports.end());
-        return r.reports;
-    };
-    EXPECT_EQ(sorted(nfa.simulate(b.input)),
-              sorted(dfa.simulate(b.input)));
+    SimResult ref = nfa.simulate(b.input, opts);
+    std::sort(ref.reports.begin(), ref.reports.end());
+    const SimResult got = dfa.simulate(b.input, opts);
+    EXPECT_EQ(ref.reports, got.reports);
+    // totalEnabled is engine-defined for the multi-DFA engine.
+    EXPECT_EQ(ref.reportCount, got.reportCount);
+    EXPECT_EQ(ref.reportingCycles, got.reportingCycles);
+    EXPECT_EQ(ref.byCode, got.byCode);
 }
 
 /** The lazy-DFA hybrid is bit-identical to the interpreter on every

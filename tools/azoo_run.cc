@@ -26,12 +26,12 @@
  * determinizes each component eagerly; lazydfa runs subset
  * construction on the fly, memoizing transitions in a cache bounded
  * by --cache-bytes; auto profiles the automaton and plans each
- * component onto the cheapest exact backend (literal prefilter,
- * anchored prefix, lazy DFA, or interpreter — see
- * docs/ARCHITECTURE.md "Engine planning & prefilters").
- * --no-prefilter keeps the planner but routes literal chains to the
- * lazy DFA instead of the prefilter. All engines produce identical
- * reports (canonical order for auto).
+ * component onto the cheapest exact backend (literal prefilter, lazy
+ * DFA, or interpreter — see docs/ARCHITECTURE.md "Engine planning &
+ * prefilters"). --no-prefilter keeps the planner but routes literal
+ * chains to the interpreter instead of the prefilter. All engines
+ * produce identical reports and counts, also under --symbol-budget
+ * (canonical order for every engine but nfa).
  *
  * --threads N (N > 1) simulates with the parallel layer: by default
  * the automaton is sharded by connected components and all shards
@@ -262,7 +262,6 @@ main(int argc, char **argv)
         popts.engine = planned ? ParallelEngine::kPlanned
                        : lazy  ? ParallelEngine::kLazyDfa
                                : ParallelEngine::kNfa;
-        popts.lazyCacheBytes = cacheBytes;
         popts.plan = planOpts;
         popts.sim = opts;
         ParallelRunner runner(graph(), popts);
@@ -348,7 +347,6 @@ main(int argc, char **argv)
         popts.engine = planned ? ParallelEngine::kPlanned
                        : lazy  ? ParallelEngine::kLazyDfa
                                : ParallelEngine::kNfa;
-        popts.lazyCacheBytes = cacheBytes;
         popts.plan = planOpts;
         popts.sim = opts;
         ParallelRunner runner(graph(), popts);
