@@ -161,7 +161,10 @@ main(int argc, char **argv)
         threads = 1;
     const auto swaps =
         static_cast<size_t>(cli.getInt("swaps", 20));
-    const std::string engineName = cli.get("engine", "nfa");
+    const Expected<EngineKind> engine = parseEngine(
+        cli.get("engine", "nfa"), {EngineKind::kNfa, EngineKind::kAuto});
+    if (!engine.ok())
+        usageError(cat("reload_swap: ", engine.status().message()));
 
     zoo::Benchmark b = zoo::makeBenchmark(name, zcfg);
     std::vector<uint8_t> corpus = std::move(b.input);
@@ -175,13 +178,8 @@ main(int argc, char **argv)
         cat("/tmp/azoo-reload-swap-", ::getpid(), ".azml");
     saveAzml(rulesetPath, b.automaton);
 
-    serve::ServerOptions sopts;
-    sopts.engine = engineName == "auto" ? serve::ServeEngine::kPlanned
-                                        : serve::ServeEngine::kNfa;
-    serve::RulesetGeneration gen = serve::makeInlineRuleset(
-        b.automaton,
-        serve::RulesetSpec{sopts.engine, sopts.plan, ParseLimits()});
-    serve::Server server(std::move(gen), sopts);
+    serve::Server server(serve::makeInlineRuleset(b.automaton, {*engine}),
+                         serve::ServerOptions());
     if (Status st = server.start(); !st.ok())
         fatal(cat("reload_swap: ", st.str()));
     const std::string addr = cat("tcp:", server.port());
@@ -264,7 +262,7 @@ main(int argc, char **argv)
     bench::JsonReport report("reload_swap");
     bench::JsonRow row;
     row.benchmark = b.name;
-    row.engine = engineName;
+    row.engine = engineName(*engine);
     row.threads = threads;
     row.extra = {
         {"sessions", static_cast<double>(sessions)},

@@ -134,6 +134,10 @@ main(int argc, char **argv)
     if (cfg.threads == 0)
         cfg.threads = 1;
 
+    const Expected<EngineKind> engine = parseEngine(
+        cli.get("engine", "nfa"), {EngineKind::kNfa, EngineKind::kAuto});
+    if (!engine.ok())
+        usageError(cat("serve_latency: ", engine.status().message()));
     const std::string connectAddr = cli.get("connect");
     const bool selfHost = connectAddr.empty();
     const std::string name = cli.get("name", "Snort");
@@ -165,14 +169,12 @@ main(int argc, char **argv)
             std::move(b.automaton));
         serve::ServerOptions sopts;
         sopts.addr = cli.get("listen", "tcp:0");
-        sopts.engine = cli.get("engine", "nfa") == "auto"
-            ? serve::ServeEngine::kPlanned
-            : serve::ServeEngine::kNfa;
         sopts.limits.maxSessions = static_cast<size_t>(
             cli.getInt("max-sessions", 256));
         sopts.limits.sessionDeadlineMs =
             cli.getInt("session-deadline-ms", 0);
-        server = std::make_unique<serve::Server>(*automaton, sopts);
+        server = std::make_unique<serve::Server>(
+            serve::makeInlineRuleset(*automaton, {*engine}), sopts);
         if (Status st = server->start(); !st.ok())
             fatal(cat("serve_latency: ", st.str()));
         if (sopts.addr.rfind("tcp:", 0) == 0)
@@ -293,7 +295,7 @@ main(int argc, char **argv)
     bench::JsonReport report("serve_latency");
     bench::JsonRow row;
     row.benchmark = benchLabel;
-    row.engine = cli.get("engine", "nfa");
+    row.engine = engineName(*engine);
     row.threads = cfg.threads;
     row.symbolsPerSec =
         secs > 0 ? static_cast<double>(totalBytes) / secs : 0;

@@ -10,7 +10,8 @@
  *    streams, fanned out across the pool;
  *  - sharded: one input scanned by per-thread component shards.
  *
- * --engine nfa|lazydfa picks the per-stream/per-shard engine and
+ * --engine nfa|lazydfa|auto (what ParallelRunner runs; any other
+ * name is a usage error) picks the per-stream/per-shard engine and
  * --json PATH writes every measurement as a bench::JsonReport row
  * (benchmark "name/batch" or "name/sharded", engine, threads,
  * symbols/sec, lazy cache flushes).
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
@@ -81,10 +81,12 @@ main(int argc, char **argv)
     const auto streamCount =
         static_cast<size_t>(cli.getInt("streams", 16));
     const int reps = static_cast<int>(cli.getInt("reps", 3));
-    const std::string engineName = cli.get("engine", "nfa");
-    if (engineName != "nfa" && engineName != "lazydfa")
-        fatal("throughput_scaling: --engine must be nfa or lazydfa");
-    const bool lazy = engineName == "lazydfa";
+    const Expected<EngineKind> parsed = parseEngine(
+        cli.get("engine", "nfa"),
+        {EngineKind::kNfa, EngineKind::kLazyDfa, EngineKind::kAuto});
+    if (!parsed.ok())
+        usageError(cat("throughput_scaling: ", parsed.status().message()));
+    const EngineKind engine = *parsed;
     bench::JsonReport json("throughput_scaling");
 
     zoo::Benchmark b = zoo::makeBenchmark(name, cfg.zoo);
@@ -98,7 +100,7 @@ main(int argc, char **argv)
         counts.push_back(hw);
 
     std::cout << "Throughput scaling: " << name << " (scale="
-              << cfg.zoo.scale << ", engine=" << engineName << "), "
+              << cfg.zoo.scale << ", engine=" << engineName(engine) << "), "
               << input.size() << " input bytes, " << streams.size()
               << " streams, " << hw
               << " hardware threads, best of " << reps << " reps\n\n";
@@ -109,12 +111,15 @@ main(int argc, char **argv)
 
     Table t({"Threads", "Batch MSym/s", "Speedup", "Shards",
              "Sharded MSym/s", "Speedup"});
-    double batchBase = 0, shardBase = 0;
+    double batchBase = 0, shardBase = 0, serialRate = 0;
+    uint64_t serialFlushes = 0;
+    // Sanity anchor: the same engine serially, the whole input as one
+    // stream on the one-thread runner.
+    const std::vector<std::vector<uint8_t>> whole{input};
     for (size_t threads : counts) {
         ParallelOptions popts;
         popts.threads = threads;
-        popts.engine = lazy ? ParallelEngine::kLazyDfa
-                            : ParallelEngine::kNfa;
+        popts.engine = engine;
         popts.sim = sim;
         ParallelRunner runner(b.automaton, popts);
 
@@ -134,6 +139,9 @@ main(int argc, char **argv)
         if (threads == 1) {
             batchBase = batchRate;
             shardBase = shardRate;
+            serialRate = input.size() / bestSeconds(reps, [&] {
+                serialFlushes = runner.runBatch(whole).totalLazyFlushes;
+            }) / 1e6;
         }
         t.addRow({std::to_string(threads),
                   Table::fixed(batchRate, 2),
@@ -141,36 +149,18 @@ main(int argc, char **argv)
                   std::to_string(runner.shardCount()),
                   Table::fixed(shardRate, 2),
                   Table::ratio(shardRate / shardBase, 2)});
-        json.add({name + "/batch", engineName, threads,
+        json.add({name + "/batch", engineName(engine), threads,
                   batchRate * 1e6, batchFlushes, {}});
-        json.add({name + "/sharded", engineName, threads,
+        json.add({name + "/sharded", engineName(engine), threads,
                   shardRate * 1e6, shardFlushes,
                   {{"shards", double(runner.shardCount())}}});
     }
     t.print(std::cout);
 
-    // Sanity line: the serial engine, for an apples-to-apples anchor.
-    double serialSecs;
-    uint64_t serialFlushes = 0;
-    if (lazy) {
-        LazyDfaEngine serial(b.automaton);
-        serialSecs = bestSeconds(reps, [&] {
-            serial.simulate(input.data(), input.size(), sim);
-        });
-        serialFlushes = serial.cacheFlushes();
-    } else {
-        NfaEngine serial(b.automaton);
-        EngineScratch scratch;
-        serialSecs = bestSeconds(reps, [&] {
-            serial.simulate(input.data(), input.size(), scratch, sim);
-        });
-    }
-    const double serialRate = input.size() / serialSecs / 1e6;
-    std::cout << "\nserial "
-              << (lazy ? "LazyDfaEngine" : "NfaEngine") << ": "
+    std::cout << "\nserial " << engineName(engine) << ": "
               << Table::fixed(serialRate, 2) << " MSym/s\n";
-    json.add({name + "/serial", engineName, 1, serialRate * 1e6,
-              serialFlushes, {}});
+    json.add({name + "/serial", engineName(engine), 1,
+              serialRate * 1e6, serialFlushes, {}});
     json.writeFile(cli.get("json"));
     return 0;
 }

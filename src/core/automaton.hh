@@ -169,12 +169,12 @@ class Automaton
 
 /**
  * The sub-automaton of @p a induced by @p members, named @p name.
- * @p members must be ascending original ids and closed under
- * activation and reset edges (whole connected components are).
- * Element i of the result is a copy of a.element(members[i]), so
- * @p members doubles as the local-to-global id map, and original-id
- * order keeps report ids and simulation results reproducible.
- * panic()s on an edge leaving the member set.
+ * @p members must be distinct original ids, closed under activation
+ * and reset edges (whole connected components are). Element i of the
+ * result is a copy of a.element(members[i]), so @p members doubles
+ * as the local-to-global id map, and its order fixes the local ids
+ * (original-id order, or component-major as MultiDfaEngine's
+ * fallback uses). panic()s on an edge leaving the member set.
  */
 Automaton subAutomaton(const Automaton &a,
                        std::span<const ElementId> members,

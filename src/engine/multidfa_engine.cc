@@ -34,7 +34,6 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
         std::bit_width(uint64_t(opts_.maxDfaStatesPerComponent)));
     uint64_t profileSkips = 0;
 
-    std::vector<const std::vector<ElementId> *> fallback_comps;
     for (uint32_t c = 0; c < comp_count; ++c) {
         bool has_counter = false;
         for (auto id : members[c]) {
@@ -57,7 +56,10 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
             buildDfa(members[c], dfa)) {
             dfas_.push_back(std::move(dfa));
         } else {
-            fallback_comps.push_back(&members[c]);
+            // Component-major member order fixes the fallback's ids.
+            fallbackToGlobal_.insert(fallbackToGlobal_.end(),
+                                     members[c].begin(), members[c].end());
+            ++fallbackComponentCount_;
         }
     }
     if (obs::kEnabled && profileSkips) {
@@ -66,34 +68,9 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
             .add(profileSkips);
     }
 
-    fallbackComponentCount_ = fallback_comps.size();
-    if (!fallback_comps.empty()) {
-        fallback_ = std::make_unique<Automaton>(a.name() + ".fallback");
-        std::unordered_map<ElementId, ElementId> to_local;
-        for (const auto *comp : fallback_comps) {
-            for (auto id : *comp) {
-                const Element &e = a.element(id);
-                ElementId local;
-                if (e.kind == ElementKind::kSte) {
-                    local = fallback_->addSte(e.symbols, e.start,
-                                              e.reporting, e.reportCode);
-                } else {
-                    local = fallback_->addCounter(e.target, e.mode,
-                                                  e.reporting,
-                                                  e.reportCode);
-                }
-                to_local[id] = local;
-                fallbackToGlobal_.push_back(id);
-            }
-        }
-        for (const auto *comp : fallback_comps) {
-            for (auto id : *comp) {
-                for (auto t : a.element(id).out)
-                    fallback_->addEdge(to_local[id], to_local[t]);
-                for (auto t : a.element(id).resetOut)
-                    fallback_->addResetEdge(to_local[id], to_local[t]);
-            }
-        }
+    if (!fallbackToGlobal_.empty()) {
+        fallback_ = std::make_unique<Automaton>(subAutomaton(
+            a, fallbackToGlobal_, a.name() + ".fallback"));
         LazyDfaOptions lazy_opts;
         lazy_opts.cacheBytes = opts_.lazyCacheBytes;
         fallbackEngine_ =

@@ -9,52 +9,47 @@
 
 namespace azoo {
 
-namespace {
-
-/** Feed @p in to @p feed in @p chunk-byte slices; a short feed means
- *  the guard stopped the stream, so later slices are not offered. */
-template <typename Feed>
-void
-feedChunks(const std::vector<uint8_t> &in, size_t chunk, Feed &&feed)
+SimResult
+ParallelRunner::Runner::simulate(const uint8_t *input, size_t len,
+                                 const SimOptions &opts, size_t chunkBytes)
 {
-    for (size_t pos = 0; pos < in.size();) {
-        const size_t want = std::min(chunk, in.size() - pos);
-        const size_t got = feed(in.data() + pos, want);
-        pos += got;
-        if (got < want)
-            break;
+    if (!refused.ok())
+        throw StatusError(refused);
+    if (program) {
+        PlannedSession sess(program);
+        sess.options = opts;
+        feedChunks(input, len, chunkBytes,
+                   [&](const uint8_t *p, size_t n) {
+                       return sess.feed(p, n);
+                   });
+        return sess.results();
     }
+    if (planned)
+        return planned->simulate(input, len, opts);
+    if (lazy)
+        return lazy->simulate(input, len, opts);
+    if (chunkBytes == 0)
+        return nfa->simulate(input, len, scratch, opts);
+    SimResult r;
+    nfa->begin(scratch);
+    feedChunks(input, len, chunkBytes,
+               [&](const uint8_t *p, size_t n) {
+                   return nfa->feed(scratch, p, n, opts, r);
+               });
+    nfa->end(scratch);
+    if (r.truncated())
+        obs::noteGuardStop("engine.stream", r.guardStatus.code());
+    return r;
 }
 
-} // namespace
-
 ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
-    : a_(a), opts_(std::move(opts)), engine_(a)
+    : opts_(std::move(opts))
 {
     const size_t threads =
         opts_.threads ? opts_.threads : ThreadPool::hardwareThreads();
     pool_ = std::make_unique<ThreadPool>(threads);
-    slotScratch_.resize(pool_->size());
-    if (opts_.engine == ParallelEngine::kLazyDfa) {
-        LazyDfaOptions lo;
-        lo.cacheBytes = opts_.plan.lazyCacheBytes;
-        slotLazy_.resize(pool_->size());
-        for (auto &e : slotLazy_)
-            e = std::make_unique<LazyDfaEngine>(a_, lo);
-    } else if (opts_.engine == ParallelEngine::kPlanned) {
-        const std::vector<analysis::ComponentProfile> profiles =
-            analysis::inferProfiles(a_, opts_.plan.infer);
-        slotPlanned_.resize(pool_->size());
-        for (auto &e : slotPlanned_) {
-            e = std::make_unique<PlannedEngine>(a_, profiles,
-                                                opts_.plan);
-        }
-        if (opts_.chunkBytes != 0) {
-            program_ = std::make_shared<const PlannedProgram>(
-                a_, profiles, opts_.plan);
-        }
-    }
-    buildShards(threads);
+    slots_ = buildRunners(a, pool_->size(), opts_.chunkBytes != 0);
+    buildShards(a, threads);
 }
 
 ParallelRunner::~ParallelRunner() = default;
@@ -65,17 +60,73 @@ ParallelRunner::threads() const
     return pool_->size();
 }
 
-void
-ParallelRunner::buildShards(size_t groups)
+std::vector<ParallelRunner::Runner>
+ParallelRunner::buildRunners(const Automaton &a, size_t count,
+                             bool chunked) const
 {
-    const size_t n = a_.size();
+    std::vector<Runner> runners(count);
+    // A kind not run here is refused by name and compiles nothing:
+    // every run fails instead of silently using another engine.
+    auto refuse = [&](const char *runs) {
+        for (Runner &r : runners) {
+            r.refused = Status(ErrorCode::kInvalidArgument,
+                               cat(runs, ", not ",
+                                   engineName(opts_.engine)));
+        }
+    };
+    switch (opts_.engine) {
+      case EngineKind::kNfa: {
+        const auto engine = std::make_shared<const NfaEngine>(a);
+        for (Runner &r : runners)
+            r.nfa = engine;
+        break;
+      }
+      case EngineKind::kLazyDfa: {
+        if (chunked) { // no streaming API
+            refuse("chunkBytes needs a cursor engine: nfa|auto");
+            break;
+        }
+        LazyDfaOptions lo;
+        lo.cacheBytes = opts_.plan.lazyCacheBytes;
+        for (Runner &r : runners)
+            r.lazy = std::make_unique<LazyDfaEngine>(a, lo);
+        break;
+      }
+      case EngineKind::kAuto: {
+        const std::vector<analysis::ComponentProfile> profiles =
+            analysis::inferProfiles(a, opts_.plan.infer);
+        if (chunked) {
+            const auto program = std::make_shared<const PlannedProgram>(
+                a, profiles, opts_.plan);
+            for (Runner &r : runners)
+                r.program = program;
+        } else {
+            for (Runner &r : runners) {
+                r.planned =
+                    std::make_unique<PlannedEngine>(a, profiles,
+                                                    opts_.plan);
+            }
+        }
+        break;
+      }
+      case EngineKind::kMultiDfa:
+        refuse("ParallelRunner runs nfa|lazydfa|auto");
+        break;
+    }
+    return runners;
+}
+
+void
+ParallelRunner::buildShards(const Automaton &a, size_t groups)
+{
+    const size_t n = a.size();
     if (n == 0)
         return;
 
     // Components over activation *and* reset edges: a counter must
     // stay in the same shard as everything that counts or resets it.
     uint32_t count = 0;
-    const std::vector<uint32_t> compOf = a_.connectedComponents(count);
+    const std::vector<uint32_t> compOf = a.connectedComponents(count);
     std::vector<uint64_t> compSize(count, 0);
     for (uint32_t c : compOf)
         ++compSize[c];
@@ -85,8 +136,8 @@ ParallelRunner::buildShards(size_t groups)
     std::vector<uint32_t> order(count);
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return compSize[a] > compSize[b];
+                     [&](uint32_t x, uint32_t y) {
+                         return compSize[x] > compSize[y];
                      });
     std::vector<uint64_t> load(g, 0);
     std::vector<uint32_t> shardOf(count);
@@ -103,23 +154,13 @@ ParallelRunner::buildShards(size_t groups)
     for (ElementId i = 0; i < n; ++i)
         shards_[shardOf[compOf[i]]].origId.push_back(i);
     for (size_t s = 0; s < shards_.size(); ++s) {
-        shards_[s].sub = subAutomaton(a_, shards_[s].origId,
-                                      a_.name() + "/shard" +
+        shards_[s].sub = subAutomaton(a, shards_[s].origId,
+                                      a.name() + "/shard" +
                                           std::to_string(s));
-        shards_[s].engine =
-            std::make_unique<NfaEngine>(shards_[s].sub);
-        if (opts_.engine == ParallelEngine::kLazyDfa) {
-            LazyDfaOptions lo;
-            lo.cacheBytes = opts_.plan.lazyCacheBytes;
-            shards_[s].lazy =
-                std::make_unique<LazyDfaEngine>(shards_[s].sub, lo);
-        } else if (opts_.engine == ParallelEngine::kPlanned) {
-            // Profiles are per-automaton, so each shard infers its
-            // own over its sub-automaton (construction-time only).
-            shards_[s].planned =
-                std::make_unique<PlannedEngine>(shards_[s].sub,
-                                                opts_.plan);
-        }
+        // Profiles are per-automaton, so a kAuto shard infers its
+        // own over its sub-automaton (construction-time only).
+        shards_[s].runner =
+            std::move(buildRunners(shards_[s].sub, 1, false).front());
     }
     if (obs::kEnabled) {
         // LPT balance is visible as the spread of this distribution.
@@ -137,21 +178,6 @@ ParallelRunner::runBatch(
     BatchResult out;
     out.perStream.resize(streams.size());
     out.perStreamStatus.resize(streams.size());
-    if (opts_.chunkBytes != 0 &&
-        opts_.engine == ParallelEngine::kLazyDfa) {
-        // Chunked feeding needs a cursor engine; the lazy-DFA engine
-        // has no incremental API. Fail every stream loudly instead of
-        // silently simulating on a different engine than the caller
-        // configured.
-        const Status st(
-            ErrorCode::kInvalidArgument,
-            "chunkBytes requires ParallelEngine::kNfa (the lazy-DFA "
-            "engine has no streaming API)");
-        for (size_t i = 0; i < streams.size(); ++i)
-            out.perStreamStatus[i] = st;
-        out.failedStreams = streams.size();
-        return out;
-    }
     obs::ScopedTimer wall(
         obs::Registry::global().histogram("runner.batch.wall_us"));
     pool_->parallelFor(streams.size(), [&](size_t slot, size_t i) {
@@ -165,39 +191,9 @@ ParallelRunner::runBatch(
                            cat("stream ", i,
                                ": worker allocation failed")));
             }
-            if (opts_.chunkBytes != 0 &&
-                opts_.engine == ParallelEngine::kPlanned) {
-                PlannedSession sess(program_);
-                sess.options = opts_.sim;
-                feedChunks(streams[i], opts_.chunkBytes,
-                           [&](const uint8_t *p, size_t n) {
-                               return sess.feed(p, n);
-                           });
-                out.perStream[i] = sess.results();
-            } else if (opts_.chunkBytes != 0) {
-                EngineScratch &cursor = slotScratch_[slot];
-                SimResult &r = out.perStream[i];
-                engine_.begin(cursor);
-                feedChunks(streams[i], opts_.chunkBytes,
-                           [&](const uint8_t *p, size_t n) {
-                               return engine_.feed(cursor, p, n,
-                                                   opts_.sim, r);
-                           });
-                engine_.end(cursor);
-                if (r.truncated())
-                    obs::noteGuardStop("engine.stream",
-                                       r.guardStatus.code());
-            } else if (opts_.engine == ParallelEngine::kPlanned) {
-                out.perStream[i] =
-                    slotPlanned_[slot]->simulate(streams[i],
-                                                 opts_.sim);
-            } else if (opts_.engine == ParallelEngine::kLazyDfa) {
-                out.perStream[i] =
-                    slotLazy_[slot]->simulate(streams[i], opts_.sim);
-            } else {
-                out.perStream[i] = engine_.simulate(
-                    streams[i], slotScratch_[slot], opts_.sim);
-            }
+            out.perStream[i] =
+                slots_[slot].simulate(streams[i].data(), streams[i].size(),
+                                      opts_.sim, opts_.chunkBytes);
             canonicalizeReports(out.perStream[i]);
         } catch (const StatusError &e) {
             out.perStream[i] = SimResult();
@@ -245,23 +241,14 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
                          const SimOptions &shardOpts) -> Status {
         try {
             pool_->parallelFor(shards_.size(), [&](size_t s) {
-                const Shard &sh = shards_[s];
                 if (fault::shouldFail(fault::Point::kAllocFail)) {
                     throw StatusError(
                         Status(ErrorCode::kResourceExhausted,
                                cat("shard ", s,
                                    ": worker allocation failed")));
                 }
-                if (sh.planned) {
-                    parts[s] = sh.planned->simulate(input, simLen,
-                                                    shardOpts);
-                } else if (sh.lazy) {
-                    parts[s] =
-                        sh.lazy->simulate(input, simLen, shardOpts);
-                } else {
-                    parts[s] = sh.engine->simulate(
-                        input, simLen, sh.scratch, shardOpts);
-                }
+                parts[s] = shards_[s].runner.simulate(input, simLen,
+                                                      shardOpts, 0);
             });
         } catch (const StatusError &e) {
             return e.status();

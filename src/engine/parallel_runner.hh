@@ -8,14 +8,14 @@
  *
  *  - **Stream-level** (runBatch): a batch of independent input
  *    streams (packets, disk-image chunks, DNA reads) fans out across
- *    the pool. All workers share one const NfaEngine; each worker
- *    slot owns an EngineScratch (and, under ParallelEngine::kLazyDfa,
- *    a private LazyDfaEngine whose cache warms across that slot's
+ *    the pool. Each worker slot owns a runner of the selected
+ *    EngineKind (kNfa slots share one const NfaEngine, each with its
+ *    own EngineScratch; a kLazyDfa slot's cache warms across its
  *    streams), so the hot path performs no per-stream O(n)
  *    allocation. Chunked streams are cursors too: under kNfa they
- *    drive the shared engine through the slot's scratch, under
- *    kPlanned each is a PlannedSession over one PlannedProgram built
- *    at construction — a batch never compiles per stream.
+ *    drive the shared engine through the slot's scratch, under kAuto
+ *    each is a PlannedSession over one PlannedProgram built at
+ *    construction — a batch never compiles per stream.
  *
  *  - **Component-level** (simulateSharded): the automaton's connected
  *    components (activation *and* reset edges, so counters never
@@ -50,13 +50,6 @@ namespace azoo {
 
 class ThreadPool;
 
-/** Which engine a ParallelRunner drives per stream / per shard. */
-enum class ParallelEngine : uint8_t {
-    kNfa,     ///< enabled-set interpreter (NfaEngine)
-    kLazyDfa, ///< lazy-DFA hybrid (LazyDfaEngine)
-    kPlanned, ///< profile-planned per-component backends (PlannedEngine)
-};
-
 /** Configuration for a ParallelRunner. */
 struct ParallelOptions {
     /** Worker threads; 0 means all hardware threads. */
@@ -64,14 +57,15 @@ struct ParallelOptions {
     /** Batch mode: feed each stream to its cursor in chunks of this
      *  many bytes (0 = one monolithic simulate()). Chunking never
      *  changes results; it exists to exercise and measure the
-     *  streaming path under parallelism. Only cursor engines stream;
-     *  combining it with ParallelEngine::kLazyDfa is rejected —
+     *  streaming path under parallelism. Only cursor engines (kNfa,
+     *  kAuto) stream; combining it with kLazyDfa is rejected —
      *  runBatch() marks every stream kInvalidArgument rather than
      *  silently substituting a different engine. */
     size_t chunkBytes = 0;
-    /** Engine for monolithic streams and component shards. */
-    ParallelEngine engine = ParallelEngine::kNfa;
-    /** Planning knobs (engine == kPlanned). Each worker slot / shard
+    /** kNfa, kLazyDfa or kAuto; under kMultiDfa every stream and the
+     *  sharded result fail with kInvalidArgument. */
+    EngineKind engine = EngineKind::kNfa;
+    /** Planning knobs (engine == kAuto). Each worker slot / shard
      *  owns a private PlannedEngine built from one shared profile
      *  inference; chunked streams are PlannedSession cursors over one
      *  shared PlannedProgram. plan.lazyCacheBytes is also the cache
@@ -103,11 +97,11 @@ struct BatchResult {
  * Parallel driver over a borrowed automaton.
  *
  * The automaton must outlive the runner (same borrow rule as the
- * engines). Construction compiles one whole-automaton NfaEngine for
- * batch mode and one engine per component shard for sharded mode;
- * runBatch()/simulateSharded() can then be called repeatedly (but not
- * concurrently with each other from multiple threads — the runner
- * owns one pool).
+ * engines). Construction compiles the selected engine only: the
+ * worker slots' engines for batch mode and one per component shard
+ * for sharded mode. runBatch()/simulateSharded() can then be called
+ * repeatedly (but not concurrently with each other from multiple
+ * threads — the runner owns one pool).
  */
 class ParallelRunner
 {
@@ -139,39 +133,41 @@ class ParallelRunner
     }
 
   private:
+    /** One worker slot's or shard's engine, driven by one worker at
+     *  a time; only opts_.engine's members are set. */
+    struct Runner {
+        std::shared_ptr<const NfaEngine> nfa; ///< kNfa (slots share it)
+        EngineScratch scratch;                ///< kNfa cursor
+        std::unique_ptr<LazyDfaEngine> lazy;  ///< kLazyDfa
+        std::unique_ptr<PlannedEngine> planned;        ///< kAuto
+        std::shared_ptr<const PlannedProgram> program; ///< kAuto, chunked
+        Status refused; ///< why opts_.engine does not run here
+
+        /** Whole run, or @p chunkBytes slices fed to a cursor. */
+        SimResult simulate(const uint8_t *input, size_t len,
+                           const SimOptions &opts, size_t chunkBytes);
+    };
+
     struct Shard {
         Automaton sub;
         /** Shard-local element id -> id in the borrowed automaton. */
         std::vector<ElementId> origId;
-        std::unique_ptr<NfaEngine> engine;
-        /** Engine for ParallelEngine::kLazyDfa (else nullptr). */
-        std::unique_ptr<LazyDfaEngine> lazy;
-        /** Engine for ParallelEngine::kPlanned (else nullptr). */
-        std::unique_ptr<PlannedEngine> planned;
-        /** Interpreter scratch; each shard is driven by exactly one
-         *  worker at a time, so per-shard state needs no locking. */
-        mutable EngineScratch scratch;
+        mutable Runner runner;
     };
 
-    void buildShards(size_t groups);
+    /** The one build site of slot and shard engines: @p count runners
+     *  over @p a for opts_.engine, sharing what they can. */
+    std::vector<Runner> buildRunners(const Automaton &a, size_t count,
+                                     bool chunked) const;
+    void buildShards(const Automaton &a, size_t groups);
 
-    /** Borrowed: the caller guarantees the automaton outlives the
-     *  runner (in the serve path, via a RulesetGeneration pin). */
-    const Automaton &a_;
     ParallelOptions opts_;
     std::unique_ptr<ThreadPool> pool_;
-    NfaEngine engine_;
     std::vector<Shard> shards_;
-
-    // Per-worker-slot mutable state for runBatch: the slot-indexed
-    // parallelFor guarantees exclusive slot ownership, so scratches
-    // and lazy caches are reused lock-free across streams.
-    mutable std::vector<EngineScratch> slotScratch_;
-    mutable std::vector<std::unique_ptr<LazyDfaEngine>> slotLazy_;
-    mutable std::vector<std::unique_ptr<PlannedEngine>> slotPlanned_;
-    /** Program of chunked kPlanned streams (else nullptr); immutable,
-     *  so every slot's sessions share it. */
-    std::shared_ptr<const PlannedProgram> program_;
+    /** Per worker slot: the slot-indexed parallelFor guarantees
+     *  exclusive slot ownership, so scratches and lazy caches are
+     *  reused lock-free across streams. */
+    mutable std::vector<Runner> slots_;
 };
 
 } // namespace azoo

@@ -44,6 +44,30 @@ planBackendCode(PlanBackend b)
     return '?';
 }
 
+const char *
+engineName(EngineKind k)
+{
+    static const char *const kNames[] = {"nfa", "multidfa", "lazydfa",
+                                         "auto"};
+    return kNames[static_cast<size_t>(k)];
+}
+
+Expected<EngineKind>
+parseEngine(const std::string &name,
+            std::initializer_list<EngineKind> runs)
+{
+    std::string names;
+    for (EngineKind k : runs) {
+        const bool dfa = k == EngineKind::kMultiDfa; // alias "dfa"
+        if (name == engineName(k) || (dfa && name == "dfa"))
+            return k;
+        names += cat(names.empty() ? "" : "|", engineName(k),
+                     dfa ? "|dfa" : "");
+    }
+    return Status(ErrorCode::kInvalidArgument,
+                  cat("engine '", name, "' is not one of ", names));
+}
+
 std::string
 EnginePlan::census() const
 {

@@ -40,6 +40,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,6 +53,7 @@
 #include "engine/prefilter.hh"
 #include "engine/report.hh"
 #include "engine/streaming.hh"
+#include "util/status.hh"
 
 namespace azoo {
 
@@ -76,13 +78,35 @@ const char *planBackendName(PlanBackend b);
 /** One-letter census code: P / A / D / I / S. */
 char planBackendCode(PlanBackend b);
 
+/** The one engine selector (ParallelOptions, the serve RulesetSpec,
+ *  every `--engine`). Each consumer rejects the kinds it does not run
+ *  by name; none substitutes another engine. */
+enum class EngineKind : uint8_t {
+    kNfa,      ///< enabled-set interpreter (NfaEngine)
+    kMultiDfa, ///< eager per-component DFAs (MultiDfaEngine)
+    kLazyDfa,  ///< lazy-DFA hybrid (LazyDfaEngine)
+    kAuto,     ///< profile-planned backends (PlannedEngine/Session)
+};
+
+/** "nfa" / "multidfa" / "lazydfa" / "auto". */
+const char *engineName(EngineKind k);
+
+/** Parse nfa|multidfa|dfa|lazydfa|auto ("dfa" aliases multidfa)
+ *  against the kinds the caller @p runs; any other name is
+ *  kInvalidArgument, and the message lists the names of @p runs. */
+Expected<EngineKind>
+parseEngine(const std::string &name,
+            std::initializer_list<EngineKind> runs = {
+                EngineKind::kNfa, EngineKind::kMultiDfa,
+                EngineKind::kLazyDfa, EngineKind::kAuto});
+
 /** Planning knobs. */
 struct PlanOptions {
     /** Allow the literal-prefilter backend (`--no-prefilter` routes
      *  literal chains to the interpreter instead). */
     bool enablePrefilter = true;
     /** Transition-cache budget of the lazy-DFA backend (and of
-     *  ParallelEngine::kLazyDfa's per-slot engines). */
+     *  EngineKind::kLazyDfa's ParallelRunner engines). */
     size_t lazyCacheBytes = 8u << 20;
     /** Profile-inference knobs (when the planner infers them). */
     analysis::InferOptions infer;

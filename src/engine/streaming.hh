@@ -27,6 +27,7 @@
 #ifndef AZOO_ENGINE_STREAMING_HH
 #define AZOO_ENGINE_STREAMING_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -99,6 +100,22 @@ class StreamingSession
     EngineScratch scratch_;
     SimResult result_;
 };
+
+/** Feed @p data to a cursor's @p feed in @p chunk-byte slices; a
+ *  short feed means the guard stopped the stream, so later slices
+ *  are not offered. */
+template <typename Feed>
+void
+feedChunks(const uint8_t *data, size_t len, size_t chunk, Feed &&feed)
+{
+    for (size_t pos = 0; pos < len;) {
+        const size_t want = std::min(chunk, len - pos);
+        const size_t got = feed(data + pos, want);
+        pos += got;
+        if (got < want)
+            break;
+    }
+}
 
 } // namespace azoo
 

@@ -19,6 +19,22 @@ endsWith(const std::string &s, const char *suffix)
     return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
+/** The generation; kAuto infers profiles unless @p profiles has them. */
+RulesetGeneration
+wrap(Automaton a, const RulesetSpec &spec, uint64_t epoch,
+     std::string source, std::vector<analysis::ComponentProfile> profiles)
+{
+    if (spec.engine == EngineKind::kAuto && profiles.empty())
+        profiles = analysis::inferProfiles(a, spec.plan.infer);
+    auto cr = std::make_shared<CompiledRuleset>();
+    cr->epoch = epoch;
+    cr->source = std::move(source);
+    cr->spec = spec;
+    cr->automaton = std::move(a);
+    cr->profiles = std::move(profiles);
+    return cr;
+}
+
 } // namespace
 
 Expected<RulesetGeneration>
@@ -26,6 +42,11 @@ compileRuleset(Automaton a, const RulesetSpec &spec, uint64_t epoch,
                std::string source,
                std::vector<analysis::ComponentProfile> profiles)
 {
+    if (spec.engine != EngineKind::kNfa &&
+        spec.engine != EngineKind::kAuto)
+        return Status(ErrorCode::kInvalidArgument,
+                      cat("ruleset ", source, ": serving runs nfa|auto, "
+                          "not ", engineName(spec.engine)));
     // The postVerify() producer contract, minus the debug panic: a
     // daemon rejecting a hot reload must return a status, never die
     // on attacker-reachable input.
@@ -34,15 +55,8 @@ compileRuleset(Automaton a, const RulesetSpec &spec, uint64_t epoch,
         return Status(ErrorCode::kInvalidArgument,
                       cat("ruleset ", source,
                           " failed verification: ", rep.summary()));
-    if (spec.engine == ServeEngine::kPlanned && profiles.empty())
-        profiles = analysis::inferProfiles(a, spec.plan.infer);
-    auto cr = std::make_shared<CompiledRuleset>();
-    cr->epoch = epoch;
-    cr->source = std::move(source);
-    cr->spec = spec;
-    cr->automaton = std::move(a);
-    cr->profiles = std::move(profiles);
-    return RulesetGeneration(std::move(cr));
+    return wrap(std::move(a), spec, epoch, std::move(source),
+                std::move(profiles));
 }
 
 Expected<RulesetGeneration>
@@ -62,7 +76,7 @@ loadRulesetFile(const std::string &path, const RulesetSpec &spec,
         a = std::move(*std::move(m));
         // A PROF section is inference already paid for at compile
         // time; reuse it instead of re-profiling on every reload.
-        if (spec.engine == ServeEngine::kPlanned && la->hasProfiles())
+        if (spec.engine == EngineKind::kAuto && la->hasProfiles())
             profiles = la->componentProfiles();
     } else {
         // Same extension dispatch as the tools' load-any helper
@@ -84,15 +98,7 @@ RulesetGeneration
 makeInlineRuleset(Automaton a, const RulesetSpec &spec, uint64_t epoch,
                   std::string source)
 {
-    auto cr = std::make_shared<CompiledRuleset>();
-    cr->epoch = epoch;
-    cr->source = std::move(source);
-    cr->spec = spec;
-    cr->automaton = std::move(a);
-    if (spec.engine == ServeEngine::kPlanned)
-        cr->profiles =
-            analysis::inferProfiles(cr->automaton, spec.plan.infer);
-    return cr;
+    return wrap(std::move(a), spec, epoch, std::move(source), {});
 }
 
 RulesetRegistry::RulesetRegistry(RulesetGeneration initial)

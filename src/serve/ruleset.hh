@@ -56,9 +56,10 @@ namespace azoo {
 namespace serve {
 
 /** How a ruleset is compiled for serving (fixed per server
- *  instance; reloads swap the automaton, not the configuration). */
+ *  instance; reloads swap the automaton, not the configuration:
+ *  a reload compiles against the current generation's spec). */
 struct RulesetSpec {
-    ServeEngine engine = ServeEngine::kNfa;
+    EngineKind engine = EngineKind::kNfa; ///< kNfa or kAuto
     PlanOptions plan;
     /** Bounds applied when the source is a text format (.azoox
      *  artifacts were bounded at compile time). */
@@ -76,7 +77,7 @@ struct CompiledRuleset {
     std::string source;
     RulesetSpec spec;
     Automaton automaton;
-    /** Component profiles (kPlanned only; empty for kNfa). */
+    /** Component profiles (kAuto only; empty for kNfa). */
     std::vector<analysis::ComponentProfile> profiles;
 };
 
@@ -85,8 +86,9 @@ using RulesetGeneration = std::shared_ptr<const CompiledRuleset>;
 
 /**
  * Verify + wrap an automaton as a generation. Rejects (kInvalidArgument)
- * when analysis::verify() finds error-severity diagnostics — a bad
- * generation is never published. Infers profiles for kPlanned unless
+ * a spec engine other than kNfa or kAuto, and an automaton in which
+ * analysis::verify() finds error-severity diagnostics — a bad
+ * generation is never published. Infers profiles for kAuto unless
  * @p profiles already carries them (e.g. from an artifact's PROF
  * section).
  */

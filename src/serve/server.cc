@@ -115,9 +115,7 @@ Server::Server(RulesetGeneration gen, ServerOptions opts)
 }
 
 Server::Server(const Automaton &a, ServerOptions opts)
-    : Server(makeInlineRuleset(
-                 a, RulesetSpec{opts.engine, opts.plan, ParseLimits()}),
-             std::move(opts))
+    : Server(makeInlineRuleset(a, RulesetSpec()), std::move(opts))
 {
 }
 
@@ -313,7 +311,7 @@ Server::startNextReload()
     reloadInFlight_ = true;
     const uint64_t epoch = registry_.epoch() + 1;
     const TimePoint started = Clock::now();
-    const RulesetSpec spec{opts_.engine, opts_.plan, ParseLimits()};
+    const RulesetSpec spec = registry_.current()->spec;
     const size_t maxRecords = opts_.limits.maxReportRecords;
     workers_->post([this, connId, path = std::move(path), epoch,
                     started, spec, maxRecords] {

@@ -44,13 +44,14 @@
  *    inject connection-level misbehaviour deterministically.
  *
  * Hot ruleset reload (SIGHUP, a RELOAD control frame, or
- * requestReload()): the new ruleset is loaded, verified, and its
- * session pool built on a worker thread; the loop then publishes it
- * between poll rounds — new admissions pin the new generation while
- * in-flight sessions finish on the one they opened under, which is
- * destroyed when its last pin drops. No admitted session is ever
- * dropped or migrated by a swap. docs/ARCHITECTURE.md "Hot ruleset
- * reload" states the ordering guarantees.
+ * requestReload()): the new ruleset is loaded against the current
+ * generation's spec, verified, and its session pool built on a
+ * worker thread; the loop then publishes it between poll rounds —
+ * new admissions pin the new generation while in-flight sessions
+ * finish on the one they opened under, which is destroyed when its
+ * last pin drops. No admitted session is ever dropped or migrated
+ * by a swap. docs/ARCHITECTURE.md "Hot ruleset reload" states the
+ * ordering guarantees.
  *
  * The failure taxonomy (who promised what when a session ends each
  * way) is documented in docs/ARCHITECTURE.md "Running as a service".
@@ -82,13 +83,11 @@ class ThreadPool;
 
 namespace serve {
 
-/** Server configuration (tool flags map 1:1 onto these). */
+/** Server configuration (tool flags map 1:1 onto these; --engine and
+ *  --no-prefilter belong to the generation's RulesetSpec). */
 struct ServerOptions {
     /** Listen address: "unix:PATH" or "tcp:PORT" (0 picks a port). */
     std::string addr = "tcp:0";
-    /** Engine backing match sessions. */
-    ServeEngine engine = ServeEngine::kNfa;
-    PlanOptions plan;
     ServeLimits limits;
     /** Engine worker threads (0 = hardware concurrency). */
     size_t workers = 0;
@@ -152,11 +151,12 @@ class Server
 {
   public:
     /** Serve @p gen (epoch 1 of this instance; must not be null).
-     *  The generation's spec should match @p opts — the tool builds
-     *  both from the same flags. */
+     *  Its spec (engine, plan, parse limits) is the server's: every
+     *  reload compiles against the current generation's spec. */
     Server(RulesetGeneration gen, ServerOptions opts);
 
-    /** Compatibility: wrap @p a (copied) in an inline generation. */
+    /** Compatibility: wrap @p a (copied) in an inline generation with
+     *  the default spec (kNfa). */
     Server(const Automaton &a, ServerOptions opts);
 
     ~Server();

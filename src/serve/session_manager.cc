@@ -55,15 +55,18 @@ MatchSessionPool::MatchSessionPool(
 {
     if (!gen_)
         panic("MatchSessionPool: null generation");
-    engine_ = gen_->spec.engine;
-    sessionBytes_ = engine_ == ServeEngine::kPlanned
+    const EngineKind engine = gen_->spec.engine;
+    if (engine != EngineKind::kNfa && engine != EngineKind::kAuto)
+        panic(cat("MatchSessionPool: no session cursor for engine ",
+                  engineName(engine)));
+    sessionBytes_ = engine == EngineKind::kAuto
         ? PlannedSession::cursorBytes(gen_->automaton, gen_->profiles,
                                       gen_->spec.plan, maxReportRecords)
         : StreamingSession::cursorBytes(gen_->automaton.size(),
                                         maxReportRecords);
 }
 
-MatchSessionPool::MatchSessionPool(const Automaton &a, ServeEngine engine,
+MatchSessionPool::MatchSessionPool(const Automaton &a, EngineKind engine,
                                    const PlanOptions &popts,
                                    size_t maxReportRecords)
     : MatchSessionPool(
@@ -95,7 +98,7 @@ MatchSessionPool::acquire()
     // load: a reload publishes without paying for a compile that the
     // first OPEN after it pays once instead.
     ++created_;
-    if (engine_ == ServeEngine::kPlanned) {
+    if (gen_->spec.engine == EngineKind::kAuto) {
         if (!program_) {
             program_ = std::make_shared<const PlannedProgram>(
                 gen_->automaton, gen_->profiles, gen_->spec.plan);

@@ -12,7 +12,7 @@
  *    path has exactly one shape.
  *
  *  - MatchSessionPool compiles its generation once — one NfaEngine
- *    (kNfa) or one PlannedProgram (kPlanned), built when it creates
+ *    (kNfa) or one PlannedProgram (kAuto), built when it creates
  *    its first session — and every session is a cursor over that
  *    shared, immutable program: opening one allocates only its
  *    scratch and window state (no compile), reset() is O(counters),
@@ -106,12 +106,6 @@ class MatchSession
     virtual size_t footprintBytes() const = 0;
 };
 
-/** Which engine backs pooled sessions. */
-enum class ServeEngine : uint8_t {
-    kNfa,     ///< StreamingSession (enabled-set interpreter)
-    kPlanned, ///< PlannedSession (profile-routed prefilter plan)
-};
-
 /**
  * Free-list of engine sessions over one ruleset generation. acquire()
  * hands out a reset session with default options; release() returns
@@ -129,7 +123,7 @@ enum class ServeEngine : uint8_t {
 class MatchSessionPool
 {
   public:
-    /** Pin @p gen and serve sessions over it. Profiles for kPlanned
+    /** Pin @p gen and serve sessions over it. Profiles for kAuto
      *  come from the generation (inferred at compile/load time, once,
      *  not per session); the program is compiled by the first
      *  acquire(), not here. @p maxReportRecords is the effective
@@ -141,7 +135,7 @@ class MatchSessionPool
 
     /** Compatibility path for callers with a bare automaton: wraps
      *  @p a (copied) in an inline epoch-1 generation. */
-    MatchSessionPool(const Automaton &a, ServeEngine engine,
+    MatchSessionPool(const Automaton &a, EngineKind engine,
                      const PlanOptions &popts = PlanOptions(),
                      size_t maxReportRecords =
                          ServeLimits().maxReportRecords);
@@ -167,9 +161,8 @@ class MatchSessionPool
 
   private:
     std::shared_ptr<const CompiledRuleset> gen_;
-    ServeEngine engine_;
     /** The generation's program, compiled by the first acquire()
-     *  (exactly one is set, per engine_); sessions co-own it. */
+     *  (exactly one is set, per the spec); sessions co-own it. */
     std::shared_ptr<const NfaEngine> nfa_;
     std::shared_ptr<const PlannedProgram> program_;
     std::vector<std::unique_ptr<MatchSession>> free_;

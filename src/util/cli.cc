@@ -8,25 +8,19 @@
 
 namespace azoo {
 
-namespace {
-
-/** Flag errors are *usage* errors: exit with the sysexits EX_USAGE
- *  code (64) so scripts can tell a typo from bad input data (65). */
-[[noreturn]] void
-usageFatal(const std::string &msg)
+void
+usageError(const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     std::exit(64);
 }
-
-} // namespace
 
 Cli::Cli(int argc, char **argv, const std::vector<std::string> &known)
 {
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)
-            usageFatal(cat("unexpected positional argument: ", arg));
+            usageError(cat("unexpected positional argument: ", arg));
         arg = arg.substr(2);
         // Every tool answers --help with its accepted flags, one per
         // line; tools/check_docs.py diffs this against docs/FORMATS.md.
@@ -58,7 +52,7 @@ Cli::Cli(int argc, char **argv, const std::vector<std::string> &known)
             std::string usage = "unknown flag --" + name + "; known:";
             for (const auto &k : known)
                 usage += " --" + k;
-            usageFatal(usage);
+            usageError(usage);
         }
         values_[name] = value;
     }

@@ -18,6 +18,10 @@
 
 namespace azoo {
 
+/** Print "fatal: <msg>" and exit 64 (EX_USAGE): flag errors are
+ *  usage errors, which scripts can tell from bad input data (65). */
+[[noreturn]] void usageError(const std::string &msg);
+
 /** Parsed command line with typed accessors and defaults. */
 class Cli
 {

@@ -3,7 +3,8 @@
  * Engine tests: homogeneous-automata semantics of the NFA
  * interpreter, AP counter behaviour (latch/pulse/rollover, resets),
  * NFA vs multi-DFA report equivalence on random automata, DFA
- * compilation bounds and fallback, and the analytic spatial model.
+ * compilation bounds and fallback, the engine selector's names, and
+ * the analytic spatial model.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "engine/lazy_dfa_engine.hh"
 #include "engine/multidfa_engine.hh"
 #include "engine/nfa_engine.hh"
+#include "engine/planner.hh"
 #include "engine/spatial_model.hh"
 #include "util/rng.hh"
 
@@ -460,6 +462,43 @@ TEST_P(EngineEquivalence, RandomAutomata)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalence,
                          testing::Range(0, 40));
+
+TEST(EngineSelector, NamesRoundTripThroughTheOneParser)
+{
+    for (EngineKind k : {EngineKind::kNfa, EngineKind::kMultiDfa,
+                         EngineKind::kLazyDfa, EngineKind::kAuto}) {
+        const Expected<EngineKind> p = parseEngine(engineName(k));
+        ASSERT_TRUE(p.ok()) << engineName(k);
+        EXPECT_EQ(*p, k);
+    }
+    const Expected<EngineKind> dfa = parseEngine("dfa");
+    ASSERT_TRUE(dfa.ok());
+    EXPECT_EQ(*dfa, EngineKind::kMultiDfa);
+
+    // An unknown name is an error that lists every name.
+    const Expected<EngineKind> bad = parseEngine("bogus");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument);
+    for (const char *n : {"bogus", "nfa", "multidfa", "dfa", "lazydfa",
+                          "auto"})
+        EXPECT_NE(bad.status().message().find(n), std::string::npos)
+            << n;
+
+    // A consumer's own set: other names are rejected by name, and
+    // the message lists only what it runs.
+    const Expected<EngineKind> lazy =
+        parseEngine("lazydfa", {EngineKind::kNfa, EngineKind::kAuto});
+    ASSERT_FALSE(lazy.ok());
+    EXPECT_EQ(lazy.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(lazy.status().message().find("'lazydfa'"),
+              std::string::npos);
+    EXPECT_NE(lazy.status().message().find("nfa|auto"),
+              std::string::npos);
+    const Expected<EngineKind> autoKind =
+        parseEngine("auto", {EngineKind::kNfa, EngineKind::kAuto});
+    ASSERT_TRUE(autoKind.ok());
+    EXPECT_EQ(*autoKind, EngineKind::kAuto);
+}
 
 TEST(SpatialModel, PassesAndUtilization)
 {

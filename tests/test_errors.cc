@@ -621,7 +621,7 @@ TEST(ParallelErrors, ChunkedBatchRejectsLazyDfa)
     ParallelOptions popts;
     popts.threads = 2;
     popts.chunkBytes = 64;
-    popts.engine = ParallelEngine::kLazyDfa;
+    popts.engine = EngineKind::kLazyDfa;
     ParallelRunner runner(a, popts);
 
     const auto streams = makeStreams(4);
@@ -746,7 +746,7 @@ TEST(ParallelErrors, ShardedLazyTruncationMatchesSerialPrefix)
     Automaton a = twoComponentAutomaton();
     ParallelOptions popts;
     popts.threads = 2;
-    popts.engine = ParallelEngine::kLazyDfa;
+    popts.engine = EngineKind::kLazyDfa;
     RunGuard guard;
     guard.setSymbolBudget(3000);
     popts.sim.guard = &guard;

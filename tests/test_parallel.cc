@@ -142,7 +142,7 @@ TEST_P(ParallelVsSerial, ShardedMatchesSerial)
     // Same run on the lazy-DFA engine, with a budget small enough
     // that large components flush mid-stream: still bit-identical.
     ParallelOptions lazyOpts = popts;
-    lazyOpts.engine = ParallelEngine::kLazyDfa;
+    lazyOpts.engine = EngineKind::kLazyDfa;
     lazyOpts.plan.lazyCacheBytes = 64 * 1024;
     ParallelRunner lazyRunner(b.automaton, lazyOpts);
     SimResult lgot = lazyRunner.simulateSharded(b.input.data(), simLen);
@@ -176,7 +176,7 @@ TEST_P(ParallelVsSerial, BatchMatchesPerStreamSerial)
     BatchResult got = runner.runBatch(streams);
 
     ParallelOptions lazyOpts = popts;
-    lazyOpts.engine = ParallelEngine::kLazyDfa;
+    lazyOpts.engine = EngineKind::kLazyDfa;
     ParallelRunner lazyRunner(b.automaton, lazyOpts);
     BatchResult lgot = lazyRunner.runBatch(streams);
 
@@ -261,7 +261,7 @@ TEST(ParallelRunner, ChunkedBatchEqualsMonolithicBatch)
 TEST(ParallelRunner, ChunkedBatchCompilesOnlyAtConstruction)
 {
     // Chunked streams are cursors over what the runner compiled: the
-    // shared engine (kNfa) or one PlannedProgram (kPlanned). A batch
+    // shared engine (kNfa) or one PlannedProgram (kAuto). A batch
     // of any size must not compile again.
     zoo::Benchmark b = zoo::makeBenchmark("Snort", tinyConfig());
     std::vector<std::vector<uint8_t>> streams;
@@ -270,8 +270,7 @@ TEST(ParallelRunner, ChunkedBatchCompilesOnlyAtConstruction)
                              b.input.begin() + (i + 1) * 4096);
     }
     obs::Registry &reg = obs::Registry::global();
-    for (ParallelEngine eng :
-         {ParallelEngine::kNfa, ParallelEngine::kPlanned}) {
+    for (EngineKind eng : {EngineKind::kNfa, EngineKind::kAuto}) {
         SCOPED_TRACE(static_cast<int>(eng));
         ParallelOptions popts;
         popts.threads = 3;
@@ -296,6 +295,44 @@ TEST(ParallelRunner, ChunkedBatchCompilesOnlyAtConstruction)
                 << i;
             EXPECT_EQ(got.perStream[i].reports, want.reports) << i;
         }
+    }
+}
+
+TEST(ParallelRunner, CompilesOnlyTheSelectedEngine)
+{
+    // Every slot and shard holds the selected engine alone: kLazyDfa
+    // over a counter-free automaton (no interpreted fallback) builds
+    // no interpreter tables, for the whole automaton or any shard.
+    // kMultiDfa is not run at all: it compiles nothing and fails
+    // every stream and the sharded result by name.
+    zoo::Benchmark b = zoo::makeBenchmark("Snort", tinyConfig());
+    for (ElementId i = 0; i < b.automaton.size(); ++i)
+        ASSERT_NE(b.automaton.element(i).kind, ElementKind::kCounter);
+    obs::Registry &reg = obs::Registry::global();
+    for (EngineKind eng : {EngineKind::kLazyDfa, EngineKind::kMultiDfa}) {
+        SCOPED_TRACE(engineName(eng));
+        ParallelOptions popts;
+        popts.threads = 3;
+        popts.engine = eng;
+        const uint64_t before = reg.counterValue("engine.nfa.compiles");
+        ParallelRunner runner(b.automaton, popts);
+        if (obs::kEnabled) {
+            EXPECT_EQ(reg.counterValue("engine.nfa.compiles"), before);
+        }
+        if (eng == EngineKind::kLazyDfa) {
+            EXPECT_EQ(runner.shardCount(), 3u);
+            continue;
+        }
+        const BatchResult br = runner.runBatch({b.input, b.input});
+        EXPECT_EQ(br.failedStreams, 2u);
+        for (const Status &st : br.perStreamStatus) {
+            EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument);
+            EXPECT_NE(st.message().find("multidfa"), std::string::npos);
+        }
+        const SimResult sharded = runner.simulateSharded(b.input);
+        EXPECT_EQ(sharded.guardStatus.code(),
+                  ErrorCode::kInvalidArgument);
+        EXPECT_EQ(sharded.symbols, 0u);
     }
 }
 

@@ -542,7 +542,7 @@ TEST(ParallelPlanned, BatchShardedAndChunkedMatchSerial)
 
         ParallelOptions popts;
         popts.threads = 4;
-        popts.engine = ParallelEngine::kPlanned;
+        popts.engine = EngineKind::kAuto;
         popts.sim = sim;
         ParallelRunner runner(b.automaton, popts);
 

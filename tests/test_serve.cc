@@ -472,9 +472,9 @@ TEST(ServeSession, ReplyMatchesSerialRun)
 TEST(ServeSession, PlannedEngineRepliesIdentically)
 {
     const Automaton a = testAutomaton();
-    ServerOptions opts;
-    opts.engine = ServeEngine::kPlanned;
-    ServerHarness h(a, opts);
+    RulesetSpec spec;
+    spec.engine = EngineKind::kAuto;
+    ServerHarness h(makeInlineRuleset(a, spec));
     const auto in = testPayload(2, 32 << 10);
     const Reply r = runOneSession(h.addr(), in);
     EXPECT_EQ(r.status, ReplyStatus::kOk);
@@ -866,7 +866,7 @@ TEST(ServeSession, EstimateWithinOrderOfMagnitudeOfMeasured)
     // measured footprint of a live, fed session for both engines.
     const Automaton a = wideAutomaton(300);
     const auto in = testPayload(5, 64 << 10);
-    for (ServeEngine eng : {ServeEngine::kNfa, ServeEngine::kPlanned}) {
+    for (EngineKind eng : {EngineKind::kNfa, EngineKind::kAuto}) {
         MatchSessionPool pool(a, eng, PlanOptions(), 256);
         std::unique_ptr<MatchSession> s = pool.acquire();
         s->feed(in.data(), in.size());
@@ -896,13 +896,13 @@ TEST(ServeSession, ConcurrentSessionsShareOneProgram)
     const zoo::Benchmark b = zoo::makeBenchmark("Snort", cfg);
     const size_t slice = b.input.size() / 3;
     obs::Registry &reg = obs::Registry::global();
-    for (ServeEngine eng : {ServeEngine::kNfa, ServeEngine::kPlanned}) {
+    for (EngineKind eng : {EngineKind::kNfa, EngineKind::kAuto}) {
         SCOPED_TRACE(static_cast<int>(eng));
         // What compiling one program costs, and the tables it holds,
         // on a standalone one.
         uint64_t before = reg.counterValue("engine.nfa.compiles");
         size_t sharedBytes = 0;
-        if (eng == ServeEngine::kPlanned) {
+        if (eng == EngineKind::kAuto) {
             sharedBytes = PlannedProgram(b.automaton,
                                          analysis::inferProfiles(
                                              b.automaton))
@@ -1098,6 +1098,50 @@ TEST(ServeReload, RequestReloadTriggersSwapLikeSighup)
     ASSERT_TRUE(r.ok()) << r.status().str();
     const SimResult want = serialRun(b, in.data(), in.size());
     EXPECT_EQ(r->reports, want.reports);
+}
+
+TEST(ServeReload, ReloadKeepsTheGenerationsSpec)
+{
+    // The engine and plan live in the generation, not in
+    // ServerOptions: a server started on a planned generation with
+    // default options reloads into a planned generation, whose first
+    // session plans every component of the new ruleset.
+    const Automaton a = testAutomaton();
+    const Automaton b = altAutomaton();
+    const std::string pathB = writeRulesetFile("reload_spec.azml", b);
+    RulesetSpec spec;
+    spec.engine = EngineKind::kAuto;
+    ServerHarness h(makeInlineRuleset(a, spec));
+
+    h.server().requestReload(pathB);
+    ASSERT_TRUE(waitFor([&] { return h.server().epoch() == 2; }, 5000));
+
+    obs::Registry &reg = obs::Registry::global();
+    auto planned = [&] {
+        uint64_t n = 0;
+        for (size_t k = 0; k < kPlanBackends; ++k) {
+            n += reg.counterValue(
+                cat("planner.assignments.",
+                    planBackendName(static_cast<PlanBackend>(k))));
+        }
+        return n;
+    };
+    const uint64_t before = planned();
+    const auto in = testPayload(6, 16 << 10);
+    Client c;
+    ASSERT_TRUE(c.connect(h.addr()).ok());
+    ASSERT_TRUE(c.open(0).ok());
+    ASSERT_TRUE(c.admitted());
+    EXPECT_EQ(c.epoch(), 2u);
+    ASSERT_TRUE(c.send(in).ok());
+    Expected<Reply> r = c.finish();
+    ASSERT_TRUE(r.ok()) << r.status().str();
+    EXPECT_EQ(r->reports, serialRun(b, in.data(), in.size()).reports);
+    if (obs::kEnabled) {
+        uint32_t components = 0;
+        b.connectedComponents(components);
+        EXPECT_EQ(planned() - before, components);
+    }
 }
 
 TEST(ServeReload, InFlightSessionsFinishOnTheirOpeningGeneration)

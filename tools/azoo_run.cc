@@ -22,12 +22,14 @@
  * (--automaton, --max-states, --max-edges, --save) are usage errors
  * together with --load, since the artifact is already compiled.
  *
- * Engines: nfa is the enabled-set interpreter; multidfa (alias: dfa)
- * determinizes each component eagerly; lazydfa runs subset
- * construction on the fly, memoizing transitions in a cache bounded
- * by --cache-bytes; auto profiles the automaton and plans each
- * component onto the cheapest exact backend (literal prefilter, lazy
- * DFA, or interpreter — see docs/ARCHITECTURE.md "Engine planning &
+ * Engines (--engine, parsed by parseEngine(): nfa|multidfa|dfa|
+ * lazydfa|auto; any other name is a usage error listing these): nfa
+ * is the enabled-set interpreter; multidfa (alias: dfa) determinizes
+ * each component eagerly; lazydfa runs subset construction on the
+ * fly, memoizing transitions in a cache bounded by --cache-bytes;
+ * auto profiles the automaton and plans each component onto the
+ * cheapest exact backend (literal prefilter, lazy DFA, or
+ * interpreter — see docs/ARCHITECTURE.md "Engine planning &
  * prefilters"). --no-prefilter keeps the planner but routes literal
  * chains to the interpreter instead of the prefilter. All engines
  * produce identical reports and counts, also under --symbol-budget
@@ -38,14 +40,16 @@
  * scan the input concurrently (component-level parallelism). With
  * --batch, --input is a comma-separated list of files, each an
  * independent stream fanned out across the pool (stream-level
- * parallelism); --chunk feeds each stream through a StreamingSession
- * in chunks of the given size instead of one monolithic pass. Either
+ * parallelism); --chunk feeds each stream to a session cursor in
+ * chunks of the given size instead of one monolithic pass. Either
  * way the reports are byte-identical to a serial run (canonical
- * order). Parallel paths take --engine nfa, lazydfa, or auto. --chunk
+ * order). Both parallel paths run one ParallelRunner configuration
+ * and take --engine nfa, lazydfa, or auto (multidfa is a usage
+ * error); a chunked --batch under lazydfa fails every stream. --chunk
  * also works single-stream (without --batch): the input is fed
- * through one StreamingSession (or PlannedSession under --engine
- * auto); it requires --engine nfa or auto and --threads 1 (the
- * streaming session has no lazy-DFA backend).
+ * through one StreamingSession (nfa) or PlannedSession (auto); any
+ * other engine, or --threads > 1, is a usage error (there is no
+ * streaming multidfa or lazydfa).
  *
  * --metrics prints the azoo::obs registry snapshot (JSON) after the
  * run; --metrics=FILE writes it to FILE instead.
@@ -147,6 +151,11 @@ main(int argc, char **argv)
     if ((apath.empty() && !useLoad) || ipath.empty())
         tool::usageError("azoo_run: --automaton (or --load) and "
                          "--input are required");
+    const Expected<EngineKind> parsed =
+        parseEngine(cli.get("engine", "nfa"));
+    if (!parsed.ok())
+        tool::usageError(cat("azoo_run: ", parsed.status().message()));
+    const EngineKind engine = *parsed;
 
     ParseLimits limits;
     if (cli.has("max-states"))
@@ -232,9 +241,6 @@ main(int argc, char **argv)
         static_cast<size_t>(cli.getInt("reports", 10));
     opts.reportRecordLimit = show;
 
-    const std::string engine = cli.get("engine", "nfa");
-    const bool lazy = engine == "lazydfa";
-    const bool planned = engine == "auto";
     const auto cacheBytes = static_cast<size_t>(
         cli.getInt("cache-bytes", 8 << 20));
     PlanOptions planOpts;
@@ -243,9 +249,18 @@ main(int argc, char **argv)
     const auto threads =
         static_cast<size_t>(cli.getInt("threads", 1));
     const bool batch = cli.getBool("batch");
-    if ((batch || threads > 1) && engine != "nfa" && !lazy && !planned)
+    const auto chunkBytes =
+        static_cast<size_t>(cli.getInt("chunk", 0));
+    if ((batch || threads > 1) && engine == EngineKind::kMultiDfa)
         tool::usageError("azoo_run: --batch/--threads require "
                          "--engine nfa, lazydfa, or auto");
+    // One configuration for --batch streams and --threads shards.
+    ParallelOptions popts;
+    popts.threads = threads;
+    popts.chunkBytes = chunkBytes;
+    popts.engine = engine;
+    popts.plan = planOpts;
+    popts.sim = opts;
 
     if (batch) {
         std::vector<std::vector<uint8_t>> streams;
@@ -255,15 +270,6 @@ main(int argc, char **argv)
                                  "--input list (stray comma?)");
             streams.push_back(loadBytes(p));
         }
-        ParallelOptions popts;
-        popts.threads = threads;
-        popts.chunkBytes =
-            static_cast<size_t>(cli.getInt("chunk", 0));
-        popts.engine = planned ? ParallelEngine::kPlanned
-                       : lazy  ? ParallelEngine::kLazyDfa
-                               : ParallelEngine::kNfa;
-        popts.plan = planOpts;
-        popts.sim = opts;
         ParallelRunner runner(graph(), popts);
         Timer timer;
         BatchResult br = runner.runBatch(streams);
@@ -284,7 +290,7 @@ main(int argc, char **argv)
                   << Table::fixed(br.totalSymbols / secs / 1e6, 1)
                   << " MB/s aggregate, " << runner.threads()
                   << " threads), " << br.totalReports << " reports\n";
-        if (lazy) {
+        if (engine == EngineKind::kLazyDfa) {
             std::cout << "lazy cache: " << br.totalLazyFlushes
                       << " flushes across streams\n";
         }
@@ -292,15 +298,13 @@ main(int argc, char **argv)
         return br.allOk() ? tool::kExitOk : tool::kExitBadData;
     }
 
-    const auto chunkBytes =
-        static_cast<size_t>(cli.getInt("chunk", 0));
     if (chunkBytes != 0) {
-        // StreamingSession is the interpreter; mirror the runBatch
-        // rejection instead of silently substituting an engine.
-        if (engine != "nfa" && !planned)
-            tool::usageError("azoo_run: --chunk requires --engine nfa "
-                             "or auto (the streaming session has no "
-                             "lazy-DFA backend)");
+        // Chunks feed a session cursor; mirror the runBatch rejection
+        // instead of silently substituting an engine.
+        if (engine != EngineKind::kNfa && engine != EngineKind::kAuto)
+            tool::usageError(cat("azoo_run: --chunk requires --engine "
+                                 "nfa or auto (", engineName(engine),
+                                 " has no streaming session)"));
         if (threads > 1)
             tool::usageError("azoo_run: --chunk with --threads > 1 "
                              "requires --batch");
@@ -309,53 +313,33 @@ main(int argc, char **argv)
     auto input = loadBytes(ipath);
     Timer timer;
     SimResult r;
-    if (chunkBytes != 0 && planned) {
-        PlannedSession sess(graph(), planOpts);
+    auto feedSession = [&](auto &sess) {
         sess.options = opts;
         timer.reset();
-        for (size_t pos = 0; pos < input.size();) {
-            const size_t want =
-                std::min(chunkBytes, input.size() - pos);
-            const size_t got = sess.feed(input.data() + pos, want);
-            pos += got;
-            if (got < want)
-                break;
-        }
+        feedChunks(input.data(), input.size(), chunkBytes,
+                   [&](const uint8_t *p, size_t n) {
+                       return sess.feed(p, n);
+                   });
         r = sess.results();
+    };
+    if (chunkBytes != 0 && engine == EngineKind::kAuto) {
+        PlannedSession sess(graph(), planOpts);
+        feedSession(sess);
         const PrefilterStats &pf = sess.prefilterStats();
         std::cout << "planned " << sess.plan().census() << ": "
                   << pf.candidates << " prefilter candidates, "
                   << pf.skippedBytes << " bytes skipped\n";
     } else if (chunkBytes != 0) {
         StreamingSession sess(graph());
-        sess.options = opts;
-        timer.reset();
-        for (size_t pos = 0; pos < input.size();) {
-            const size_t want =
-                std::min(chunkBytes, input.size() - pos);
-            const size_t got = sess.feed(input.data() + pos, want);
-            pos += got;
-            // Short feed = the guard stopped the session; stop the
-            // chunk loop instead of spinning on refused chunks.
-            if (got < want)
-                break;
-        }
-        r = sess.results();
-    } else if ((engine == "nfa" || lazy || planned) && threads > 1) {
-        ParallelOptions popts;
-        popts.threads = threads;
-        popts.engine = planned ? ParallelEngine::kPlanned
-                       : lazy  ? ParallelEngine::kLazyDfa
-                               : ParallelEngine::kNfa;
-        popts.plan = planOpts;
-        popts.sim = opts;
+        feedSession(sess);
+    } else if (threads > 1) {
         ParallelRunner runner(graph(), popts);
         std::cout << "sharded into " << runner.shardCount()
                   << " component groups on " << runner.threads()
                   << " threads\n";
         timer.reset();
         r = runner.simulateSharded(input);
-    } else if (engine == "nfa") {
+    } else if (engine == EngineKind::kNfa) {
         // The artifact fast path: adopt the validated EXEC image
         // straight out of the mapping, no materialization at all.
         if (art && art->hasExecImage()) {
@@ -365,7 +349,7 @@ main(int argc, char **argv)
             NfaEngine e(graph());
             r = e.simulate(input, opts);
         }
-    } else if (lazy) {
+    } else if (engine == EngineKind::kLazyDfa) {
         LazyDfaOptions lo;
         lo.cacheBytes = cacheBytes;
         LazyDfaEngine e(graph(), lo);
@@ -375,7 +359,7 @@ main(int argc, char **argv)
                   << " counter components interpreted\n";
         timer.reset();
         r = e.simulate(input, opts);
-    } else if (planned) {
+    } else if (engine == EngineKind::kAuto) {
         PlannedEngine e(graph(), planOpts);
         std::cout << "planned " << e.plan().census() << " ("
                   << e.prefilterPatterns() << " scan literals)\n";
@@ -392,7 +376,7 @@ main(int argc, char **argv)
                       << " bytes skipped ("
                       << Table::fixed(pct, 1) << "%)\n";
         }
-    } else if (engine == "dfa" || engine == "multidfa") {
+    } else { // kMultiDfa
         // Profile facts let compilation skip subset constructions the
         // blowup estimate already rules out; results are unchanged.
         const std::vector<analysis::ComponentProfile> profiles =
@@ -406,9 +390,6 @@ main(int argc, char **argv)
                   << e.fallbackComponents() << " lazy-DFA fallbacks\n";
         timer.reset();
         r = e.simulate(input, opts);
-    } else {
-        tool::usageError(cat("azoo_run: unknown engine '", engine,
-                             "' (nfa|multidfa|lazydfa|auto)"));
     }
     const double secs = timer.seconds();
 
@@ -418,12 +399,12 @@ main(int argc, char **argv)
               << Table::fixed(static_cast<double>(r.symbols) / secs /
                               1e6, 1)
               << " MB/s), " << r.reportCount << " reports";
-    if (engine == "nfa" || lazy) {
+    if (engine == EngineKind::kNfa || engine == EngineKind::kLazyDfa) {
         std::cout << ", avg active set "
                   << Table::fixed(r.avgActiveSet(), 1);
     }
     std::cout << "\n";
-    if (lazy) {
+    if (engine == EngineKind::kLazyDfa) {
         std::cout << "lazy cache: " << r.lazyStates << " state-sets, "
                   << r.lazyFlushes << " flushes\n";
     }

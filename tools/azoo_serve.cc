@@ -10,6 +10,9 @@
  *   azoo_serve --load snort.azoox --listen unix:/tmp/azoo.sock
  *   azoo_serve --automaton x.mnrl --listen tcp:0   # prints the port
  *
+ * --engine nfa|auto picks the session cursor (other names are usage
+ * errors); reloads keep the startup engine and plan.
+ *
  * The robustness surface (see docs/ARCHITECTURE.md "Running as a
  * service"):
  *   --max-sessions / --memory-budget   admission control
@@ -72,17 +75,17 @@ main(int argc, char **argv)
         tool::usageError("azoo_serve: --load or --automaton is "
                          "required");
 
+    // Generation 1's spec; every reload compiles against it.
+    serve::RulesetSpec spec;
+    Expected<EngineKind> engine = parseEngine(
+        cli.get("engine", "nfa"), {EngineKind::kNfa, EngineKind::kAuto});
+    if (!engine.ok())
+        tool::usageError(cat("azoo_serve: ", engine.status().message()));
+    spec.engine = *engine;
+    spec.plan.enablePrefilter = !cli.getBool("no-prefilter");
+
     serve::ServerOptions opts;
     opts.addr = cli.get("listen", "tcp:0");
-    const std::string engine = cli.get("engine", "nfa");
-    if (engine == "auto")
-        opts.engine = serve::ServeEngine::kPlanned;
-    else if (engine == "nfa")
-        opts.engine = serve::ServeEngine::kNfa;
-    else
-        tool::usageError(cat("azoo_serve: unknown engine '", engine,
-                             "' (nfa|auto)"));
-    opts.plan.enablePrefilter = !cli.getBool("no-prefilter");
     opts.workers = static_cast<size_t>(cli.getInt("workers", 0));
     opts.limits.maxSessions =
         static_cast<size_t>(cli.getInt("max-sessions", 256));
@@ -112,8 +115,6 @@ main(int argc, char **argv)
         tool::usageError(cat("azoo_serve: --",
                              useLoad ? "load" : "automaton",
                              " needs a file path"));
-    const serve::RulesetSpec spec{opts.engine, opts.plan,
-                                  ParseLimits()};
     Expected<serve::RulesetGeneration> gen =
         serve::loadRulesetFile(rulesetPath, spec, /*epoch=*/1);
     if (!gen.ok()) {

@@ -24,6 +24,7 @@
 #include "core/automaton.hh"
 #include "core/mnrl.hh"
 #include "core/serialize.hh"
+#include "util/cli.hh"
 #include "util/status.hh"
 
 namespace azoo::tool {
@@ -33,13 +34,8 @@ inline constexpr int kExitUsage = 64;    ///< EX_USAGE
 inline constexpr int kExitBadData = 65;  ///< EX_DATAERR
 inline constexpr int kExitInternal = 70; ///< EX_SOFTWARE
 
-/** Print a usage error and exit 64. */
-[[noreturn]] inline void
-usageError(const std::string &msg)
-{
-    std::cerr << "fatal: " << msg << "\n";
-    std::exit(kExitUsage);
-}
+/** Print a usage error and exit 64 (the Cli flag-error path). */
+using azoo::usageError;
 
 /** Exit code for a non-OK Status: internal bugs are 70, everything
  *  the input's fault (parse errors, limits, io) is 65. */
