@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/automaton.hh"
+#include "util/logging.hh"
 
 namespace azoo {
 
@@ -89,6 +90,36 @@ struct EngineScratch {
         latchedList.clear();
         pos = 0;
         lastReportCycle = ~uint64_t(0);
+    }
+
+    /** Enable @p id for the next symbol of the open run (after
+     *  NfaEngine::begin() or resume(), before the next feed). */
+    void
+    enable(ElementId id)
+    {
+        stamp[id] = base + pos + 1;
+        next.push_back(id);
+    }
+
+    /** Add the state of @p from's run — its enabled set, counter
+     *  values and latches, @p counters being its counter ids — to
+     *  this open run, ids shifted up by @p offset. Both runs must
+     *  stand at the same stream position. */
+    void
+    absorb(const EngineScratch &from, std::span<const ElementId> counters,
+           ElementId offset)
+    {
+        if (from.pos != pos)
+            panic("EngineScratch::absorb: runs at different positions");
+        for (ElementId id : from.next)
+            enable(id + offset);
+        for (ElementId c : counters) {
+            value[c + offset] = from.value[c];
+            if (from.latched[c]) {
+                latched[c + offset] = 1;
+                latchedList.push_back(c + offset);
+            }
+        }
     }
 
     /** Retire the run: advance the epoch past every stamp value it

@@ -1,37 +1,49 @@
 #include "engine/lazy_dfa_engine.hh"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "engine/run_guard.hh"
 #include "obs/obs.hh"
+#include "util/logging.hh"
 
 namespace azoo {
 
 namespace {
 
-/** Per-run metrics flush for the lazy half. Hits/misses are counted
- *  in simulateLazy() stack locals — never one atomic per symbol —
- *  and land here once per run. The hybrid path's fallback half is
- *  accounted separately under engine.nfa.* by the interpreter. */
+/** Per-feed metrics flush. Hits and misses are counted in feed()
+ *  stack locals — never one atomic per symbol — and land here once
+ *  per call. The hybrid path's fallback half is accounted separately
+ *  under engine.nfa.* by the interpreter. */
 void
-noteLazyRun(const SimResult &res, uint64_t hits, uint64_t misses)
+noteLazyFeed(uint64_t symbols, uint64_t hits, uint64_t misses,
+             uint64_t flushes)
 {
     if (!obs::kEnabled)
         return;
     obs::Registry &reg = obs::Registry::global();
-    static obs::Counter &runs = reg.counter("engine.lazy.runs");
-    static obs::Counter &symbols = reg.counter("engine.lazy.symbols");
+    static obs::Counter &symbolsC = reg.counter("engine.lazy.symbols");
     static obs::Counter &cacheHits =
         reg.counter("engine.lazy.cache_hits");
     static obs::Counter &cacheMisses =
         reg.counter("engine.lazy.cache_misses");
     static obs::Counter &cacheFlushes =
         reg.counter("engine.lazy.cache_flushes");
-    runs.inc();
-    symbols.add(res.symbols);
+    symbolsC.add(symbols);
     cacheHits.add(hits);
     cacheMisses.add(misses);
-    cacheFlushes.add(res.lazyFlushes);
+    cacheFlushes.add(flushes);
+}
+
+/** Per-run metrics flush of LazyDfaEngine::simulate(). */
+void
+noteLazyRun(const SimResult &res)
+{
+    if (!obs::kEnabled)
+        return;
+    static obs::Counter &runs =
+        obs::Registry::global().counter("engine.lazy.runs");
+    runs.inc();
     if (!res.guardStatus.ok())
         obs::noteGuardStop("engine.lazy", res.guardStatus.code());
 }
@@ -66,147 +78,148 @@ poolBytes(size_t listSize)
 
 } // namespace
 
-LazyDfaEngine::LazyDfaEngine(const Automaton &a,
-                             const LazyDfaOptions &opts)
-    : a_(a), opts_(opts)
+// ---------------------------------------------------------------------
+// LazyDfaProgram
+
+LazyDfaProgram::LazyDfaProgram(const NfaExecImage &image, size_t count)
+    : t_(image), count_(static_cast<uint32_t>(count))
 {
-    // Components over activation *and* reset edges: a counter must
-    // stay with everything that counts or resets it, so the split
-    // below can never cut a counter off from its sources.
-    uint32_t count = 0;
-    const std::vector<uint32_t> comp = a.connectedComponents(count);
-    std::vector<uint8_t> compHasCounter(count, 0);
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (a.element(i).kind == ElementKind::kCounter)
-            compHasCounter[comp[i]] = 1;
+    // Id lists are ascending, so the ids below count_ are prefixes.
+    if (!t_.counters.empty() && t_.counters.front() < count_)
+        panic("LazyDfaProgram: counters cannot be determinized");
+    start_ = t_.startOfData.first(static_cast<size_t>(
+        std::lower_bound(t_.startOfData.begin(), t_.startOfData.end(),
+                         count_) -
+        t_.startOfData.begin()));
+
+    // Symbol equivalence classes over the distinct labels: bytes no
+    // state can tell apart share one transition row, which shrinks
+    // both cache rows and the number of distinct cells a hot region
+    // touches. Each label splits every class by membership; class ids
+    // stay in first-byte order.
+    struct LabelHash {
+        size_t
+        operator()(const LabelWords &l) const
+        {
+            uint64_t h = 0;
+            for (uint64_t w : l)
+                h = (h ^ w) * 0x9E3779B97F4A7C15ULL;
+            return static_cast<size_t>(h ^ (h >> 29));
+        }
+    };
+    std::unordered_set<LabelWords, LabelHash> labels(
+        t_.label.begin(), t_.label.begin() + count_);
+    for (const LabelWords &l : labels) {
+        if (numClasses_ == 256)
+            break;
+        std::array<int16_t, 512> split;
+        split.fill(-1);
+        uint32_t count = 0;
+        for (int b = 0; b < 256; ++b) {
+            const bool in = (l[b >> 6] >> (b & 63)) & 1;
+            int16_t &id = split[classOf_[b] * 2 + in];
+            if (id < 0)
+                id = static_cast<int16_t>(count++);
+            classOf_[b] = static_cast<uint8_t>(id);
+        }
+        numClasses_ = count;
     }
-
-    std::vector<ElementId> lazyMembers, fallbackMembers;
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (compHasCounter[comp[i]])
-            fallbackMembers.push_back(i);
-        else
-            lazyMembers.push_back(i);
-    }
-    for (uint8_t has : compHasCounter)
-        fallbackComponentCount_ += has;
-
-    buildLazyPart(lazyMembers);
-    if (!fallbackMembers.empty())
-        buildFallback(a, fallbackMembers);
-
-    pool_.emplace_back(); // index 0 = the empty report list
+    classRep_.assign(numClasses_, 0);
+    for (int b = 255; b >= 0; --b)
+        classRep_[classOf_[b]] = static_cast<uint8_t>(b);
 }
 
 void
-LazyDfaEngine::buildLazyPart(const std::vector<ElementId> &members)
+LazyDfaProgram::begin(LazyDfaCache &c, LazyDfaCursor &cur) const
 {
-    const auto m = static_cast<uint32_t>(members.size());
-    globalId_ = members;
+    cur.members.assign(start_.begin(), start_.end());
+    if (c.startState_ == LazyDfaCache::kUnknown)
+        c.startState_ = c.intern(*this, cur.members);
+    cur.state = c.startState_;
+    cur.epoch = c.epoch_;
+    cur.pos = 0;
+}
 
-    std::vector<uint32_t> toLocal(a_.size(), kUnknown);
-    for (uint32_t i = 0; i < m; ++i)
-        toLocal[members[i]] = i;
-
-    std::vector<uint8_t> isAllInput(m, 0);
-    label_.resize(m);
-    reporting_.assign(m, 0);
-    reportCode_.assign(m, 0);
-    edgeBegin_.assign(m + 1, 0);
-    for (uint32_t i = 0; i < m; ++i) {
-        const Element &e = a_.element(members[i]);
-        for (int w = 0; w < 4; ++w)
-            label_[i][w] = e.symbols.word(w);
-        reporting_[i] = e.reporting;
-        reportCode_[i] = e.reportCode;
-        if (e.start == StartType::kAllInput) {
-            isAllInput[i] = 1;
-            for (int v = 0; v < 256; ++v) {
-                if (e.symbols.test(static_cast<uint8_t>(v)))
-                    matchingAllInput_[v].push_back(i);
+size_t
+LazyDfaProgram::feed(LazyDfaCache &c, LazyDfaCursor &cur,
+                     const uint8_t *data, size_t len,
+                     const SimOptions &opts, SimResult &res) const
+{
+    if (cur.epoch != c.epoch_) {
+        // Flushed or released since this cursor last ran.
+        cur.state = c.intern(*this, cur.members);
+        cur.epoch = c.epoch_;
+    }
+    const uint64_t t0 = cur.pos;
+    const uint64_t flushesBefore = c.flushes_;
+    uint64_t hits = 0, misses = 0, enabled = 0;
+    uint32_t s = cur.state;
+    size_t i = 0;
+    for (; i < len; ++i) {
+        const uint64_t t = t0 + i;
+        if (opts.guard && (t & (kGuardCheckIntervalSymbols - 1)) == 0) {
+            Status st = opts.guard->check(t);
+            if (!st.ok()) {
+                res.guardStatus = std::move(st);
+                break;
             }
-        } else if (e.start == StartType::kStartOfData) {
-            start0_.push_back(i);
         }
-    }
-    // CSR with all-input targets pre-filtered: they never enter a
-    // state-set (the matchingAllInput_ index covers them per byte),
-    // exactly mirroring NfaEngine's isAllInput_ skip.
-    for (uint32_t i = 0; i < m; ++i) {
-        uint32_t deg = 0;
-        for (auto t : a_.element(members[i]).out) {
-            if (!isAllInput[toLocal[t]])
-                ++deg;
-        }
-        edgeBegin_[i + 1] = edgeBegin_[i] + deg;
-    }
-    edgeTarget_.reserve(edgeBegin_[m]);
-    for (uint32_t i = 0; i < m; ++i) {
-        for (auto t : a_.element(members[i]).out) {
-            const uint32_t lt = toLocal[t];
-            if (!isAllInput[lt])
-                edgeTarget_.push_back(lt);
-        }
-    }
+        // The state-set is exactly NfaEngine's edge-enabled set
+        // (all-input starts excluded), so its size *is* the active
+        // set for this cycle.
+        if (opts.computeActiveSet)
+            enabled += c.members_[s].size();
 
-    // Symbol equivalence classes over the *distinct* lazy charsets:
-    // bytes no lazy state can tell apart share one transition row,
-    // which shrinks both cache rows and the number of distinct cells
-    // a hot region touches.
-    std::vector<const CharSet *> distinct;
-    {
-        std::unordered_map<uint64_t, std::vector<const CharSet *>> seen;
-        for (uint32_t i = 0; i < m; ++i) {
-            const CharSet &cs = a_.element(members[i]).symbols;
-            auto &bucket = seen[cs.hash()];
-            bool dup = false;
-            for (const auto *c : bucket) {
-                if (*c == cs) {
-                    dup = true;
-                    break;
+        const uint32_t cls = classOf_[data[i]];
+        size_t cell = static_cast<size_t>(s) * numClasses_ + cls;
+        if (c.next_[cell] == LazyDfaCache::kUnknown) {
+            cell = c.fill(*this, s, cls);
+            if (cell == LazyDfaCache::kNoCell)
+                break;
+            ++misses;
+        } else {
+            ++hits;
+        }
+
+        const uint32_t ridx = c.reportIdx_[cell];
+        if (ridx) {
+            const auto &list = c.pool_[ridx];
+            res.reportCount += list.size();
+            ++res.reportingCycles;
+            if (opts.recordReports) {
+                for (const auto &[el, code] : list) {
+                    if (res.reports.size() >= opts.reportRecordLimit)
+                        break;
+                    res.reports.push_back({t, el, code});
                 }
             }
-            if (!dup) {
-                bucket.push_back(&cs);
-                distinct.push_back(&cs);
+            if (opts.countByCode) {
+                for (const auto &[el, code] : list)
+                    ++res.byCode[code];
             }
         }
+        s = c.next_[cell];
     }
-    std::map<std::vector<uint8_t>, uint8_t> sigToClass;
-    std::vector<uint8_t> sig(distinct.size());
-    for (int b = 0; b < 256; ++b) {
-        for (size_t d = 0; d < distinct.size(); ++d)
-            sig[d] = distinct[d]->test(static_cast<uint8_t>(b));
-        auto it = sigToClass.find(sig);
-        if (it == sigToClass.end()) {
-            // At most 256 signatures exist for 256 bytes, so the
-            // class id always fits a byte.
-            it = sigToClass.emplace(
-                sig, static_cast<uint8_t>(sigToClass.size())).first;
-            classRep_.push_back(static_cast<uint8_t>(b));
-        }
-        classOf_[b] = it->second;
-    }
-    numClasses_ = static_cast<uint32_t>(
-        std::max<size_t>(1, sigToClass.size()));
-    if (classRep_.empty())
-        classRep_.push_back(0);
-
-    inNext_.assign(m, 0);
+    cur.state = s;
+    cur.epoch = c.epoch_;
+    cur.members = c.members_[s];
+    cur.pos = t0 + i;
+    res.symbols += i;
+    res.totalEnabled += enabled;
+    res.lazyFlushes += c.flushes_ - flushesBefore;
+    res.lazyStates = c.members_.size();
+    c.hits_ += hits;
+    c.misses_ += misses;
+    noteLazyFeed(i, hits, misses, c.flushes_ - flushesBefore);
+    return i;
 }
 
-void
-LazyDfaEngine::buildFallback(const Automaton &a,
-                             const std::vector<ElementId> &members)
-{
-    fallbackToGlobal_ = members;
-    fallback_ = std::make_unique<Automaton>(
-        subAutomaton(a, members, a.name() + ".lazy-fallback"));
-    fallbackEngine_ = std::make_unique<NfaEngine>(*fallback_);
-}
+// ---------------------------------------------------------------------
+// LazyDfaCache
 
 uint32_t
-LazyDfaEngine::intern(const std::vector<uint32_t> &set)
+LazyDfaCache::intern(const LazyDfaProgram &p,
+                     const std::vector<uint32_t> &set)
 {
     const uint64_t h = hashSet(set);
     auto &bucket = buckets_[h];
@@ -217,14 +230,14 @@ LazyDfaEngine::intern(const std::vector<uint32_t> &set)
     const auto id = static_cast<uint32_t>(members_.size());
     members_.push_back(set);
     bucket.push_back(id);
-    next_.resize(members_.size() * numClasses_, kUnknown);
-    reportIdx_.resize(members_.size() * numClasses_, 0);
-    bytesUsed_ += stateBytes(set.size(), numClasses_);
+    next_.resize(members_.size() * p.numClasses_, kUnknown);
+    reportIdx_.resize(members_.size() * p.numClasses_, 0);
+    bytesUsed_ += stateBytes(set.size(), p.numClasses_);
     return id;
 }
 
 uint32_t
-LazyDfaEngine::internReports(
+LazyDfaCache::internReports(
     const std::vector<std::pair<ElementId, uint32_t>> &reps)
 {
     auto it = poolIds_.find(reps);
@@ -238,7 +251,7 @@ LazyDfaEngine::internReports(
 }
 
 void
-LazyDfaEngine::flushCache()
+LazyDfaCache::flush()
 {
     members_.clear();
     buckets_.clear();
@@ -248,148 +261,180 @@ LazyDfaEngine::flushCache()
     pool_.emplace_back();
     poolIds_.clear();
     cachedTransitions_ = 0;
-    bytesUsed_ = 0;
+    bytesUsed_ = inNext_.size();
     startState_ = kUnknown;
     ++flushes_;
+    ++epoch_;
+}
+
+void
+LazyDfaCache::release()
+{
+    LazyDfaCache empty(budget_, onFull_);
+    empty.flushes_ = flushes_;
+    empty.hits_ = hits_;
+    empty.misses_ = misses_;
+    empty.epoch_ = epoch_ + 1;
+    *this = std::move(empty);
 }
 
 size_t
-LazyDfaEngine::fillCell(uint32_t &cur, uint32_t cls)
+LazyDfaCache::fill(const LazyDfaProgram &p, uint32_t &cur, uint32_t cls)
 {
-    // Copy: interning below may reallocate members_.
-    const std::vector<uint32_t> curSet = members_[cur];
-    const uint8_t rep = classRep_[cls];
+    const NfaExecImage &t = p.t_;
+    if (inNext_.size() != p.count_) {
+        // The successor marks are cache storage too.
+        bytesUsed_ += p.count_ - inNext_.size();
+        inNext_.assign(p.count_, 0);
+    }
+    const uint8_t rep = p.classRep_[cls];
     const uint32_t word = rep >> 6;
     const uint64_t bit = uint64_t(1) << (rep & 63);
 
-    succScratch_.clear();
-    repScratch_.clear();
-    auto onMatch = [&](uint32_t ls) {
-        if (reporting_[ls])
-            repScratch_.emplace_back(globalId_[ls], reportCode_[ls]);
-        for (uint32_t k = edgeBegin_[ls]; k < edgeBegin_[ls + 1]; ++k) {
-            const uint32_t tgt = edgeTarget_[k];
-            if (!inNext_[tgt]) {
+    succ_.clear();
+    reps_.clear();
+    auto onMatch = [&](uint32_t id) {
+        if (t.reporting[id])
+            reps_.emplace_back(id, t.reportCode[id]);
+        for (uint32_t k = t.edgeBegin[id]; k < t.edgeBegin[id + 1]; ++k) {
+            const uint32_t tgt = t.edgeTarget[k];
+            // All-input targets are permanently enabled (the per-byte
+            // index covers them) and never join a state-set, exactly
+            // mirroring NfaEngine.
+            if (!t.isAllInput[tgt] && !inNext_[tgt]) {
                 inNext_[tgt] = 1;
-                succScratch_.push_back(tgt);
+                succ_.push_back(tgt);
             }
         }
     };
-    for (uint32_t ls : curSet) {
-        if (label_[ls][word] & bit)
-            onMatch(ls);
+    for (uint32_t id : members_[cur]) {
+        if (t.label[id][word] & bit)
+            onMatch(id);
     }
-    for (uint32_t al : matchingAllInput_[rep])
-        onMatch(al);
-    for (uint32_t t : succScratch_)
-        inNext_[t] = 0;
-    std::sort(succScratch_.begin(), succScratch_.end());
-    std::sort(repScratch_.begin(), repScratch_.end());
+    for (uint32_t k = t.maiBegin[rep];
+         k < t.maiBegin[rep + 1] && t.maiTarget[k] < p.count_; ++k)
+        onMatch(t.maiTarget[k]);
+    for (uint32_t id : succ_)
+        inNext_[id] = 0;
+    std::sort(succ_.begin(), succ_.end());
+    std::sort(reps_.begin(), reps_.end());
 
     // Budget check with a worst-case (both inserts are new) estimate.
-    // Keeping at least the current and next state guarantees forward
-    // progress even when a single transition overshoots the budget.
-    const size_t need = stateBytes(succScratch_.size(), numClasses_) +
-        poolBytes(repScratch_.size());
-    if (bytesUsed_ + need > opts_.cacheBytes && members_.size() > 2) {
-        flushCache();
-        cur = intern(curSet);
+    const size_t need = stateBytes(succ_.size(), p.numClasses_) +
+        poolBytes(reps_.size());
+    if (bytesUsed_ + need > budget_) {
+        if (onFull_ == OnFull::kStop)
+            return kNoCell;
+        // Keeping at least the current and next state guarantees
+        // forward progress even when one transition overshoots.
+        if (members_.size() > 2) {
+            const std::vector<uint32_t> keep = std::move(members_[cur]);
+            flush();
+            cur = intern(p, keep);
+        }
     }
 
-    const uint32_t tgt = intern(succScratch_);
-    const uint32_t ridx =
-        repScratch_.empty() ? 0 : internReports(repScratch_);
-    const size_t cell = static_cast<size_t>(cur) * numClasses_ + cls;
+    const uint32_t tgt = intern(p, succ_);
+    const uint32_t ridx = reps_.empty() ? 0 : internReports(reps_);
+    const size_t cell = static_cast<size_t>(cur) * p.numClasses_ + cls;
     next_[cell] = tgt;
     reportIdx_[cell] = ridx;
     ++cachedTransitions_;
     return cell;
 }
 
-void
-LazyDfaEngine::simulateLazy(const uint8_t *input, size_t len,
-                            const SimOptions &opts, SimResult &res)
+size_t
+LazyDfaCache::footprintBytes() const
 {
-    const uint64_t flushesBefore = flushes_;
-    uint64_t consumed = len;
-    uint64_t cacheHits = 0, cacheMisses = 0;
-    if (!globalId_.empty()) {
-        if (startState_ == kUnknown)
-            startState_ = intern(start0_);
-        uint32_t cur = startState_;
-        for (uint64_t t = 0; t < len; ++t) {
-            if (opts.guard &&
-                (t & (kGuardCheckIntervalSymbols - 1)) == 0) {
-                Status st = opts.guard->check(t);
-                if (!st.ok()) {
-                    res.guardStatus = std::move(st);
-                    consumed = t;
-                    break;
-                }
-            }
-            // The state-set is exactly NfaEngine's edge-enabled set
-            // (all-input starts excluded), so its size *is* the
-            // active set for this cycle.
-            if (opts.computeActiveSet)
-                res.totalEnabled += members_[cur].size();
+    using Entry = std::pair<ElementId, uint32_t>;
+    // Node-based containers are charged one fixed overhead per entry
+    // (the same constants the budget uses).
+    size_t n = members_.capacity() * sizeof(members_[0]) +
+        (next_.capacity() + reportIdx_.capacity() + succ_.capacity()) *
+        sizeof(uint32_t) +
+        inNext_.capacity() + reps_.capacity() * sizeof(Entry) +
+        pool_.capacity() * sizeof(pool_[0]) +
+        buckets_.bucket_count() * sizeof(void *);
+    for (const auto &m : members_)
+        n += 64 + m.capacity() * sizeof(uint32_t);
+    for (const auto &l : pool_)
+        n += 48 + 2 * l.capacity() * sizeof(Entry); // list + map key
+    return n;
+}
 
-            const uint32_t cls = classOf_[input[t]];
-            size_t cell = static_cast<size_t>(cur) * numClasses_ + cls;
-            if (next_[cell] == kUnknown) {
-                cell = fillCell(cur, cls);
-                ++cacheMisses;
-            } else {
-                ++cacheHits;
-            }
+// ---------------------------------------------------------------------
+// LazyDfaEngine
 
-            const uint32_t ridx = reportIdx_[cell];
-            if (ridx) {
-                const auto &list = pool_[ridx];
-                res.reportCount += list.size();
-                ++res.reportingCycles;
-                if (opts.recordReports) {
-                    for (const auto &[el, code] : list) {
-                        if (res.reports.size() >= opts.reportRecordLimit)
-                            break;
-                        res.reports.push_back({t, el, code});
-                    }
-                }
-                if (opts.countByCode) {
-                    for (const auto &[el, code] : list)
-                        ++res.byCode[code];
-                }
-            }
-            cur = next_[cell];
+LazyDfaEngine::LazyDfaEngine(const Automaton &a,
+                             const LazyDfaOptions &opts)
+    : cache_(opts.cacheBytes, LazyDfaCache::OnFull::kFlush)
+{
+    // Components over activation *and* reset edges: a counter must
+    // stay with everything that counts or resets it, so the split
+    // below can never cut a counter off from its sources.
+    uint32_t count = 0;
+    const std::vector<uint32_t> comp = a.connectedComponents(count);
+    std::vector<uint8_t> compHasCounter(count, 0);
+    for (ElementId i = 0; i < a.size(); ++i) {
+        if (a.element(i).kind == ElementKind::kCounter)
+            compHasCounter[comp[i]] = 1;
+    }
+    for (uint8_t has : compHasCounter)
+        fallbackComponentCount_ += has;
+
+    if (fallbackComponentCount_ == 0) {
+        if (a.size() != 0) {
+            lazyTables_ = std::make_unique<NfaExecTables>(
+                NfaExecTables::compile(a));
+        }
+    } else {
+        std::vector<ElementId> lazyMembers;
+        for (ElementId i = 0; i < a.size(); ++i) {
+            if (compHasCounter[comp[i]])
+                fallbackToGlobal_.push_back(i);
+            else
+                lazyMembers.push_back(i);
+        }
+        fallbackEngine_ = std::make_unique<NfaEngine>(subAutomaton(
+            a, fallbackToGlobal_, a.name() + ".lazy-fallback"));
+        if (!lazyMembers.empty()) {
+            lazyTables_ = std::make_unique<NfaExecTables>(
+                NfaExecTables::compile(subAutomaton(
+                    a, lazyMembers, a.name() + ".lazy")));
+            lazyToGlobal_ = std::move(lazyMembers);
         }
     }
-    res.symbols = consumed;
-    res.lazyFlushes = flushes_ - flushesBefore;
-    res.lazyStates = members_.size();
-    res.lazyFallbackComponents = fallbackComponentCount_;
-    noteLazyRun(res, cacheHits, cacheMisses);
+    if (lazyTables_)
+        program_ = std::make_unique<LazyDfaProgram>(
+            lazyTables_->view(), lazyTables_->elementCount);
 }
 
 SimResult
 LazyDfaEngine::simulate(const uint8_t *input, size_t len,
                         const SimOptions &opts)
 {
+    // The lazy half's results with the caller's options; as part of a
+    // hybrid, with the part options of the merge below.
+    const bool hybrid = fallbackEngine_ != nullptr;
+    const SimOptions inner = hybrid ? PartMerger::partOptions(opts) : opts;
     SimResult res;
-    if (!fallbackEngine_) {
-        // Pure lazy path: reports stream out already in canonical
-        // (offset, element, code) order, so everything is computed
-        // directly with the caller's options.
-        simulateLazy(input, len, opts, res);
-        return res;
+    if (program_) {
+        program_->begin(cache_, cursor_);
+        program_->feed(cache_, cursor_, input, len, inner, res);
+    } else {
+        res.symbols = len;
     }
+    res.lazyFallbackComponents = fallbackComponentCount_;
+    noteLazyRun(res);
+    if (!hybrid)
+        return res; // already canonical: reports stream out in order
 
     // Hybrid path: the lazy half and the counter fallback are two
     // parts of one merge. The fallback only scans the prefix the lazy
     // half consumed; if its own poll stops even earlier, the merge
     // cuts both to the shorter prefix.
     PartMerger merger(len);
-    const SimOptions inner = PartMerger::partOptions(opts);
-    simulateLazy(input, len, inner, res);
-    merger.add(std::move(res));
+    merger.add(std::move(res), lazyToGlobal_);
     merger.add(fallbackEngine_->simulate(
                    input, static_cast<size_t>(merger.consumed()),
                    fallbackScratch_, inner),

@@ -1,25 +1,46 @@
 /**
  * @file
- * LazyDfaEngine: an RE2-style lazy-DFA executor with a bounded
- * transition cache.
+ * The lazy DFA: an RE2-style lazily determinized executor with a
+ * bounded transition cache, split into program, cache and cursor.
  *
  * MultiDfaEngine realises the paper's compiled-CPU speedup only for
  * components that fully determinize inside a state budget; everything
  * else — exactly the large-active-set benchmarks the paper uses to
  * motivate spatial architectures — used to drop to the enabled-set
- * interpreter. This engine closes that gap the way RE2 and modern
+ * interpreter. The lazy DFA closes that gap the way RE2 and modern
  * Hyperscan hybrids do: subset construction runs *on the fly* during
  * simulation, memoizing (state-set, symbol-class) -> next state-set
- * transitions in a cache with a configurable byte budget. Hot input
- * regions therefore cost one table probe per symbol regardless of how
- * many NFA states are enabled, while pathological inputs (too many
- * distinct state-sets) trigger whole-cache flushes and degrade
- * gracefully to interpretation speed instead of exploding memory.
+ * transitions in a cache with a byte budget. Hot input regions
+ * therefore cost one table probe per symbol regardless of how many
+ * NFA states are enabled.
+ *
+ * Ownership:
+ *
+ *  - LazyDfaProgram is immutable: a borrowed NfaExecImage (the
+ *    interpreter's own CSR, labels, report codes and per-byte
+ *    all-input index) plus the byte -> symbol-class map. Any number
+ *    of cursors on any threads may run over one program.
+ *  - LazyDfaCache is mutable and owned by one runner at a time: the
+ *    interned state-sets, their transition rows and the report pool,
+ *    charged against a byte budget. On overflow it either flushes
+ *    (RE2's policy, what block runs use) or refuses the transition so
+ *    its owner can hand the run to the interpreter.
+ *  - LazyDfaCursor is one run's position: a state id, the cache epoch
+ *    it is valid for, a copy of the state's member set and the
+ *    stream position.
+ *
+ * A DFA state is a sorted set of image ids: exactly NfaEngine's
+ * edge-enabled set for the next cycle (all-input starts, permanently
+ * enabled, excluded). DFA ids *are* the image's ids, so a cursor's
+ * member set seeds an interpreter cursor over the same image exactly
+ * (NfaEngine::resume(), then EngineScratch::enable() per member).
+ * LazyDfaProgram::feed() holds the only lazy symbol loop;
+ * LazyDfaEngine::simulate() and PlannedSession both run it.
  *
  * Counter components cannot be determinized (counter values are not
- * part of the subset state), so they are split off at construction
- * and interpreted by an embedded NfaEngine, mirroring how hybrid
- * engines mix DFA and NFA subsystems.
+ * part of the subset state), so LazyDfaEngine splits them off at
+ * construction and interprets them on an embedded NfaEngine,
+ * mirroring how hybrid engines mix DFA and NFA subsystems.
  *
  * Determinism: results are bit-identical to NfaEngine's on every
  * semantic field — reports carry the original element ids and appear
@@ -28,9 +49,9 @@
  * reportCount, totalEnabled, reportingCycles, and byCode are exact,
  * not approximations.
  *
- * Unlike NfaEngine, simulate() mutates the engine (the transition
- * cache warms up and persists across calls), so an engine must not be
- * shared by concurrently simulating threads; ParallelRunner builds
+ * LazyDfaEngine owns its cache, so simulate() mutates the engine
+ * (the cache warms up and persists across calls): an engine must not
+ * be shared by concurrently simulating threads; ParallelRunner builds
  * one per worker slot instead.
  */
 
@@ -46,126 +67,152 @@
 
 #include "core/automaton.hh"
 #include "engine/engine_scratch.hh"
+#include "engine/exec_image.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/report.hh"
 
 namespace azoo {
 
-/** Tuning knobs for LazyDfaEngine. */
-struct LazyDfaOptions {
-    /**
-     * Transition-cache byte budget. Interned state-sets, their
-     * transition rows, and the report pool are charged against it;
-     * when an insertion would exceed the budget the whole cache is
-     * flushed (RE2's policy: one counter bump and O(1) amortized
-     * bookkeeping, no LRU lists on the hot path) and rebuilding
-     * restarts from the in-flight state-set. The budget is a target,
-     * not a hard cap: the cache always retains at least the current
-     * and next state-set so simulation can make progress.
-     */
-    size_t cacheBytes = 8u << 20;
+class LazyDfaCache;
+
+/** One lazy-DFA run's position; see the file comment. */
+struct LazyDfaCursor {
+    /** Current DFA state id in the cache. */
+    uint32_t state = ~uint32_t(0);
+    /** Cache epoch @p state belongs to; a flush or release since
+     *  makes the next feed re-intern @p members. */
+    uint64_t epoch = 0;
+    /** The current state's member set, refreshed at the end of each
+     *  feed: what survives the cache. */
+    std::vector<uint32_t> members;
+    /** Symbols fed since begin() (the stream position). */
+    uint64_t pos = 0;
 };
 
-/** Lazy-DFA hybrid engine over a borrowed automaton. */
-class LazyDfaEngine
+/** The immutable tables of a lazy DFA over the first ids of an
+ *  interpreter image. */
+class LazyDfaProgram
 {
   public:
-    explicit LazyDfaEngine(const Automaton &a,
-                           const LazyDfaOptions &opts = LazyDfaOptions());
+    /** Determinizes ids [0, @p count) of @p image, which it borrows
+     *  (the storage must outlive the program). Ids from @p count up
+     *  must be other components (no edge from below reaches them);
+     *  they never join a state-set. panic()s when the first @p count
+     *  ids hold a counter. */
+    LazyDfaProgram(const NfaExecImage &image, size_t count);
+
+    /** Open a run: stream position 0, the start-of-data set. */
+    void begin(LazyDfaCache &cache, LazyDfaCursor &cursor) const;
 
     /**
-     * Run over @p input. Mutates the transition cache (and therefore
-     * the engine): callers share an engine across sequential calls to
-     * keep the cache warm, but never across concurrent threads.
+     * Advance @p cursor over @p len bytes through @p cache. Reports
+     * (local ids, canonical order), reportCount, reportingCycles,
+     * byCode, totalEnabled, symbols and the lazy statistics
+     * accumulate into @p result. opts.guard is polled every
+     * kGuardCheckIntervalSymbols symbols of stream position. Returns
+     * the bytes consumed: short when the guard stopped the run
+     * (result.guardStatus says so) or when a cache that stops on
+     * overflow could not take the next transition (the cursor then
+     * sits before the symbol that did not fit). Cache hits and misses
+     * are flushed to the metrics once per call.
      */
-    SimResult simulate(const uint8_t *input, size_t len,
-                       const SimOptions &opts = SimOptions());
+    size_t feed(LazyDfaCache &cache, LazyDfaCursor &cursor,
+                const uint8_t *data, size_t len, const SimOptions &opts,
+                SimResult &result) const;
 
-    SimResult
-    simulate(const std::vector<uint8_t> &input,
-             const SimOptions &opts = SimOptions())
-    {
-        return simulate(input.data(), input.size(), opts);
-    }
-
-    /** Elements on the lazy-DFA path (counter-free components). */
-    size_t lazyElements() const { return globalId_.size(); }
-
-    /** Components interpreted by the NFA fallback (counters). */
-    size_t fallbackComponents() const { return fallbackComponentCount_; }
-
-    /** Whole-cache flushes since construction (cumulative). */
-    uint64_t cacheFlushes() const { return flushes_; }
-
-    /** State-sets currently interned in the cache. */
-    uint64_t cachedStates() const { return members_.size(); }
-
-    /** Computed (state, class) transition cells currently cached. */
-    uint64_t cachedTransitions() const { return cachedTransitions_; }
-
-    /** Current accounted cache footprint in bytes. */
-    uint64_t cacheBytesUsed() const { return bytesUsed_; }
-
-    /** Input-symbol equivalence classes over the lazy partition. */
+    /** Input-symbol equivalence classes. */
     uint32_t symbolClasses() const { return numClasses_; }
 
+    /** Ids on the DFA ([0, elementCount())). */
+    size_t elementCount() const { return count_; }
+
   private:
+    friend class LazyDfaCache;
+
+    NfaExecImage t_;
+    uint32_t count_;
+    /** Start-of-data ids below count_: the cycle-0 state-set. */
+    std::span<const ElementId> start_;
+    /** Byte -> symbol equivalence class (bytes indistinguishable to
+     *  every label share a class, and so a transition row). */
+    std::array<uint8_t, 256> classOf_{};
+    uint32_t numClasses_ = 1;
+    /** One representative byte per class. */
+    std::vector<uint8_t> classRep_;
+};
+
+/** The bounded transition cache of one lazy-DFA runner; serves one
+ *  program. */
+class LazyDfaCache
+{
+  public:
+    /** What a transition that would exceed the budget does. */
+    enum class OnFull : uint8_t {
+        /** Drop every interned state and rebuild from the in-flight
+         *  state-set (RE2's policy: O(1) amortized bookkeeping, no
+         *  LRU lists on the hot path). The budget is then a target,
+         *  not a hard cap: the cache always keeps at least the
+         *  current and next state-set so the run makes progress. */
+        kFlush,
+        /** Refuse the transition: feed() stops before the symbol and
+         *  the owner hands the run to the interpreter. A hard cap. */
+        kStop,
+    };
+
+    LazyDfaCache(size_t budgetBytes, OnFull onFull)
+        : budget_(budgetBytes), onFull_(onFull)
+    {
+        pool_.emplace_back(); // index 0 = the empty report list
+    }
+
+    /** Free every interned state and all storage (a stopped cache's
+     *  owner no longer needs it); cursors re-intern on their next
+     *  feed. */
+    void release();
+
+    /** Whole-cache flushes (cumulative). */
+    uint64_t flushes() const { return flushes_; }
+    /** State-sets currently interned. */
+    uint64_t states() const { return members_.size(); }
+    /** Computed (state, class) transition cells currently cached. */
+    uint64_t transitions() const { return cachedTransitions_; }
+    /** Accounted footprint in bytes (what the budget is charged). */
+    uint64_t bytesUsed() const { return bytesUsed_; }
+    /** Cached transitions taken / computed (cumulative). */
+    uint64_t hits() const { return hits_; }
+    uint64_t misses() const { return misses_; }
+
+    /** Heap bytes of the owned storage (capacities), excluding the
+     *  object itself. */
+    size_t footprintBytes() const;
+
+  private:
+    friend class LazyDfaProgram;
     static constexpr uint32_t kUnknown = ~uint32_t(0);
 
-    void buildLazyPart(const std::vector<ElementId> &members);
-    void buildFallback(const Automaton &a,
-                       const std::vector<ElementId> &members);
-
     /** Intern a sorted local-id set; returns its state id. */
-    uint32_t intern(const std::vector<uint32_t> &set);
+    uint32_t intern(const LazyDfaProgram &p,
+                    const std::vector<uint32_t> &set);
 
     /** Intern a sorted (element, code) report list; 0 = empty. */
     uint32_t internReports(
         const std::vector<std::pair<ElementId, uint32_t>> &reps);
 
     /** Drop every interned state/transition/report list. */
-    void flushCache();
+    void flush();
 
-    /** Compute + cache the transition for (cur, cls); may flush the
-     *  cache, in which case @p cur is re-interned in place. Returns
-     *  the cell index of the now-filled transition. */
-    size_t fillCell(uint32_t &cur, uint32_t cls);
+    /** Compute and cache the transition of (@p cur, @p cls); a flush
+     *  re-interns @p cur in place. Returns the filled cell, or
+     *  kNoCell when an OnFull::kStop cache is full. */
+    static constexpr size_t kNoCell = ~size_t(0);
+    size_t fill(const LazyDfaProgram &p, uint32_t &cur, uint32_t cls);
 
-    /** Pure-lazy simulation (no counter fallback), streaming stats. */
-    void simulateLazy(const uint8_t *input, size_t len,
-                      const SimOptions &opts, SimResult &res);
+    size_t budget_;
+    OnFull onFull_;
 
-    // ---- compiled lazy partition (immutable after construction) ----
-    /** Borrowed: the caller guarantees the automaton outlives the
-     *  engine (in the serve path, via a RulesetGeneration pin). */
-    const Automaton &a_;
-    LazyDfaOptions opts_;
-
-    /** local id -> original element id (ascending). */
-    std::vector<ElementId> globalId_;
-    /** CSR over activation edges, all-input targets pre-filtered
-     *  (they are permanently enabled and never join a state-set). */
-    std::vector<uint32_t> edgeBegin_;
-    std::vector<uint32_t> edgeTarget_;
-    std::vector<std::array<uint64_t, 4>> label_;
-    std::vector<uint8_t> reporting_;
-    std::vector<uint32_t> reportCode_;
-    /** Per input byte, the all-input local ids whose label matches. */
-    std::array<std::vector<uint32_t>, 256> matchingAllInput_;
-    /** Start-of-data local ids, sorted: the cycle-0 state-set. */
-    std::vector<uint32_t> start0_;
-
-    /** Byte -> symbol equivalence class (bytes indistinguishable to
-     *  every lazy charset share a class, and so a transition row). */
-    std::array<uint8_t, 256> classOf_{};
-    uint32_t numClasses_ = 1;
-    /** One representative byte per class. */
-    std::vector<uint8_t> classRep_;
-
-    // ---- bounded transition cache (mutated by simulate()) ----
     /** members_[sid] = sorted local-id set of DFA state sid. */
     std::vector<std::vector<uint32_t>> members_;
-    /** next_[sid * numClasses_ + cls]; kUnknown = not yet computed. */
+    /** next_[sid * classes + cls]; kUnknown = not yet computed. */
     std::vector<uint32_t> next_;
     /** reportIdx_ parallel to next_; index into pool_ (0 = none). */
     std::vector<uint32_t> reportIdx_;
@@ -179,16 +226,89 @@ class LazyDfaEngine
     uint64_t bytesUsed_ = 0;
     uint64_t flushes_ = 0;
     uint64_t cachedTransitions_ = 0;
+    uint64_t hits_ = 0;
+    uint64_t misses_ = 0;
+    /** Bumped by every flush and release: cursor state ids from an
+     *  older epoch are stale. */
+    uint64_t epoch_ = 1;
     /** Cached start-state id (re-interned after each flush). */
     uint32_t startState_ = kUnknown;
 
-    // Scratch for transition computation (per-engine, reused).
+    // Transition-computation scratch, charged to the budget.
     std::vector<uint8_t> inNext_;
-    std::vector<uint32_t> succScratch_;
-    std::vector<std::pair<ElementId, uint32_t>> repScratch_;
+    std::vector<uint32_t> succ_;
+    std::vector<std::pair<ElementId, uint32_t>> reps_;
+};
+
+/** Knobs for LazyDfaEngine. */
+struct LazyDfaOptions {
+    /** Transition-cache byte budget (LazyDfaCache::OnFull::kFlush). */
+    size_t cacheBytes = 8u << 20;
+};
+
+/** Lazy-DFA hybrid engine: a program, its flushing cache and a
+ *  counter fallback. The automaton need not outlive it. */
+class LazyDfaEngine
+{
+  public:
+    explicit LazyDfaEngine(const Automaton &a,
+                           const LazyDfaOptions &opts = LazyDfaOptions());
+
+    /**
+     * Run over @p input: begin, one feed and end over the engine's
+     * cache. Mutates the cache (and therefore the engine): callers
+     * share an engine across sequential calls to keep the cache warm,
+     * but never across concurrent threads.
+     */
+    SimResult simulate(const uint8_t *input, size_t len,
+                       const SimOptions &opts = SimOptions());
+
+    SimResult
+    simulate(const std::vector<uint8_t> &input,
+             const SimOptions &opts = SimOptions())
+    {
+        return simulate(input.data(), input.size(), opts);
+    }
+
+    /** Elements on the lazy-DFA path (counter-free components). */
+    size_t lazyElements() const
+    {
+        return program_ ? program_->elementCount() : 0;
+    }
+
+    /** Components interpreted by the NFA fallback (counters). */
+    size_t fallbackComponents() const { return fallbackComponentCount_; }
+
+    /** Whole-cache flushes since construction (cumulative). */
+    uint64_t cacheFlushes() const { return cache_.flushes(); }
+
+    /** State-sets currently interned in the cache. */
+    uint64_t cachedStates() const { return cache_.states(); }
+
+    /** Computed (state, class) transition cells currently cached. */
+    uint64_t cachedTransitions() const { return cache_.transitions(); }
+
+    /** Current accounted cache footprint in bytes. */
+    uint64_t cacheBytesUsed() const { return cache_.bytesUsed(); }
+
+    /** Input-symbol equivalence classes over the lazy partition. */
+    uint32_t symbolClasses() const
+    {
+        return program_ ? program_->symbolClasses() : 1;
+    }
+
+  private:
+    /** Execution image of the counter-free part (null when every
+     *  component has a counter); the program borrows its view. */
+    std::unique_ptr<NfaExecTables> lazyTables_;
+    std::unique_ptr<LazyDfaProgram> program_;
+    /** Lazy-part local id -> original id; empty when every element
+     *  is on the lazy path (the ids already are original). */
+    std::vector<ElementId> lazyToGlobal_;
+    LazyDfaCache cache_;
+    LazyDfaCursor cursor_;
 
     // ---- counter fallback ----
-    std::unique_ptr<Automaton> fallback_;
     std::unique_ptr<NfaEngine> fallbackEngine_;
     std::vector<ElementId> fallbackToGlobal_;
     size_t fallbackComponentCount_ = 0;

@@ -69,12 +69,11 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
     }
 
     if (!fallbackToGlobal_.empty()) {
-        fallback_ = std::make_unique<Automaton>(subAutomaton(
-            a, fallbackToGlobal_, a.name() + ".fallback"));
         LazyDfaOptions lazy_opts;
         lazy_opts.cacheBytes = opts_.lazyCacheBytes;
-        fallbackEngine_ =
-            std::make_unique<LazyDfaEngine>(*fallback_, lazy_opts);
+        fallbackEngine_ = std::make_unique<LazyDfaEngine>(
+            subAutomaton(a, fallbackToGlobal_, a.name() + ".fallback"),
+            lazy_opts);
     }
 }
 

@@ -127,8 +127,6 @@ class MultiDfaEngine
     MultiDfaOptions opts_;
     std::vector<Dfa> dfas_;
 
-    /** Sub-automaton holding all fallback components. */
-    std::unique_ptr<Automaton> fallback_;
     std::unique_ptr<LazyDfaEngine> fallbackEngine_;
     /** fallback-local element id -> original element id. */
     std::vector<ElementId> fallbackToGlobal_;

@@ -58,12 +58,17 @@ NfaEngine::NfaEngine(const NfaExecImage &image)
 void
 NfaEngine::begin(EngineScratch &scratch) const
 {
-    scratch.beginRun(t_.elementCount, t_.counters);
+    resume(scratch, 0);
     // Start-of-data states are enabled for cycle 0 only.
-    for (auto id : t_.startOfData) {
-        scratch.stamp[id] = scratch.base + 1;
-        scratch.next.push_back(id);
-    }
+    for (auto id : t_.startOfData)
+        scratch.enable(id);
+}
+
+void
+NfaEngine::resume(EngineScratch &scratch, uint64_t pos) const
+{
+    scratch.beginRun(t_.elementCount, t_.counters);
+    scratch.pos = pos;
 }
 
 size_t

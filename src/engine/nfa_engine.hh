@@ -62,6 +62,13 @@ class NfaEngine
      *  states enabled for the first symbol. */
     void begin(EngineScratch &scratch) const;
 
+    /** Open a run on @p scratch mid-stream, at stream position
+     *  @p pos, with nothing enabled and every counter at zero; seed it
+     *  with EngineScratch::enable() and absorb() before the first
+     *  feed(). The hand-off from other cursors (a lazy-DFA state-set
+     *  is an enabled set) to one interpreter cursor. */
+    void resume(EngineScratch &scratch, uint64_t pos) const;
+
     /**
      * Advance the run opened on @p scratch over @p len bytes. Reports,
      * reportCount, reportingCycles, byCode, totalEnabled and symbols
@@ -107,6 +114,9 @@ class NfaEngine
     {
         return simulate(input.data(), input.size(), scratch, opts);
     }
+
+    /** The tables this engine runs (the lazy DFA runs over them too). */
+    const NfaExecImage &image() const { return t_; }
 
     /** Heap bytes of the tables this engine owns, excluding the
      *  object itself (0 for a borrowed image, whose storage belongs

@@ -1,6 +1,7 @@
 #include "engine/planner.hh"
 
 #include <algorithm>
+#include <chrono>
 
 #include "engine/run_guard.hh"
 #include "obs/obs.hh"
@@ -160,14 +161,13 @@ buildGroup(const Automaton &a, const std::vector<uint32_t> &comp,
         subAutomaton(a, toGlobal, a.name() + suffix));
 }
 
-/** Components of @p plan whose backend @p want accepts. */
-template <typename Pred>
+/** Components of @p plan routed to @p backend. */
 std::vector<uint8_t>
-groupOf(const EnginePlan &plan, Pred &&want)
+routedTo(const EnginePlan &plan, PlanBackend backend)
 {
     std::vector<uint8_t> wanted(plan.decisions.size(), 0);
     for (const ComponentDecision &d : plan.decisions)
-        wanted[d.componentId] = want(d.backend) ? 1 : 0;
+        wanted[d.componentId] = d.backend == backend ? 1 : 0;
     return wanted;
 }
 
@@ -192,8 +192,8 @@ buildPrefilterGroup(const Automaton &a, const std::vector<uint32_t> &comp,
                     const std::vector<analysis::ComponentProfile>
                         &profiles)
 {
-    const std::vector<uint8_t> wanted = groupOf(
-        plan, [](PlanBackend b) { return b == PlanBackend::kPrefilter; });
+    const std::vector<uint8_t> wanted =
+        routedTo(plan, PlanBackend::kPrefilter);
     std::vector<ElementId> toGlobal;
     auto sub = buildGroup(a, comp, wanted, ".prefilter", toGlobal);
     if (!sub)
@@ -220,6 +220,74 @@ notePlan(const EnginePlan &plan)
                         planBackendName(static_cast<PlanBackend>(b))))
             .add(plan.backendCount[b]);
     }
+}
+
+/**
+ * Per-backend wall time of one planned run or session feed, recorded
+ * once into engine.planned.<backend>.ns by record() — never per
+ * symbol. Compiles to plain calls under AZOO_OBS=OFF.
+ */
+class BackendClock
+{
+  public:
+    /** Run @p work, charging its wall time to @p b. */
+    template <typename Work>
+    void
+    time(PlanBackend b, Work &&work)
+    {
+        if constexpr (!obs::kEnabled) {
+            work();
+        } else {
+            const auto t0 = std::chrono::steady_clock::now();
+            work();
+            const auto i = static_cast<size_t>(b);
+            ns_[i] += static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count());
+            ran_[i] = true;
+        }
+    }
+
+    /** One sample per backend that ran. */
+    void
+    record() const
+    {
+        if constexpr (obs::kEnabled) {
+            // Only the three timed backends have a histogram.
+            static obs::Histogram *const h[kPlanBackends] = {
+                histogram(PlanBackend::kPrefilter), nullptr,
+                histogram(PlanBackend::kLazyDfa),
+                histogram(PlanBackend::kInterpreter), nullptr};
+            for (size_t i = 0; i < kPlanBackends; ++i) {
+                if (ran_[i])
+                    h[i]->record(ns_[i]);
+            }
+        }
+    }
+
+  private:
+    static obs::Histogram *
+    histogram(PlanBackend b)
+    {
+        return &obs::Registry::global().histogram(
+            cat("engine.planned.", planBackendName(b), ".ns"));
+    }
+
+    std::array<uint64_t, kPlanBackends> ns_{};
+    std::array<bool, kPlanBackends> ran_{};
+};
+
+/** engine.lazy.handoffs: sessions whose lazy group left the DFA for
+ *  the interpreter. */
+void
+noteHandoff()
+{
+    if (!obs::kEnabled)
+        return;
+    static obs::Counter &handoffs =
+        obs::Registry::global().counter("engine.lazy.handoffs");
+    handoffs.inc();
 }
 
 } // namespace
@@ -271,31 +339,19 @@ PlannedEngine::build(const Automaton &a,
     uint32_t count = 0;
     const std::vector<uint32_t> comp = a.connectedComponents(count);
 
-    auto wantedFor = [&](PlanBackend want) {
-        return groupOf(plan_, [want](PlanBackend b) { return b == want; });
-    };
-
     prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles);
-
-    {
-        lazySub_ = buildGroup(a, comp,
-                              wantedFor(PlanBackend::kLazyDfa), ".lazy",
-                              lazyToGlobal_);
-        if (lazySub_) {
-            LazyDfaOptions lo;
-            lo.cacheBytes = opts.lazyCacheBytes;
-            lazyEngine_ =
-                std::make_unique<LazyDfaEngine>(*lazySub_, lo);
-        }
+    // Each group's graph copy lives only as long as its compile.
+    if (const auto lazy =
+            buildGroup(a, comp, routedTo(plan_, PlanBackend::kLazyDfa),
+                       ".lazy", lazyToGlobal_)) {
+        LazyDfaOptions lo;
+        lo.cacheBytes = opts.lazyCacheBytes;
+        lazyEngine_ = std::make_unique<LazyDfaEngine>(*lazy, lo);
     }
-
-    {
-        interpSub_ = buildGroup(a, comp,
-                                wantedFor(PlanBackend::kInterpreter),
-                                ".interp", interpToGlobal_);
-        if (interpSub_)
-            interpEngine_ = std::make_unique<NfaEngine>(*interpSub_);
-    }
+    if (const auto interp =
+            buildGroup(a, comp, routedTo(plan_, PlanBackend::kInterpreter),
+                       ".interp", interpToGlobal_))
+        interpEngine_ = std::make_unique<NfaEngine>(*interp);
 }
 
 SimResult
@@ -324,22 +380,30 @@ PlannedEngine::simulate(const uint8_t *input, size_t len,
     // Each group is one part over the prefix not yet cut by a stop.
     const SimOptions inner = PartMerger::partOptions(uopts);
     auto live = [&] { return static_cast<size_t>(merger.consumed()); };
+    BackendClock clock;
     if (interpEngine_ && live() > 0) {
-        merger.add(interpEngine_->simulate(input, live(), interpScratch_,
-                                           inner),
-                   interpToGlobal_);
+        clock.time(PlanBackend::kInterpreter, [&] {
+            merger.add(interpEngine_->simulate(input, live(),
+                                               interpScratch_, inner),
+                       interpToGlobal_);
+        });
     }
     if (lazyEngine_ && live() > 0) {
-        merger.add(lazyEngine_->simulate(input, live(), inner),
-                   lazyToGlobal_);
+        clock.time(PlanBackend::kLazyDfa, [&] {
+            merger.add(lazyEngine_->simulate(input, live(), inner),
+                       lazyToGlobal_);
+        });
     }
     lastPrefilterStats_ = PrefilterStats();
     if (prefilter_ && live() > 0) {
-        PrefilteredNfa::RunResult rr = prefilter_->run(
-            input, live(), uopts.guard, prefilterScratch_);
-        lastPrefilterStats_ = rr.stats;
-        merger.add(std::move(rr));
+        clock.time(PlanBackend::kPrefilter, [&] {
+            PrefilteredNfa::RunResult rr = prefilter_->run(
+                input, live(), uopts.guard, prefilterScratch_);
+            lastPrefilterStats_ = rr.stats;
+            merger.add(std::move(rr));
+        });
     }
+    clock.record();
     return merger.finish(uopts);
 }
 
@@ -357,24 +421,48 @@ PlannedProgram::PlannedProgram(
     uint32_t count = 0;
     const std::vector<uint32_t> comp = a.connectedComponents(count);
     prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles);
-    // The rest group's graph copy lives only as long as its compile.
-    const auto rest = buildGroup(
-        a, comp, groupOf(plan_, [](PlanBackend b) {
-            return b != PlanBackend::kPrefilter && b != PlanBackend::kSkip;
-        }),
-        ".rest", restToGlobal_);
-    if (rest)
-        rest_ = std::make_shared<const NfaEngine>(*rest);
+    const std::vector<uint8_t> lazy = routedTo(plan_, PlanBackend::kLazyDfa);
+    const std::vector<uint8_t> interp =
+        routedTo(plan_, PlanBackend::kInterpreter);
+    for (ElementId i = 0; i < a.size(); ++i) {
+        if (lazy[comp[i]])
+            restToGlobal_.push_back(i);
+        else if (interp[comp[i]])
+            interpToGlobal_.push_back(i);
+    }
+    lazyCount_ = restToGlobal_.size();
+    restToGlobal_.insert(restToGlobal_.end(), interpToGlobal_.begin(),
+                         interpToGlobal_.end());
+    if (restToGlobal_.empty())
+        return;
+    // The groups' graph copies live only as long as their compiles.
+    rest_ = std::make_unique<const NfaEngine>(
+        subAutomaton(a, restToGlobal_, a.name() + ".rest"));
+    const NfaExecImage &img = rest_->image();
+    if (lazyCount_ == 0 ||
+        (!img.counters.empty() && img.counters.front() < lazyCount_))
+        return;
+    lazyDfa_ = std::make_unique<const LazyDfaProgram>(img, lazyCount_);
+    if (!interpToGlobal_.empty()) {
+        interp_ = std::make_unique<const NfaEngine>(
+            subAutomaton(a, interpToGlobal_, a.name() + ".interp"));
+    }
 }
 
 size_t
 PlannedProgram::footprintBytes() const
 {
-    size_t n = sizeof(*this) + restToGlobal_.capacity() * sizeof(ElementId);
+    size_t n = sizeof(*this) +
+        (restToGlobal_.capacity() + interpToGlobal_.capacity()) *
+        sizeof(ElementId);
     if (prefilter_)
         n += prefilter_->footprintBytes();
-    if (rest_)
-        n += sizeof(NfaEngine) + rest_->footprintBytes();
+    for (const NfaEngine *e : {rest_.get(), interp_.get()}) {
+        if (e)
+            n += sizeof(NfaEngine) + e->footprintBytes();
+    }
+    if (lazyDfa_)
+        n += sizeof(LazyDfaProgram) + lazyDfa_->symbolClasses();
     return n;
 }
 
@@ -398,16 +486,55 @@ PlannedSession::PlannedSession(
 
 PlannedSession::PlannedSession(std::shared_ptr<const PlannedProgram> program)
     : program_(std::move(program))
+    , lazyCache_(EngineScratch::elementBytes(program_->lazyCount_),
+                 LazyDfaCache::OnFull::kStop)
+    , onDfa_(program_->lazyDfa_ != nullptr)
 {
-    // Both cursors keep default options — record every report, no
+    // Every cursor keeps default options — record every report, no
     // guard: results() applies the caller's options after the merge,
     // and feed() owns the poll clock.
     if (program_->prefilter_) {
         prefilterSession_ = std::make_unique<PrefilteredNfa::Session>(
             *program_->prefilter_);
     }
-    if (program_->rest_)
-        restSession_ = std::make_unique<StreamingSession>(program_->rest_);
+    restart();
+}
+
+void
+PlannedSession::restart()
+{
+    const PlannedProgram &p = *program_;
+    interpResult_ = SimResult();
+    restResult_ = SimResult();
+    if (onDfa_) {
+        // The cache stays warm.
+        p.lazyDfa_->begin(lazyCache_, lazyCursor_);
+        if (p.interp_) {
+            p.interp_->end(interpScratch_);
+            p.interp_->begin(interpScratch_);
+        }
+    } else if (p.rest_) {
+        p.rest_->end(restScratch_);
+        p.rest_->begin(restScratch_);
+    }
+}
+
+void
+PlannedSession::handOff()
+{
+    const PlannedProgram &p = *program_;
+    lazyCache_.release();
+    p.rest_->resume(restScratch_, lazyCursor_.pos);
+    for (uint32_t id : lazyCursor_.members)
+        restScratch_.enable(id);
+    if (p.interp_) {
+        restScratch_.absorb(interpScratch_, p.interp_->image().counters,
+                            static_cast<ElementId>(p.lazyCount_));
+        interpScratch_ = EngineScratch();
+    }
+    lazyCursor_ = LazyDfaCursor();
+    onDfa_ = false;
+    noteHandoff();
 }
 
 size_t
@@ -415,47 +542,75 @@ PlannedSession::feed(const uint8_t *data, size_t len)
 {
     if (!guardStatus_.ok())
         return 0;
-    if (restSession_) {
-        restSession_->options.computeActiveSet =
-            options.computeActiveSet;
-    }
+    const PlannedProgram &p = *program_;
+    SimOptions inner;
+    inner.computeActiveSet = options.computeActiveSet;
+    BackendClock clock;
     size_t done = 0;
     while (done < len) {
-        // The session owns the poll clock: both inner sessions are
-        // fed in slices that never cross a kGuardCheckIntervalSymbols
-        // boundary of *stream* position, so truncation lands on the
-        // same poll points as the monolithic engines regardless of
-        // how callers chunk their feeds.
-        if (options.guard &&
-            t_ % kGuardCheckIntervalSymbols == 0) {
-            Status st = options.guard->check(t_);
-            if (!st.ok()) {
-                guardStatus_ = std::move(st);
-                return done;
+        // The session owns the poll clock: under a guard, every
+        // cursor is fed in slices that never cross a
+        // kGuardCheckIntervalSymbols boundary of *stream* position, so
+        // truncation lands on the same poll points as the monolithic
+        // engines regardless of how callers chunk their feeds.
+        size_t step = len - done;
+        if (options.guard) {
+            if (t_ % kGuardCheckIntervalSymbols == 0) {
+                Status st = options.guard->check(t_);
+                if (!st.ok()) {
+                    guardStatus_ = std::move(st);
+                    break;
+                }
             }
+            step = static_cast<size_t>(std::min<uint64_t>(
+                step, kGuardCheckIntervalSymbols -
+                    t_ % kGuardCheckIntervalSymbols));
         }
-        const uint64_t untilPoll = kGuardCheckIntervalSymbols -
-            t_ % kGuardCheckIntervalSymbols;
-        const size_t step = static_cast<size_t>(
-            std::min<uint64_t>(len - done, untilPoll));
-        if (restSession_)
-            restSession_->feed(data + done, step);
-        if (prefilterSession_)
-            prefilterSession_->feed(data + done, step);
+        const uint8_t *chunk = data + done;
+        size_t dfaBytes = 0; // bytes the DFA took
+        if (onDfa_) {
+            clock.time(PlanBackend::kLazyDfa, [&] {
+                dfaBytes = p.lazyDfa_->feed(lazyCache_, lazyCursor_, chunk,
+                                         step, inner, restResult_);
+            });
+            if (p.interp_) {
+                clock.time(PlanBackend::kInterpreter, [&] {
+                    p.interp_->feed(interpScratch_, chunk, dfaBytes, inner,
+                                    interpResult_);
+                });
+            }
+            // inner carries no guard: a short feed is a full cache.
+            if (dfaBytes < step)
+                handOff();
+        }
+        if (!onDfa_ && p.rest_ && dfaBytes < step) {
+            clock.time(PlanBackend::kInterpreter, [&] {
+                p.rest_->feed(restScratch_, chunk + dfaBytes, step - dfaBytes,
+                              inner, restResult_);
+            });
+        }
+        if (prefilterSession_) {
+            clock.time(PlanBackend::kPrefilter,
+                       [&] { prefilterSession_->feed(chunk, step); });
+        }
         done += step;
         t_ += step;
     }
+    clock.record();
     return done;
 }
 
 SimResult
 PlannedSession::results() const
 {
+    const PlannedProgram &p = *program_;
     PartMerger merger(t_);
     if (stopped())
         merger.stop(t_, guardStatus_);
-    if (restSession_)
-        merger.add(restSession_->results(), program_->restToGlobal_);
+    if (p.rest_)
+        merger.add(restResult_, p.restToGlobal_);
+    if (p.interp_)
+        merger.add(interpResult_, p.interpToGlobal_);
     if (prefilterSession_) {
         SimResult pre;
         pre.reports = prefilterSession_->reports();
@@ -470,8 +625,7 @@ PlannedSession::reset()
 {
     if (prefilterSession_)
         prefilterSession_->reset();
-    if (restSession_)
-        restSession_->reset();
+    restart();
     t_ = 0;
     guardStatus_ = Status();
 }
@@ -479,9 +633,11 @@ PlannedSession::reset()
 size_t
 PlannedSession::footprintBytes() const
 {
-    size_t n = sizeof(*this);
-    if (restSession_)
-        n += restSession_->footprintBytes();
+    size_t n = sizeof(*this) + lazyCache_.footprintBytes() +
+        lazyCursor_.members.capacity() * sizeof(uint32_t) +
+        interpScratch_.footprintBytes() + restScratch_.footprintBytes() +
+        (interpResult_.reports.capacity() +
+         restResult_.reports.capacity()) * sizeof(Report);
     if (prefilterSession_)
         n += prefilterSession_->footprintBytes();
     return n;
@@ -493,11 +649,13 @@ PlannedSession::cursorBytes(
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts, size_t maxReportRecords)
 {
-    // The two cursors' scratches together span at most every element,
-    // and the window keeps at most the widest reach of any component
-    // the planner could route to the prefilter (decide() without the
-    // start-of-data veto, which only ever removes components) — so
-    // this needs no plan and no program.
+    // The cursors' scratches together span at most every element (the
+    // lazy group's cache is budgeted at its scratch's bytes and freed
+    // before that scratch is allocated), and the window keeps at most
+    // the widest reach of any component the planner could route to
+    // the prefilter (decide() without the start-of-data veto, which
+    // only ever removes components) — so this needs no plan and no
+    // program.
     uint64_t radius = 0, literal = 0;
     for (const analysis::ComponentProfile &p : profiles) {
         if (decide(p, false, opts) != PlanBackend::kPrefilter)
@@ -507,7 +665,8 @@ PlannedSession::cursorBytes(
         literal = std::max<uint64_t>(literal, pat.literal.size());
     }
     return sizeof(PlannedSession) + sizeof(PrefilteredNfa::Session) +
-        StreamingSession::cursorBytes(a.size(), maxReportRecords) +
+        EngineScratch::elementBytes(a.size()) +
+        maxReportRecords * sizeof(Report) +
         PrefilteredNfa::Session::bufferBound(radius + literal);
 }
 

@@ -105,8 +105,10 @@ struct PlanOptions {
     /** Allow the literal-prefilter backend (`--no-prefilter` routes
      *  literal chains to the interpreter instead). */
     bool enablePrefilter = true;
-    /** Transition-cache budget of the lazy-DFA backend (and of
-     *  EngineKind::kLazyDfa's ParallelRunner engines). */
+    /** Transition-cache budget of the lazy-DFA backend's block runs
+     *  (PlannedEngine, and EngineKind::kLazyDfa's ParallelRunner
+     *  engines). A PlannedSession's cache budget is derived from
+     *  the lazy group's size instead; see PlannedSession. */
     size_t lazyCacheBytes = 8u << 20;
     /** Profile-inference knobs (when the planner infers them). */
     analysis::InferOptions infer;
@@ -151,8 +153,8 @@ EnginePlan planComponents(const Automaton &a,
 class PlannedEngine
 {
   public:
-    /** Infer profiles internally. The automaton must outlive the
-     *  engine only during construction (groups are copied out). */
+    /** Infer profiles internally. The automaton need not outlive
+     *  the engine (each group is compiled from a copy). */
     explicit PlannedEngine(const Automaton &a,
                            const PlanOptions &opts = PlanOptions());
 
@@ -198,11 +200,9 @@ class PlannedEngine
     std::unique_ptr<PrefilteredNfa> prefilter_;
     EngineScratch prefilterScratch_;
 
-    std::unique_ptr<Automaton> lazySub_;
     std::vector<ElementId> lazyToGlobal_;
     std::unique_ptr<LazyDfaEngine> lazyEngine_;
 
-    std::unique_ptr<Automaton> interpSub_;
     std::vector<ElementId> interpToGlobal_;
     std::unique_ptr<NfaEngine> interpEngine_;
     EngineScratch interpScratch_;
@@ -214,6 +214,14 @@ class PlannedEngine
  * The immutable half of a streamed plan, compiled once and shared by
  * every PlannedSession over it, on any number of threads. The
  * automaton need not outlive it.
+ *
+ * The prefilter group is one PrefilteredNfa. The lazy-DFA and
+ * interpreter groups are one interpreter, lazy-DFA components first,
+ * with a LazyDfaProgram over that first id range: DFA ids are the
+ * interpreter's, so a session hands a run from the DFA to the
+ * interpreter exactly. Until it does, it runs the interpreter group
+ * on its own tables, whose ids are the rest's shifted down by the
+ * lazy-DFA group's size.
  */
 class PlannedProgram
 {
@@ -234,10 +242,19 @@ class PlannedProgram
     EnginePlan plan_;
     /** Null when no component was planned onto the prefilter. */
     std::unique_ptr<PrefilteredNfa> prefilter_;
-    /** Lazy + interpreter components merged: everything
-     *  that needs per-symbol streaming state (null when none). */
-    std::shared_ptr<const NfaEngine> rest_;
+    /** Lazy-DFA then interpreter components (null when both groups
+     *  are empty); the lazy-DFA group is ids [0, lazyCount_). */
+    std::unique_ptr<const NfaEngine> rest_;
     std::vector<ElementId> restToGlobal_;
+    size_t lazyCount_ = 0;
+    /** The DFA over rest_'s first lazyCount_ ids; null when there are
+     *  none, or when they hold a counter (profiles that disagree with
+     *  the automaton): sessions then interpret rest_ from the start. */
+    std::unique_ptr<const LazyDfaProgram> lazyDfa_;
+    /** The interpreter group alone, run beside the DFA (null without
+     *  a DFA or without interpreter components). */
+    std::unique_ptr<const NfaEngine> interp_;
+    std::vector<ElementId> interpToGlobal_;
 };
 
 /**
@@ -246,13 +263,24 @@ class PlannedProgram
  * planned run (and therefore as serial NfaEngine +
  * canonicalizeReports()).
  *
- * The prefilter group streams through a PrefilteredNfa::Session, every
- * other non-skip group through one StreamingSession over the
- * program's rest engine (the lazy DFA has no incremental API, so
- * streamed plans trade its speed for interpretation — block mode
- * keeps it). The session owns the guard poll clock: options.guard is
- * polled every kGuardCheckIntervalSymbols stream symbols regardless
- * of chunking, exactly like StreamingSession.
+ * The prefilter group streams through a PrefilteredNfa::Session.
+ * The lazy-DFA group streams through a LazyDfaCursor over a cache
+ * the session owns, beside an interpreter cursor over the
+ * interpreter group. That cache survives reset(), so a pooled or
+ * reused session keeps it warm, and its budget is
+ * EngineScratch::elementBytes() of the lazy-DFA group: the
+ * interpreter scratch the cursor stands in for. A transition that
+ * would exceed it hands the run off: one interpreter cursor over the
+ * program's rest engine is opened at the same stream position
+ * (NfaEngine::resume()) and seeded with the DFA state-set and the
+ * interpreter group's state, the cache is freed, and the session
+ * interprets both groups in that one cursor from then on, across
+ * reset() too. The hand-off is exact, so results never depend on
+ * where it happens.
+ *
+ * The session owns the guard poll clock: options.guard is polled
+ * every kGuardCheckIntervalSymbols stream symbols regardless of
+ * chunking, exactly like StreamingSession.
  */
 class PlannedSession
 {
@@ -290,13 +318,15 @@ class PlannedSession
     void reset();
 
     /** Resident bytes of this session's own state: the prefilter
-     *  window (scratch, rolling buffer, hits, reports) and the
-     *  rest-group cursor. The program's tables are shared and
-     *  excluded (PlannedProgram::footprintBytes()). */
+     *  window (scratch, rolling buffer, hits, reports), the
+     *  interpreter cursors and the lazy-DFA cache and cursor. The
+     *  program's tables are shared and excluded
+     *  (PlannedProgram::footprintBytes()). */
     size_t footprintBytes() const;
 
     /** Bytes a running session over a program of @p a holds, from
-     *  the cursor's layout: the scratches' per-element arrays,
+     *  the cursor's layout: the scratches' per-element arrays (the
+     *  lazy cache is held to the lazy group's share of them),
      *  @p maxReportRecords recorded reports and the prefilter
      *  window's buffer bound. The serve layer's admission unit;
      *  computed without compiling the program. */
@@ -314,13 +344,42 @@ class PlannedSession
         return prefilterSession_ ? prefilterSession_->stats() : kNone;
     }
 
+    /** The lazy-DFA group's cache: its hit/miss counts, and the
+     *  storage it holds until a hand-off frees it. */
+    const LazyDfaCache &lazyCache() const { return lazyCache_; }
+
+    /** True once the lazy-DFA group runs on the interpreter (after a
+     *  hand-off, or from the start when the program has no DFA for
+     *  it); false while it runs on the DFA or has no elements. */
+    bool
+    lazyInterpreted() const
+    {
+        return program_->lazyCount_ && !onDfa_;
+    }
+
     SimOptions options;
 
   private:
+    /** Move the run from the DFA and interpreter-group cursors to one
+     *  rest cursor at the DFA's position; free the cache. */
+    void handOff();
+    /** (Re)open the rest cursors at stream position 0. */
+    void restart();
+
     /** Declared first: the cursors below refer into it. */
     std::shared_ptr<const PlannedProgram> program_;
     std::unique_ptr<PrefilteredNfa::Session> prefilterSession_;
-    std::unique_ptr<StreamingSession> restSession_;
+
+    /** On the DFA: the lazy-DFA cursor (its reports are rest ids and
+     *  land in restResult_) and the interpreter-group cursor. */
+    LazyDfaCache lazyCache_;
+    LazyDfaCursor lazyCursor_;
+    EngineScratch interpScratch_;
+    SimResult interpResult_;
+    /** Off the DFA: one cursor over the rest engine. */
+    EngineScratch restScratch_;
+    SimResult restResult_;
+    bool onDfa_ = false;
 
     uint64_t t_ = 0;
     Status guardStatus_;

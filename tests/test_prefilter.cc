@@ -28,6 +28,7 @@
 #include "engine/planner.hh"
 #include "engine/prefilter.hh"
 #include "engine/run_guard.hh"
+#include "obs/obs.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "zoo/registry.hh"
@@ -381,18 +382,26 @@ TEST_P(PlannedVsSerial, ChunkedSessionBitIdentical)
     SimResult want = serial.simulate(b.input.data(), simLen, sim);
     canonicalizeReports(want);
 
-    const std::vector<analysis::ComponentProfile> profiles =
-        analysis::inferProfiles(b.automaton);
-    for (size_t chunk : {size_t(1024), size_t(4097)}) {
-        PlannedSession sess(b.automaton, profiles);
+    // One program under every chunking: 1-byte feeds, two fixed
+    // sizes and a seeded random chunking (0 = random, 1..4096 bytes),
+    // so the lazy-DFA cursor, its hand-off and the interpreter
+    // cursors all cross feed boundaries everywhere.
+    const auto program = std::make_shared<const PlannedProgram>(
+        b.automaton, analysis::inferProfiles(b.automaton));
+    for (size_t chunk :
+         {size_t(1), size_t(1024), size_t(4097), size_t(0)}) {
+        PlannedSession sess(program);
         sess.options = sim;
+        Rng rng(17);
         for (size_t pos = 0; pos < simLen;) {
-            const size_t n = std::min(chunk, simLen - pos);
+            const size_t step = chunk ? chunk : 1 + rng.nextBelow(4096);
+            const size_t n = std::min(step, simLen - pos);
             ASSERT_EQ(sess.feed(b.input.data() + pos, n), n);
             pos += n;
         }
         expectSemanticallyEqual(sess.results(), want,
-                                cat("chunk ", chunk));
+                                chunk ? cat("chunk ", chunk)
+                                      : std::string("random chunks"));
     }
 }
 
@@ -456,6 +465,196 @@ INSTANTIATE_TEST_SUITE_P(AllZoo, PlannedVsSerial,
                              }
                              return n;
                          });
+
+// ---------------------------------------------------------------
+// The streamed lazy-DFA group: a cursor over a session-owned cache
+// that hands the run to the interpreter when the cache would outgrow
+// the scratch it stands in for.
+
+/** Serial NfaEngine reference over the first @p len input bytes. */
+SimResult
+serialReference(const zoo::Benchmark &b, size_t len, const SimOptions &sim)
+{
+    SimResult r = NfaEngine(b.automaton).simulate(b.input.data(), len, sim);
+    canonicalizeReports(r);
+    return r;
+}
+
+uint64_t
+handoffCount()
+{
+    return obs::Registry::global().counterValue("engine.lazy.handoffs");
+}
+
+TEST(LazyHandoff, ApPrngSessionStaysOnTheDfa)
+{
+    zoo::Benchmark b = zoo::makeBenchmark("AP PRNG 8-sided", tinyConfig());
+    SimOptions sim;
+    sim.countByCode = true;
+    const SimResult want = serialReference(b, b.input.size(), sim);
+
+    PlannedSession sess(b.automaton);
+    ASSERT_GT(sess.plan().backendCount[static_cast<size_t>(
+                  PlanBackend::kLazyDfa)],
+              0u);
+    sess.options = sim;
+    const uint64_t handoffs = handoffCount();
+    for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE(pass);
+        const uint64_t misses = sess.lazyCache().misses();
+        feedChunks(b.input.data(), b.input.size(), 4096,
+                   [&](const uint8_t *p, size_t n) {
+                       return sess.feed(p, n);
+                   });
+        EXPECT_FALSE(sess.lazyInterpreted());
+        EXPECT_GT(sess.lazyCache().hits(), 0u);
+        if (pass == 1) {
+            // The cache survived reset(): the same stream replays
+            // from it without computing a transition.
+            EXPECT_EQ(sess.lazyCache().misses(), misses);
+        }
+        expectSemanticallyEqual(sess.results(), want, "stream");
+        sess.reset();
+    }
+    if (obs::kEnabled) {
+        EXPECT_EQ(handoffCount(), handoffs);
+    }
+}
+
+TEST(LazyHandoff, RandomForestHandsOffMidStreamAndStaysExact)
+{
+    zoo::Benchmark b = zoo::makeBenchmark("Random Forest A", tinyConfig());
+    const size_t simLen = std::min<size_t>(b.input.size(), 16 * 1024);
+    SimOptions sim;
+    sim.countByCode = true;
+    const auto program = std::make_shared<const PlannedProgram>(
+        b.automaton, analysis::inferProfiles(b.automaton));
+
+    // Byte-at-a-time: find where the hand-off happens.
+    PlannedSession sess(program);
+    sess.options = sim;
+    const uint64_t handoffs = handoffCount();
+    size_t handoffAt = 0;
+    for (size_t pos = 0; pos < simLen; ++pos) {
+        ASSERT_EQ(sess.feed(b.input.data() + pos, 1), 1u);
+        if (!handoffAt && sess.lazyInterpreted())
+            handoffAt = pos;
+    }
+    ASSERT_GT(handoffAt, 0u) << "the group must start on the DFA";
+    ASSERT_LT(handoffAt, 3000u) << "and leave it before the guard stop";
+    EXPECT_GT(sess.lazyCache().hits() + sess.lazyCache().misses(), 0u);
+    if (obs::kEnabled) {
+        EXPECT_EQ(handoffCount(), handoffs + 1);
+    }
+    expectSemanticallyEqual(sess.results(),
+                            serialReference(b, simLen, sim), "no guard");
+
+    // A 3,000-symbol budget stops at the 3072 poll point, after the
+    // hand-off: the prefix is exact across both backends.
+    RunGuard sg;
+    sg.setSymbolBudget(3000);
+    SimOptions gsim = sim;
+    gsim.guard = &sg;
+    const SimResult cut = serialReference(b, simLen, gsim);
+    ASSERT_TRUE(cut.truncated());
+    RunGuard cg;
+    cg.setSymbolBudget(3000);
+    PlannedSession guarded(program);
+    guarded.options = sim;
+    guarded.options.guard = &cg;
+    feedChunks(b.input.data(), simLen, 777,
+               [&](const uint8_t *p, size_t n) {
+                   return guarded.feed(p, n);
+               });
+    EXPECT_TRUE(guarded.stopped());
+    EXPECT_TRUE(guarded.lazyInterpreted());
+    expectSemanticallyEqual(guarded.results(), cut, "guard stop");
+
+    // A handed-off session keeps interpreting after reset().
+    guarded.reset();
+    guarded.options.guard = nullptr;
+    EXPECT_TRUE(guarded.lazyInterpreted());
+    EXPECT_EQ(guarded.feed(b.input.data(), simLen), simLen);
+    expectSemanticallyEqual(guarded.results(),
+                            serialReference(b, simLen, sim), "after reset");
+}
+
+TEST(LazyHandoff, InterpreterStateCrossesTheHandoff)
+{
+    // A lazy-DFA group whose cache overflows once 'b's arrive (a star
+    // feeding an a/b chain: nearly every offset's phase is a new
+    // state-set) beside interpreted components that are mid-match and
+    // mid-count then: the hand-off must carry the interpreter group's
+    // enabled set, counter values and latches into the merged cursor.
+    Automaton a("handoff");
+    ElementId prev = addStarState(a, CharSet::all());
+    for (int i = 0; i < 16; ++i) {
+        const ElementId s = a.addSte(CharSet::single(i % 3 ? 'a' : 'b'));
+        a.addEdge(prev, s);
+        prev = s;
+    }
+    a.element(prev).reporting = true;
+    a.element(prev).reportCode = 1;
+    // An acyclic window (no scan literal): many runs in flight.
+    prev = a.addSte(CharSet::single('a'), StartType::kAllInput);
+    for (int i = 0; i < 7; ++i) {
+        CharSet ab = CharSet::single('a');
+        ab.set('b');
+        const ElementId s = a.addSte(ab);
+        a.addEdge(prev, s);
+        prev = s;
+    }
+    a.element(prev).reporting = true;
+    a.element(prev).reportCode = 2;
+    uint32_t code = 10;
+    for (CounterMode mode : {CounterMode::kLatch, CounterMode::kRollover,
+                             CounterMode::kPulse}) {
+        const ElementId s =
+            a.addSte(CharSet::single('a'), StartType::kAllInput);
+        const ElementId c = a.addCounter(5, mode, true, code++);
+        const ElementId z =
+            a.addSte(CharSet::single('b'), StartType::kNone, true, code++);
+        const ElementId r =
+            a.addSte(CharSet::single('x'), StartType::kAllInput);
+        a.addEdge(s, c);
+        a.addEdge(c, z);
+        a.addResetEdge(r, c);
+    }
+    const auto program = std::make_shared<const PlannedProgram>(
+        a, analysis::inferProfiles(a));
+    ASSERT_EQ(program->plan().census(), "D1/I4");
+
+    // No 'b' in the first kCalm bytes keeps the DFA in one state-set
+    // while the counters count, latch and reset; the 'b's after it
+    // overflow the cache at a seed-dependent offset.
+    constexpr size_t kCalm = 600;
+    SimOptions sim;
+    sim.countByCode = true;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        std::vector<uint8_t> in(2048);
+        for (size_t i = 0; i < in.size(); ++i) {
+            in[i] = i < kCalm ? "aaaacx"[rng.nextBelow(6)]
+                              : "aaaabbbbaaabbbx"[rng.nextBelow(15)];
+        }
+        SimResult want = NfaEngine(a).simulate(in, sim);
+        canonicalizeReports(want);
+
+        PlannedSession sess(program);
+        sess.options = sim;
+        ASSERT_EQ(sess.feed(in.data(), kCalm), kCalm);
+        ASSERT_FALSE(sess.lazyInterpreted());
+        for (size_t pos = kCalm; pos < in.size();) {
+            const size_t n =
+                std::min<size_t>(1 + rng.nextBelow(64), in.size() - pos);
+            ASSERT_EQ(sess.feed(in.data() + pos, n), n);
+            pos += n;
+        }
+        EXPECT_TRUE(sess.lazyInterpreted());
+        expectSemanticallyEqual(sess.results(), want, "stream");
+    }
+}
 
 TEST(PlannedEngine, LiteralZooBenchmarksActuallyPrefilter)
 {

@@ -26,6 +26,7 @@
 #include "core/serialize.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
+#include "engine/planner.hh"
 #include "obs/obs.hh"
 #include "serve/client.hh"
 #include "serve/ruleset.hh"
@@ -880,6 +881,49 @@ TEST(ServeSession, EstimateWithinOrderOfMagnitudeOfMeasured)
             << "engine " << static_cast<int>(eng) << ": estimate "
             << estimate << " vs measured " << measured;
         pool.release(std::move(s));
+    }
+}
+
+TEST(ServeSession, LazySessionFootprintWithinEstimate)
+{
+    // A planned session's lazy-DFA cache is session state: counted in
+    // its footprint, and held to the lazy group's share of the
+    // admission unit. AP PRNG stays on the DFA; Random Forest A hands
+    // off to the interpreter and frees its cache. Each stream is cut
+    // before its 257th report: the unit prices maxReportRecords (256)
+    // recorded reports, and this checks the engine state, not that.
+    zoo::ZooConfig cfg;
+    cfg.scale = 0.01;
+    cfg.inputBytes = 16 << 10;
+    for (const char *name : {"AP PRNG 8-sided", "Random Forest A"}) {
+        SCOPED_TRACE(name);
+        const zoo::Benchmark b = zoo::makeBenchmark(name, cfg);
+        SimResult ref = NfaEngine(b.automaton).simulate(b.input);
+        canonicalizeReports(ref);
+        const size_t len = ref.reports.size() > 256
+            ? static_cast<size_t>(ref.reports[256].offset)
+            : b.input.size();
+        ASSERT_GT(len, 1024u);
+
+        MatchSessionPool pool(b.automaton, EngineKind::kAuto,
+                              PlanOptions(), 256);
+        std::unique_ptr<MatchSession> s = pool.acquire();
+        ASSERT_EQ(s->feed(b.input.data(), len), len);
+        EXPECT_LE(s->footprintBytes(), pool.estimatedSessionBytes());
+        pool.release(std::move(s));
+
+        PlannedSession direct(b.automaton);
+        direct.feed(b.input.data(), len);
+        const size_t cache = direct.lazyCache().footprintBytes();
+        EXPECT_GE(direct.footprintBytes(), sizeof(PlannedSession) + cache);
+        const bool handsOff = std::string(name) == "Random Forest A";
+        ASSERT_EQ(direct.lazyInterpreted(), handsOff);
+        if (handsOff) {
+            EXPECT_LT(cache, 1024u) << "a hand-off frees the cache";
+        } else {
+            EXPECT_GT(direct.lazyCache().bytesUsed(), 0u);
+            EXPECT_GT(cache, 0u);
+        }
     }
 }
 
