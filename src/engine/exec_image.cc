@@ -5,18 +5,35 @@
 namespace azoo {
 
 NfaExecTables
-NfaExecTables::compile(const Automaton &a)
+NfaExecTables::compile(const Automaton &a,
+                       std::span<const ElementId> members)
 {
     NfaExecTables t;
-    const size_t n = a.size();
+    const size_t n = members.empty() ? a.size() : members.size();
+    std::vector<ElementId> toLocal;
+    if (!members.empty()) {
+        toLocal.assign(a.size(), kNoElement);
+        for (size_t i = 0; i < n; ++i)
+            toLocal[members[i]] = static_cast<ElementId>(i);
+    }
+    auto element = [&](ElementId i) -> const Element & {
+        return a.element(members.empty() ? i : members[i]);
+    };
+    auto local = [&](ElementId tgt) {
+        if (members.empty())
+            return tgt;
+        if (toLocal[tgt] == kNoElement)
+            panic("NfaExecTables: edge leaves the member set");
+        return toLocal[tgt];
+    };
     t.elementCount = n;
     t.edgeBegin.assign(n + 1, 0);
     t.resetBegin.assign(n + 1, 0);
     for (ElementId i = 0; i < n; ++i) {
         t.edgeBegin[i + 1] = t.edgeBegin[i] +
-            static_cast<uint32_t>(a.element(i).out.size());
+            static_cast<uint32_t>(element(i).out.size());
         t.resetBegin[i + 1] = t.resetBegin[i] +
-            static_cast<uint32_t>(a.element(i).resetOut.size());
+            static_cast<uint32_t>(element(i).resetOut.size());
     }
     t.edgeTarget.reserve(t.edgeBegin[n]);
     t.resetTarget.reserve(t.resetBegin[n]);
@@ -33,11 +50,11 @@ NfaExecTables::compile(const Automaton &a)
     std::array<std::vector<ElementId>, 256> mai;
 
     for (ElementId i = 0; i < n; ++i) {
-        const Element &e = a.element(i);
+        const Element &e = element(i);
         for (auto tgt : e.out)
-            t.edgeTarget.push_back(tgt);
+            t.edgeTarget.push_back(local(tgt));
         for (auto tgt : e.resetOut)
-            t.resetTarget.push_back(tgt);
+            t.resetTarget.push_back(local(tgt));
         for (int w = 0; w < 4; ++w)
             t.label[i][w] = e.symbols.word(w);
         t.reporting[i] = e.reporting;

@@ -39,8 +39,12 @@ noteConstruction(const char *name)
 
 } // namespace
 
-NfaEngine::NfaEngine(const Automaton &a)
-    : owned_(std::make_unique<NfaExecTables>(NfaExecTables::compile(a)))
+NfaEngine::NfaEngine(const Automaton &a) : NfaEngine(a, {}) {}
+
+NfaEngine::NfaEngine(const Automaton &a,
+                     std::span<const ElementId> members)
+    : owned_(std::make_unique<NfaExecTables>(
+          NfaExecTables::compile(a, members)))
     , t_(owned_->view())
 {
     noteConstruction("engine.nfa.compiles");

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/automaton.hh"
@@ -54,6 +55,10 @@ class NfaEngine
 {
   public:
     explicit NfaEngine(const Automaton &a);
+
+    /** Compile only @p members of @p a (NfaExecTables::compile()):
+     *  the engine of subAutomaton(a, members), without the copy. */
+    NfaEngine(const Automaton &a, std::span<const ElementId> members);
 
     /** Adopt a precompiled execution image (zero-copy; O(1)). */
     explicit NfaEngine(const NfaExecImage &image);

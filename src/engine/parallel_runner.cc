@@ -15,8 +15,8 @@ ParallelRunner::Runner::simulate(const uint8_t *input, size_t len,
 {
     if (!refused.ok())
         throw StatusError(refused);
-    if (program) {
-        PlannedSession sess(program);
+    if (planned && chunkBytes != 0) {
+        PlannedSession sess(planned->program());
         sess.options = opts;
         feedChunks(input, len, chunkBytes,
                    [&](const uint8_t *p, size_t n) {
@@ -93,20 +93,10 @@ ParallelRunner::buildRunners(const Automaton &a, size_t count,
         break;
       }
       case EngineKind::kAuto: {
-        const std::vector<analysis::ComponentProfile> profiles =
-            analysis::inferProfiles(a, opts_.plan.infer);
-        if (chunked) {
-            const auto program = std::make_shared<const PlannedProgram>(
-                a, profiles, opts_.plan);
-            for (Runner &r : runners)
-                r.program = program;
-        } else {
-            for (Runner &r : runners) {
-                r.planned =
-                    std::make_unique<PlannedEngine>(a, profiles,
-                                                    opts_.plan);
-            }
-        }
+        const auto program = std::make_shared<const PlannedProgram>(
+            a, analysis::inferProfiles(a, opts_.plan.infer), opts_.plan);
+        for (Runner &r : runners)
+            r.planned = std::make_unique<PlannedEngine>(program);
         break;
       }
       case EngineKind::kMultiDfa:

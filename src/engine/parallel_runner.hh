@@ -11,11 +11,12 @@
  *    the pool. Each worker slot owns a runner of the selected
  *    EngineKind (kNfa slots share one const NfaEngine, each with its
  *    own EngineScratch; a kLazyDfa slot's cache warms across its
- *    streams), so the hot path performs no per-stream O(n)
- *    allocation. Chunked streams are cursors too: under kNfa they
- *    drive the shared engine through the slot's scratch, under kAuto
- *    each is a PlannedSession over one PlannedProgram built at
- *    construction — a batch never compiles per stream.
+ *    streams; kAuto slots are PlannedEngine cursors over one
+ *    PlannedProgram built at construction), so the hot path performs
+ *    no per-stream O(n) allocation. Chunked streams are cursors too:
+ *    under kNfa they drive the shared engine through the slot's
+ *    scratch, under kAuto each is a PlannedSession over that program
+ *    — neither slots nor streams compile per slot or per stream.
  *
  *  - **Component-level** (simulateSharded): the automaton's connected
  *    components (activation *and* reset edges, so counters never
@@ -65,11 +66,12 @@ struct ParallelOptions {
     /** kNfa, kLazyDfa or kAuto; under kMultiDfa every stream and the
      *  sharded result fail with kInvalidArgument. */
     EngineKind engine = EngineKind::kNfa;
-    /** Planning knobs (engine == kAuto). Each worker slot / shard
-     *  owns a private PlannedEngine built from one shared profile
-     *  inference; chunked streams are PlannedSession cursors over one
-     *  shared PlannedProgram. plan.lazyCacheBytes is also the cache
-     *  budget of every slot's / shard's engine under kLazyDfa. */
+    /** Planning knobs (engine == kAuto). The runner compiles one
+     *  PlannedProgram, and each worker slot owns a PlannedEngine
+     *  cursor over it; chunked streams are PlannedSessions over the
+     *  same program, and each shard plans its own sub-automaton.
+     *  plan.lazyCacheBytes is also the cache budget of every slot's
+     *  / shard's engine under kLazyDfa. */
     PlanOptions plan;
     /** Per-stream simulation options. */
     SimOptions sim;
@@ -97,9 +99,9 @@ struct BatchResult {
  * Parallel driver over a borrowed automaton.
  *
  * The automaton must outlive the runner (same borrow rule as the
- * engines). Construction compiles the selected engine only: the
- * worker slots' engines for batch mode and one per component shard
- * for sharded mode. runBatch()/simulateSharded() can then be called
+ * engines). Construction compiles the selected engine only: once
+ * for the worker slots (kLazyDfa: once per slot) and once per
+ * component shard for sharded mode. runBatch()/simulateSharded() can then be called
  * repeatedly (but not concurrently with each other from multiple
  * threads — the runner owns one pool).
  */
@@ -139,8 +141,9 @@ class ParallelRunner
         std::shared_ptr<const NfaEngine> nfa; ///< kNfa (slots share it)
         EngineScratch scratch;                ///< kNfa cursor
         std::unique_ptr<LazyDfaEngine> lazy;  ///< kLazyDfa
-        std::unique_ptr<PlannedEngine> planned;        ///< kAuto
-        std::shared_ptr<const PlannedProgram> program; ///< kAuto, chunked
+        /** kAuto: a cursor over the runner's one program; chunked
+         *  streams are PlannedSessions over that program. */
+        std::unique_ptr<PlannedEngine> planned;
         Status refused; ///< why opts_.engine does not run here
 
         /** Whole run, or @p chunkBytes slices fed to a cursor. */

@@ -223,37 +223,37 @@ notePlan(const EnginePlan &plan)
 }
 
 /**
- * Per-backend wall time of one planned run or session feed, recorded
- * once into engine.planned.<backend>.ns by record() — never per
- * symbol. Compiles to plain calls under AZOO_OBS=OFF.
+ * Per-backend wall time of one session feed, recorded once into
+ * engine.planned.<backend>.ns by record(), never per symbol. The
+ * clock is read only where the charged backend changes, so a guarded
+ * feed's slices cost one read per backend switch, and none between
+ * slices of a plan with one running backend. Time between switches
+ * (guard polls included) goes to the backend that ran last. Compiles
+ * to nothing under AZOO_OBS=OFF.
  */
 class BackendClock
 {
   public:
-    /** Run @p work, charging its wall time to @p b. */
-    template <typename Work>
+    /** Charge the time from here on to @p b. */
     void
-    time(PlanBackend b, Work &&work)
+    charge(PlanBackend b)
     {
-        if constexpr (!obs::kEnabled) {
-            work();
-        } else {
-            const auto t0 = std::chrono::steady_clock::now();
-            work();
+        if constexpr (obs::kEnabled) {
             const auto i = static_cast<size_t>(b);
-            ns_[i] += static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
+            if (i == current_)
+                return;
+            lap();
+            current_ = i;
             ran_[i] = true;
         }
     }
 
-    /** One sample per backend that ran. */
+    /** Stop the clock; one sample per backend that ran. */
     void
-    record() const
+    record()
     {
         if constexpr (obs::kEnabled) {
+            lap();
             // Only the three timed backends have a histogram.
             static obs::Histogram *const h[kPlanBackends] = {
                 histogram(PlanBackend::kPrefilter), nullptr,
@@ -274,6 +274,22 @@ class BackendClock
             cat("engine.planned.", planBackendName(b), ".ns"));
     }
 
+    /** Close the current backend's interval. */
+    void
+    lap()
+    {
+        const auto now = std::chrono::steady_clock::now();
+        if (current_ < kPlanBackends) {
+            ns_[current_] += static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    now - since_)
+                    .count());
+        }
+        since_ = now;
+    }
+
+    size_t current_ = kPlanBackends; ///< none yet
+    std::chrono::steady_clock::time_point since_;
     std::array<uint64_t, kPlanBackends> ns_{};
     std::array<bool, kPlanBackends> ran_{};
 };
@@ -312,102 +328,6 @@ planComponents(const Automaton &a,
 }
 
 // ---------------------------------------------------------------------
-// PlannedEngine
-
-PlannedEngine::PlannedEngine(const Automaton &a, const PlanOptions &opts)
-    : PlannedEngine(a, analysis::inferProfiles(a, opts.infer), opts)
-{
-}
-
-PlannedEngine::PlannedEngine(
-    const Automaton &a,
-    const std::vector<analysis::ComponentProfile> &profiles,
-    const PlanOptions &opts)
-{
-    build(a, profiles, opts);
-}
-
-void
-PlannedEngine::build(const Automaton &a,
-                     const std::vector<analysis::ComponentProfile>
-                         &profiles,
-                     const PlanOptions &opts)
-{
-    plan_ = planComponents(a, profiles, opts);
-    notePlan(plan_);
-
-    uint32_t count = 0;
-    const std::vector<uint32_t> comp = a.connectedComponents(count);
-
-    prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles);
-    // Each group's graph copy lives only as long as its compile.
-    if (const auto lazy =
-            buildGroup(a, comp, routedTo(plan_, PlanBackend::kLazyDfa),
-                       ".lazy", lazyToGlobal_)) {
-        LazyDfaOptions lo;
-        lo.cacheBytes = opts.lazyCacheBytes;
-        lazyEngine_ = std::make_unique<LazyDfaEngine>(*lazy, lo);
-    }
-    if (const auto interp =
-            buildGroup(a, comp, routedTo(plan_, PlanBackend::kInterpreter),
-                       ".interp", interpToGlobal_))
-        interpEngine_ = std::make_unique<NfaEngine>(*interp);
-}
-
-SimResult
-PlannedEngine::simulate(const uint8_t *input, size_t len,
-                        const SimOptions &uopts)
-{
-    PartMerger merger(len);
-
-    // Poll sweep over the whole input *before* the backends run: the
-    // poll clock must tick even where every backend is absent or
-    // skipping (an all-kSkip plan still honours a symbol budget), and
-    // running it first means a budget stop truncates at the same poll
-    // point the serial engine would, while wall-clock/cancel stops
-    // mid-run are caught by the backends' own polls below.
-    if (uopts.guard) {
-        for (uint64_t t = 0; t < len;
-             t += kGuardCheckIntervalSymbols) {
-            Status st = uopts.guard->check(t);
-            if (!st.ok()) {
-                merger.stop(t, st);
-                break;
-            }
-        }
-    }
-
-    // Each group is one part over the prefix not yet cut by a stop.
-    const SimOptions inner = PartMerger::partOptions(uopts);
-    auto live = [&] { return static_cast<size_t>(merger.consumed()); };
-    BackendClock clock;
-    if (interpEngine_ && live() > 0) {
-        clock.time(PlanBackend::kInterpreter, [&] {
-            merger.add(interpEngine_->simulate(input, live(),
-                                               interpScratch_, inner),
-                       interpToGlobal_);
-        });
-    }
-    if (lazyEngine_ && live() > 0) {
-        clock.time(PlanBackend::kLazyDfa, [&] {
-            merger.add(lazyEngine_->simulate(input, live(), inner),
-                       lazyToGlobal_);
-        });
-    }
-    lastPrefilterStats_ = PrefilterStats();
-    if (prefilter_ && live() > 0) {
-        clock.time(PlanBackend::kPrefilter, [&] {
-            PrefilteredNfa::RunResult rr = prefilter_->run(
-                input, live(), uopts.guard, prefilterScratch_);
-            lastPrefilterStats_ = rr.stats;
-            merger.add(std::move(rr));
-        });
-    }
-    clock.record();
-    return merger.finish(uopts);
-}
-
-// ---------------------------------------------------------------------
 // PlannedProgram
 
 PlannedProgram::PlannedProgram(
@@ -415,6 +335,7 @@ PlannedProgram::PlannedProgram(
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts)
     : plan_(planComponents(a, profiles, opts))
+    , lazyCacheBytes_(opts.lazyCacheBytes)
 {
     notePlan(plan_);
 
@@ -435,17 +356,14 @@ PlannedProgram::PlannedProgram(
                          interpToGlobal_.end());
     if (restToGlobal_.empty())
         return;
-    // The groups' graph copies live only as long as their compiles.
-    rest_ = std::make_unique<const NfaEngine>(
-        subAutomaton(a, restToGlobal_, a.name() + ".rest"));
+    rest_ = std::make_unique<const NfaEngine>(a, restToGlobal_);
     const NfaExecImage &img = rest_->image();
     if (lazyCount_ == 0 ||
         (!img.counters.empty() && img.counters.front() < lazyCount_))
         return;
     lazyDfa_ = std::make_unique<const LazyDfaProgram>(img, lazyCount_);
     if (!interpToGlobal_.empty()) {
-        interp_ = std::make_unique<const NfaEngine>(
-            subAutomaton(a, interpToGlobal_, a.name() + ".interp"));
+        interp_ = std::make_unique<const NfaEngine>(a, interpToGlobal_);
     }
 }
 
@@ -485,9 +403,17 @@ PlannedSession::PlannedSession(
 }
 
 PlannedSession::PlannedSession(std::shared_ptr<const PlannedProgram> program)
+    : PlannedSession(std::move(program), LazyDfaCache::OnFull::kStop)
+{
+}
+
+PlannedSession::PlannedSession(std::shared_ptr<const PlannedProgram> program,
+                               LazyDfaCache::OnFull onFull)
     : program_(std::move(program))
-    , lazyCache_(EngineScratch::elementBytes(program_->lazyCount_),
-                 LazyDfaCache::OnFull::kStop)
+    , lazyCache_(onFull == LazyDfaCache::OnFull::kFlush
+                     ? program_->lazyCacheBytes_
+                     : EngineScratch::elementBytes(program_->lazyCount_),
+                 onFull)
     , onDfa_(program_->lazyDfa_ != nullptr)
 {
     // Every cursor keeps default options — record every report, no
@@ -569,33 +495,33 @@ PlannedSession::feed(const uint8_t *data, size_t len)
         const uint8_t *chunk = data + done;
         size_t dfaBytes = 0; // bytes the DFA took
         if (onDfa_) {
-            clock.time(PlanBackend::kLazyDfa, [&] {
-                dfaBytes = p.lazyDfa_->feed(lazyCache_, lazyCursor_, chunk,
-                                         step, inner, restResult_);
-            });
+            clock.charge(PlanBackend::kLazyDfa);
+            dfaBytes = p.lazyDfa_->feed(lazyCache_, lazyCursor_, chunk,
+                                        step, inner, restResult_);
             if (p.interp_) {
-                clock.time(PlanBackend::kInterpreter, [&] {
-                    p.interp_->feed(interpScratch_, chunk, dfaBytes, inner,
-                                    interpResult_);
-                });
+                clock.charge(PlanBackend::kInterpreter);
+                p.interp_->feed(interpScratch_, chunk, dfaBytes, inner,
+                                interpResult_);
             }
-            // inner carries no guard: a short feed is a full cache.
+            // inner carries no guard: a short feed is a full cache
+            // that stops (a flushing one never does).
             if (dfaBytes < step)
                 handOff();
         }
         if (!onDfa_ && p.rest_ && dfaBytes < step) {
-            clock.time(PlanBackend::kInterpreter, [&] {
-                p.rest_->feed(restScratch_, chunk + dfaBytes, step - dfaBytes,
-                              inner, restResult_);
-            });
+            clock.charge(PlanBackend::kInterpreter);
+            p.rest_->feed(restScratch_, chunk + dfaBytes, step - dfaBytes,
+                          inner, restResult_);
         }
         if (prefilterSession_) {
-            clock.time(PlanBackend::kPrefilter,
-                       [&] { prefilterSession_->feed(chunk, step); });
+            clock.charge(PlanBackend::kPrefilter);
+            prefilterSession_->feed(chunk, step);
         }
         done += step;
         t_ += step;
     }
+    if (prefilterSession_)
+        prefilterSession_->noteStats();
     clock.record();
     return done;
 }
@@ -668,6 +594,38 @@ PlannedSession::cursorBytes(
         EngineScratch::elementBytes(a.size()) +
         maxReportRecords * sizeof(Report) +
         PrefilteredNfa::Session::bufferBound(radius + literal);
+}
+
+// ---------------------------------------------------------------------
+// PlannedEngine
+
+PlannedEngine::PlannedEngine(const Automaton &a, const PlanOptions &opts)
+    : PlannedEngine(a, analysis::inferProfiles(a, opts.infer), opts)
+{
+}
+
+PlannedEngine::PlannedEngine(
+    const Automaton &a,
+    const std::vector<analysis::ComponentProfile> &profiles,
+    const PlanOptions &opts)
+    : PlannedEngine(
+          std::make_shared<const PlannedProgram>(a, profiles, opts))
+{
+}
+
+PlannedEngine::PlannedEngine(std::shared_ptr<const PlannedProgram> program)
+    : session_(std::move(program), LazyDfaCache::OnFull::kFlush)
+{
+}
+
+SimResult
+PlannedEngine::simulate(const uint8_t *input, size_t len,
+                        const SimOptions &opts)
+{
+    session_.reset();
+    session_.options = opts;
+    session_.feed(input, len);
+    return session_.results();
 }
 
 } // namespace azoo

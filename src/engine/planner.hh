@@ -8,13 +8,14 @@
  * match-length and anchoring intervals, a determinization blowup
  * estimate. This module turns those facts into wall-clock throughput:
  * planComponents() assigns each component the cheapest backend that
- * is exact for it, and PlannedEngine (block mode) / PlannedSession
- * (streaming; a cursor over a shared PlannedProgram) execute the
- * resulting mixed plan with results bit-identical (on the semantic
- * fields: symbols, reports, reportCount, reportingCycles, byCode,
- * guardStatus) to the serial NfaEngine after canonicalizeReports().
- * totalEnabled is engine-defined, as for MultiDfaEngine: skipped
- * regions and never-simulated components contribute nothing.
+ * is exact for it. A PlannedProgram compiles the plan once; a
+ * PlannedSession is a cursor over it, and PlannedEngine (block mode)
+ * is a session fed its input as one chunk. Both give results
+ * bit-identical (on the semantic fields: symbols, reports,
+ * reportCount, reportingCycles, byCode, guardStatus) to the serial
+ * NfaEngine after canonicalizeReports(). totalEnabled is
+ * engine-defined, as for MultiDfaEngine: skipped regions and
+ * never-simulated components contribute nothing.
  *
  * The decision table (docs/ARCHITECTURE.md "Engine planning &
  * prefilters" is the narrative version):
@@ -27,12 +28,12 @@
  *     all-input                       -> kPrefilter
  *   everything else                   -> kInterpreter
  *
- * Guard semantics: a planned run polls the caller's RunGuard on the
- * same kGuardCheckIntervalSymbols clock as the serial engines (every
- * backend polls, and a sweep covers skipped/absent work), and each
- * backend group is one part of a PartMerger, which cuts the merged
- * result to the shortest consumed prefix — the same contract
- * ParallelRunner::simulateSharded() keeps.
+ * Guard semantics: the session owns the poll clock. It polls the
+ * caller's RunGuard every kGuardCheckIntervalSymbols stream symbols,
+ * the serial engines' poll points, whatever the chunking and even
+ * where every backend is absent or skipping, and stops every backend
+ * at the same point; each backend group is one part of a PartMerger
+ * over the consumed prefix.
  */
 
 #ifndef AZOO_ENGINE_PLANNER_HH
@@ -106,9 +107,10 @@ struct PlanOptions {
      *  literal chains to the interpreter instead). */
     bool enablePrefilter = true;
     /** Transition-cache budget of the lazy-DFA backend's block runs
-     *  (PlannedEngine, and EngineKind::kLazyDfa's ParallelRunner
-     *  engines). A PlannedSession's cache budget is derived from
-     *  the lazy group's size instead; see PlannedSession. */
+     *  (PlannedEngine's flushing cache, kept by the PlannedProgram,
+     *  and EngineKind::kLazyDfa's ParallelRunner engines). A
+     *  streamed PlannedSession's cache budget is derived from the
+     *  lazy group's size instead; see PlannedSession. */
     size_t lazyCacheBytes = 8u << 20;
     /** Profile-inference knobs (when the planner infers them). */
     analysis::InferOptions infer;
@@ -141,79 +143,9 @@ EnginePlan planComponents(const Automaton &a,
                           const PlanOptions &opts = PlanOptions());
 
 /**
- * Executes an EnginePlan: one engine per backend group over a
- * sub-automaton of that group's components, each group one part of
- * a PartMerger that yields a single canonical SimResult.
- *
- * simulate() mutates per-engine state (lazy cache, scratches), so a
- * PlannedEngine must not be shared by concurrently simulating threads
- * — ParallelRunner builds one per worker slot. Reports come out in
- * canonical (offset, element, code) order with original element ids.
- */
-class PlannedEngine
-{
-  public:
-    /** Infer profiles internally. The automaton need not outlive
-     *  the engine (each group is compiled from a copy). */
-    explicit PlannedEngine(const Automaton &a,
-                           const PlanOptions &opts = PlanOptions());
-
-    /** Plan from precomputed profiles (inferProfiles(a) — sharing one
-     *  inference across many engines). */
-    PlannedEngine(const Automaton &a,
-                  const std::vector<analysis::ComponentProfile> &profiles,
-                  const PlanOptions &opts = PlanOptions());
-
-    SimResult simulate(const uint8_t *input, size_t len,
-                       const SimOptions &opts = SimOptions());
-
-    SimResult
-    simulate(const std::vector<uint8_t> &input,
-             const SimOptions &opts = SimOptions())
-    {
-        return simulate(input.data(), input.size(), opts);
-    }
-
-    const EnginePlan &plan() const { return plan_; }
-
-    /** Scan literals the prefilter backend sweeps for (0 when no
-     *  component was planned onto it). */
-    size_t prefilterPatterns() const
-    {
-        return prefilter_ ? prefilter_->patternCount() : 0;
-    }
-
-    /** Prefilter effectiveness of the most recent simulate() (all
-     *  zero when the plan has no prefilter group). */
-    const PrefilterStats &lastPrefilterStats() const
-    {
-        return lastPrefilterStats_;
-    }
-
-  private:
-    void build(const Automaton &a,
-               const std::vector<analysis::ComponentProfile> &profiles,
-               const PlanOptions &opts);
-
-    EnginePlan plan_;
-
-    std::unique_ptr<PrefilteredNfa> prefilter_;
-    EngineScratch prefilterScratch_;
-
-    std::vector<ElementId> lazyToGlobal_;
-    std::unique_ptr<LazyDfaEngine> lazyEngine_;
-
-    std::vector<ElementId> interpToGlobal_;
-    std::unique_ptr<NfaEngine> interpEngine_;
-    EngineScratch interpScratch_;
-
-    PrefilterStats lastPrefilterStats_;
-};
-
-/**
- * The immutable half of a streamed plan, compiled once and shared by
- * every PlannedSession over it, on any number of threads. The
- * automaton need not outlive it.
+ * The immutable half of a planned run, compiled once and shared by
+ * every PlannedSession and PlannedEngine over it, on any number of
+ * threads. The automaton need not outlive it.
  *
  * The prefilter group is one PrefilteredNfa. The lazy-DFA and
  * interpreter groups are one interpreter, lazy-DFA components first,
@@ -221,7 +153,8 @@ class PlannedEngine
  * interpreter's, so a session hands a run from the DFA to the
  * interpreter exactly. Until it does, it runs the interpreter group
  * on its own tables, whose ids are the rest's shifted down by the
- * lazy-DFA group's size.
+ * lazy-DFA group's size. Both are compiled straight from the
+ * automaton's members, with no sub-automaton copy.
  */
 class PlannedProgram
 {
@@ -233,6 +166,14 @@ class PlannedProgram
 
     const EnginePlan &plan() const { return plan_; }
 
+    /** Scan literals the prefilter backend sweeps for (0 when no
+     *  component was planned onto it). */
+    size_t
+    prefilterPatterns() const
+    {
+        return prefilter_ ? prefilter_->patternCount() : 0;
+    }
+
     /** Resident bytes of the shared tables. */
     size_t footprintBytes() const;
 
@@ -240,6 +181,8 @@ class PlannedProgram
     friend class PlannedSession;
 
     EnginePlan plan_;
+    /** PlanOptions::lazyCacheBytes: block runs' cache budget. */
+    size_t lazyCacheBytes_;
     /** Null when no component was planned onto the prefilter. */
     std::unique_ptr<PrefilteredNfa> prefilter_;
     /** Lazy-DFA then interpreter components (null when both groups
@@ -258,10 +201,9 @@ class PlannedProgram
 };
 
 /**
- * Streaming counterpart of PlannedEngine: a cursor over one shared
- * PlannedProgram, with the same canonical results as a monolithic
- * planned run (and therefore as serial NfaEngine +
- * canonicalizeReports()).
+ * A cursor over one shared PlannedProgram, with the same canonical
+ * results under any chunking as serial NfaEngine +
+ * canonicalizeReports().
  *
  * The prefilter group streams through a PrefilteredNfa::Session.
  * The lazy-DFA group streams through a LazyDfaCursor over a cache
@@ -281,6 +223,10 @@ class PlannedProgram
  * The session owns the guard poll clock: options.guard is polled
  * every kGuardCheckIntervalSymbols stream symbols regardless of
  * chunking, exactly like StreamingSession.
+ *
+ * A PlannedEngine's session differs in data only: its cache flushes
+ * at the program's PlanOptions::lazyCacheBytes instead (RE2's
+ * policy), so a feed never stops short on it and never hands off.
  */
 class PlannedSession
 {
@@ -337,6 +283,12 @@ class PlannedSession
 
     const EnginePlan &plan() const { return program_->plan(); }
 
+    const std::shared_ptr<const PlannedProgram> &
+    program() const
+    {
+        return program_;
+    }
+
     const PrefilterStats &
     prefilterStats() const
     {
@@ -360,6 +312,14 @@ class PlannedSession
     SimOptions options;
 
   private:
+    friend class PlannedEngine;
+
+    /** A cursor whose lazy cache does @p onFull on overflow: kStop
+     *  at the lazy group's scratch bytes (streams), kFlush at the
+     *  program's lazyCacheBytes_ (blocks). */
+    PlannedSession(std::shared_ptr<const PlannedProgram> program,
+                   LazyDfaCache::OnFull onFull);
+
     /** Move the run from the DFA and interpreter-group cursors to one
      *  rest cursor at the DFA's position; free the cache. */
     void handOff();
@@ -383,6 +343,72 @@ class PlannedSession
 
     uint64_t t_ = 0;
     Status guardStatus_;
+};
+
+/**
+ * Block mode: one input is a one-chunk stream. A PlannedEngine is a
+ * PlannedSession over a shared PlannedProgram, and simulate() is
+ * reset(), one feed() and results(); the session's lazy cache
+ * flushes instead of handing off and stays warm across calls.
+ *
+ * simulate() mutates the session, so a PlannedEngine must not be
+ * shared by concurrently simulating threads; ParallelRunner gives
+ * each worker slot one over the runner's one program. Reports come
+ * out in canonical (offset, element, code) order with original
+ * element ids.
+ */
+class PlannedEngine
+{
+  public:
+    /** Compile a private program, inferring profiles. The automaton
+     *  need not outlive the engine. */
+    explicit PlannedEngine(const Automaton &a,
+                           const PlanOptions &opts = PlanOptions());
+
+    /** Plan from precomputed profiles (inferProfiles(a) — sharing one
+     *  inference across many engines). */
+    PlannedEngine(const Automaton &a,
+                  const std::vector<analysis::ComponentProfile> &profiles,
+                  const PlanOptions &opts = PlanOptions());
+
+    /** A cursor over an already-compiled program (no compile). */
+    explicit PlannedEngine(std::shared_ptr<const PlannedProgram> program);
+
+    SimResult simulate(const uint8_t *input, size_t len,
+                       const SimOptions &opts = SimOptions());
+
+    SimResult
+    simulate(const std::vector<uint8_t> &input,
+             const SimOptions &opts = SimOptions())
+    {
+        return simulate(input.data(), input.size(), opts);
+    }
+
+    const EnginePlan &plan() const { return session_.plan(); }
+
+    const std::shared_ptr<const PlannedProgram> &
+    program() const
+    {
+        return session_.program();
+    }
+
+    /** Scan literals the prefilter backend sweeps for. */
+    size_t
+    prefilterPatterns() const
+    {
+        return session_.program()->prefilterPatterns();
+    }
+
+    /** Prefilter effectiveness of the most recent simulate() (all
+     *  zero when the plan has no prefilter group). */
+    const PrefilterStats &
+    lastPrefilterStats() const
+    {
+        return session_.prefilterStats();
+    }
+
+  private:
+    PlannedSession session_;
 };
 
 } // namespace azoo

@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "engine/run_guard.hh"
 #include "obs/obs.hh"
 #include "util/logging.hh"
 
@@ -200,53 +199,6 @@ PrefilteredNfa::applyHit(Exec &x, uint64_t e, uint32_t pat,
     x.windowEnd = std::max(x.windowEnd, hi);
 }
 
-PrefilteredNfa::RunResult
-PrefilteredNfa::run(const uint8_t *input, size_t len,
-                    const RunGuard *guard, EngineScratch &scratch) const
-{
-    RunResult res;
-    res.symbols = len;
-    Exec x;
-    x.scratch = &scratch;
-
-    std::vector<std::pair<uint64_t, uint32_t>> hits;
-    uint64_t done = 0;
-    while (done < len) {
-        if (guard) {
-            Status st = guard->check(done);
-            if (!st.ok()) {
-                res.symbols = done;
-                res.guardStatus = std::move(st);
-                break;
-            }
-        }
-        const uint64_t segEnd =
-            std::min<uint64_t>(len, done + kGuardCheckIntervalSymbols);
-        hits.clear();
-        scanner_.scan(input, static_cast<size_t>(segEnd),
-                      static_cast<size_t>(done),
-                      [&](size_t end, uint32_t pi) {
-                          hits.emplace_back(end, pi);
-                      });
-        std::sort(hits.begin(), hits.end());
-        for (const auto &[e, pat] : hits)
-            applyHit(x, e, pat, segEnd, input, 0);
-        if (x.active)
-            feedTo(x, std::min(x.windowEnd, segEnd), input, 0);
-        done = segEnd;
-    }
-    if (x.active)
-        closeRun(x);
-
-    x.stats.skippedBytes = res.symbols - x.stats.windowBytes;
-    notePrefilter(x.stats.candidates, x.stats.windowBytes,
-                  x.stats.skippedBytes);
-    res.reports = std::move(x.out.reports);
-    res.totalEnabled = x.out.totalEnabled;
-    res.stats = x.stats;
-    return res;
-}
-
 // ---------------------------------------------------------------------
 // PrefilteredNfa::Session
 
@@ -258,6 +210,14 @@ PrefilteredNfa::Session::Session(const PrefilteredNfa &pf)
 
 void
 PrefilteredNfa::Session::feed(const uint8_t *data, size_t len)
+{
+    for (; len > kPieceBytes; data += kPieceBytes, len -= kPieceBytes)
+        feedPiece(data, kPieceBytes);
+    feedPiece(data, len);
+}
+
+void
+PrefilteredNfa::Session::feedPiece(const uint8_t *data, size_t len)
 {
     buf_.insert(buf_.end(), data, data + len);
     const uint64_t avail = pos_ + len;
@@ -277,13 +237,6 @@ PrefilteredNfa::Session::feed(const uint8_t *data, size_t len)
     pos_ = avail;
     x_.stats.skippedBytes = pos_ - x_.stats.windowBytes;
 
-    notePrefilter(x_.stats.candidates - flushedCandidates_,
-                  x_.stats.windowBytes - flushedWindowBytes_,
-                  x_.stats.skippedBytes - flushedSkipped_);
-    flushedCandidates_ = x_.stats.candidates;
-    flushedWindowBytes_ = x_.stats.windowBytes;
-    flushedSkipped_ = x_.stats.skippedBytes;
-
     // Compact the rolling buffer. Future work only back-reads
     //  - scanner starts >= pos_ + 1 - maxLen (straddling candidates),
     //  - window bytes from >= min(fedEnd, pos_ - maxRadius) (an
@@ -298,6 +251,17 @@ PrefilteredNfa::Session::feed(const uint8_t *data, size_t len)
                    buf_.begin() + static_cast<ptrdiff_t>(drop));
         bufBase_ += drop;
     }
+}
+
+void
+PrefilteredNfa::Session::noteStats()
+{
+    notePrefilter(x_.stats.candidates - flushedCandidates_,
+                  x_.stats.windowBytes - flushedWindowBytes_,
+                  x_.stats.skippedBytes - flushedSkipped_);
+    flushedCandidates_ = x_.stats.candidates;
+    flushedWindowBytes_ = x_.stats.windowBytes;
+    flushedSkipped_ = x_.stats.skippedBytes;
 }
 
 void

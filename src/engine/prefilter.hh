@@ -37,11 +37,11 @@
  * PrefilteredNfa holds an NfaEngine over the group, each engagement
  * is a cursor on it (NfaEngine::begin at the window start, feed as
  * bytes arrive, end when the window closes), and report ids and
- * offsets are mapped through toGlobal and the window start. Guard
- * handling preserves the serial poll contract: run() polls
- * SimOptions-style RunGuards every kGuardCheckIntervalSymbols
- * consumed symbols — *including across skipped regions* — and
- * truncates at the same poll points the unfiltered engine would.
+ * offsets are mapped through toGlobal and the window start. Windows
+ * run only inside a PrefilteredNfa::Session, block runs included (a
+ * block is a one-chunk stream), and the session is guard-free: the
+ * planner's session owns the poll clock and slices its feeds at the
+ * serial poll points, skipped regions included.
  */
 
 #ifndef AZOO_ENGINE_PREFILTER_HH
@@ -61,8 +61,6 @@
 #include "util/status.hh"
 
 namespace azoo {
-
-class RunGuard;
 
 /** One literal the scanner sweeps for, with the window the full
  *  engine replays around each occurrence. */
@@ -231,25 +229,6 @@ class PrefilteredNfa
     PrefilteredNfa(const PrefilteredNfa &) = delete;
     PrefilteredNfa &operator=(const PrefilteredNfa &) = delete;
 
-    /** Outcome of one block-mode run: a PartMerger part. It sets
-     *  symbols (the consumed prefix), guardStatus, totalEnabled and
-     *  reports, which carry global element ids and absolute offsets
-     *  in emission (ascending-offset) order; the counts are left to
-     *  the merger. */
-    struct RunResult : SimResult {
-        PrefilterStats stats;
-    };
-
-    /**
-     * Scan + windowed simulation over one monolithic input. Polls
-     * @p guard (may be null) every kGuardCheckIntervalSymbols symbols
-     * of input position — skipped bytes still advance the poll clock —
-     * and on a stop yields the consumed-prefix result exactly like
-     * the unfiltered engine.
-     */
-    RunResult run(const uint8_t *input, size_t len, const RunGuard *guard,
-                  EngineScratch &scratch) const;
-
     size_t patternCount() const { return scanner_.patternCount(); }
     uint32_t maxRadius() const { return maxRadius_; }
 
@@ -262,9 +241,8 @@ class PrefilteredNfa
     size_t footprintBytes() const;
 
   private:
-    /** Mutable engagement state threaded through run()/Session: the
-     *  current window's NfaEngine cursor (if any) and accumulated
-     *  outputs. */
+    /** A Session's mutable engagement state: the current window's
+     *  NfaEngine cursor (if any) and accumulated outputs. */
     struct Exec {
         EngineScratch *scratch = nullptr; ///< the window cursor
         bool active = false;      ///< a window run is open
@@ -291,8 +269,12 @@ class PrefilteredNfa
       public:
         explicit Session(const PrefilteredNfa &pf);
 
-        /** Consume a chunk (always fully; never fails). */
+        /** Consume a chunk (always fully; never fails). A chunk
+         *  longer than kPieceBytes is taken in pieces of that size,
+         *  so the rolling buffer stays bounded on a block. */
         void feed(const uint8_t *data, size_t len);
+
+        static constexpr size_t kPieceBytes = 64 * 1024;
 
         /** Accumulated reports (global ids, absolute offsets). */
         const std::vector<Report> &reports() const
@@ -302,6 +284,11 @@ class PrefilteredNfa
         uint64_t totalEnabled() const { return x_.out.totalEnabled; }
         const PrefilterStats &stats() const { return x_.stats; }
         uint64_t offset() const { return pos_; }
+
+        /** Flush the stats gathered since the last call to the
+         *  metrics (notePrefilter()); once per caller's feed, not per
+         *  guard slice. */
+        void noteStats();
 
         /** Back to start-of-stream; results cleared. */
         void reset();
@@ -328,6 +315,8 @@ class PrefilteredNfa
         }
 
       private:
+        void feedPiece(const uint8_t *data, size_t len);
+
         const PrefilteredNfa &pf_;
         EngineScratch scratch_;
         PrefilteredNfa::Exec x_;
@@ -337,7 +326,7 @@ class PrefilteredNfa
         uint64_t bufBase_ = 0;
         uint64_t pos_ = 0;
         std::vector<std::pair<uint64_t, uint32_t>> hits_;
-        /** obs flush watermarks (deltas are flushed per feed). */
+        /** obs flush watermarks (deltas are flushed by noteStats()). */
         uint64_t flushedCandidates_ = 0;
         uint64_t flushedWindowBytes_ = 0;
         uint64_t flushedSkipped_ = 0;

@@ -129,11 +129,12 @@ canonicalizeReports(SimResult &r)
 }
 
 /**
- * The one merge rule of every composite engine: PlannedEngine's
- * backend groups, the LazyDfaEngine and MultiDfaEngine hybrids,
- * ParallelRunner's component shards and PlannedSession's cursors are
- * each a list of parts run with partOptions(), handed to add(), and
- * finished once with the caller's options.
+ * The one merge rule of every composite engine: the LazyDfaEngine
+ * and MultiDfaEngine hybrids, ParallelRunner's component shards and
+ * PlannedSession's backend cursors (PlannedEngine's too: a block is
+ * a one-chunk session) are each a list of parts run with
+ * partOptions(), handed to add(), and finished once with the
+ * caller's options.
  *
  * Every part records its complete report stream over the prefix it
  * consumed, so the merged result is exact over the shortest prefix

@@ -334,6 +334,27 @@ TEST(ParallelRunner, CompilesOnlyTheSelectedEngine)
                   ErrorCode::kInvalidArgument);
         EXPECT_EQ(sharded.symbols, 0u);
     }
+
+    // kAuto compiles one program for all of its slots. A
+    // one-component automaton is one shard at any thread count, so
+    // the compiles may not grow with the slots.
+    Automaton one("one");
+    addLiteral(one, "abc", StartType::kAllInput, true, 1);
+    auto autoCompiles = [&](size_t threads) {
+        ParallelOptions popts;
+        popts.threads = threads;
+        popts.engine = EngineKind::kAuto;
+        const uint64_t before = reg.counterValue("engine.nfa.compiles");
+        ParallelRunner runner(one, popts);
+        EXPECT_EQ(runner.shardCount(), 1u);
+        return reg.counterValue("engine.nfa.compiles") - before;
+    };
+    const uint64_t single = autoCompiles(1);
+    const uint64_t three = autoCompiles(3);
+    if (obs::kEnabled) {
+        EXPECT_GT(single, 0u);
+        EXPECT_EQ(three, single);
+    }
 }
 
 TEST(ParallelRunner, ZeroLengthStreams)

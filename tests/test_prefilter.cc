@@ -204,22 +204,23 @@ TEST(PrefilteredNfa, MatchesUnfilteredEngine)
     NfaEngine plain(a);
     PrefilteredNfa pf(a, identityMap(a), patternsFor(kLits));
 
+    // One chunk per round, as a block run feeds it; reset() between.
     Rng rng(99);
-    EngineScratch scratch;
+    PrefilteredNfa::Session sess(pf);
     for (int round = 0; round < 10; ++round) {
         std::vector<uint8_t> in =
             plantedInput(rng, kLits, 4096 + rng.nextBelow(4096));
         SimResult want = plain.simulate(in);
         canonicalizeReports(want);
 
-        PrefilteredNfa::RunResult got =
-            pf.run(in.data(), in.size(), nullptr, scratch);
-        std::sort(got.reports.begin(), got.reports.end());
-        EXPECT_EQ(got.symbols, want.symbols);
-        EXPECT_TRUE(got.guardStatus.ok());
-        EXPECT_EQ(got.reports, want.reports) << "round " << round;
-        EXPECT_EQ(got.stats.windowBytes + got.stats.skippedBytes,
-                  got.symbols);
+        sess.reset();
+        sess.feed(in.data(), in.size());
+        std::vector<Report> got = sess.reports();
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(sess.offset(), want.symbols);
+        EXPECT_EQ(got, want.reports) << "round " << round;
+        EXPECT_EQ(sess.stats().windowBytes + sess.stats().skippedBytes,
+                  sess.offset());
     }
 }
 
@@ -237,19 +238,28 @@ TEST(PrefilteredNfa, OverlappingCandidatesCoalesceExactly)
     SimResult want = plain.simulate(in);
     canonicalizeReports(want);
 
-    EngineScratch scratch;
-    PrefilteredNfa::RunResult got =
-        pf.run(in.data(), in.size(), nullptr, scratch);
-    std::sort(got.reports.begin(), got.reports.end());
-    EXPECT_EQ(got.reports, want.reports);
-    EXPECT_EQ(got.stats.skippedBytes, 0u);
+    PrefilteredNfa::Session sess(pf);
+    sess.feed(in.data(), in.size());
+    std::vector<Report> got = sess.reports();
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want.reports);
+    EXPECT_EQ(sess.stats().skippedBytes, 0u);
+}
+
+/** A PlannedEngine over literalAutomaton(kLits): every component on
+ *  the prefilter, so guarded block runs drive the window session. */
+PlannedEngine
+literalPlannedEngine()
+{
+    PlannedEngine e(literalAutomaton(kLits));
+    EXPECT_EQ(e.plan().census(), cat("P", kLits.size()));
+    return e;
 }
 
 TEST(PrefilteredNfa, GuardBudgetTruncatesLikeSerial)
 {
     Automaton a = literalAutomaton(kLits);
     NfaEngine plain(a);
-    PrefilteredNfa pf(a, identityMap(a), patternsFor(kLits));
 
     Rng rng(7);
     std::vector<uint8_t> in = plantedInput(rng, kLits, 10000);
@@ -265,10 +275,10 @@ TEST(PrefilteredNfa, GuardBudgetTruncatesLikeSerial)
 
     RunGuard pg;
     pg.setSymbolBudget(3000);
-    EngineScratch scratch;
-    PrefilteredNfa::RunResult got =
-        pf.run(in.data(), in.size(), &pg, scratch);
-    std::sort(got.reports.begin(), got.reports.end());
+    SimOptions popts;
+    popts.guard = &pg;
+    PlannedEngine pe = literalPlannedEngine();
+    const SimResult got = pe.simulate(in.data(), in.size(), popts);
     EXPECT_EQ(got.symbols, want.symbols);
     EXPECT_EQ(got.guardStatus.code(), want.guardStatus.code());
     EXPECT_EQ(got.reports, want.reports);
@@ -276,15 +286,14 @@ TEST(PrefilteredNfa, GuardBudgetTruncatesLikeSerial)
 
 TEST(PrefilteredNfa, PreCancelledGuardConsumesNothing)
 {
-    Automaton a = literalAutomaton(kLits);
-    PrefilteredNfa pf(a, identityMap(a), patternsFor(kLits));
     std::vector<uint8_t> in(2048, 'a');
 
     RunGuard guard;
     guard.cancel();
-    EngineScratch scratch;
-    PrefilteredNfa::RunResult got =
-        pf.run(in.data(), in.size(), &guard, scratch);
+    SimOptions opts;
+    opts.guard = &guard;
+    PlannedEngine pe = literalPlannedEngine();
+    const SimResult got = pe.simulate(in.data(), in.size(), opts);
     EXPECT_EQ(got.symbols, 0u);
     EXPECT_EQ(got.guardStatus.code(), ErrorCode::kCancelled);
     EXPECT_TRUE(got.reports.empty());
@@ -653,6 +662,38 @@ TEST(LazyHandoff, InterpreterStateCrossesTheHandoff)
         }
         EXPECT_TRUE(sess.lazyInterpreted());
         expectSemanticallyEqual(sess.results(), want, "stream");
+    }
+}
+
+TEST(LazyHandoff, BlockRunsFlushAndNeverHandOff)
+{
+    // A block run's cache flushes at PlanOptions::lazyCacheBytes
+    // instead of handing off, so the lazy-DFA group stays on the DFA
+    // where a stream over the same program leaves it.
+    for (const char *name : {"Random Forest A", "Brill"}) {
+        SCOPED_TRACE(name);
+        zoo::Benchmark b = zoo::makeBenchmark(name, tinyConfig());
+        const size_t simLen = std::min<size_t>(b.input.size(), 16 * 1024);
+        SimOptions sim;
+        sim.countByCode = true;
+        PlannedEngine e(b.automaton);
+        ASSERT_GT(e.plan().backendCount[static_cast<size_t>(
+                      PlanBackend::kLazyDfa)],
+                  0u);
+        const SimResult want = serialReference(b, simLen, sim);
+        const uint64_t handoffs = handoffCount();
+        for (int pass = 0; pass < 2; ++pass) {
+            const SimResult got = e.simulate(b.input.data(), simLen, sim);
+            EXPECT_GT(got.lazyStates, 0u) << "the DFA must run";
+            expectSemanticallyEqual(got, want, cat("block pass ", pass));
+        }
+        if (obs::kEnabled) {
+            EXPECT_EQ(handoffCount(), handoffs);
+        }
+
+        PlannedSession sess(e.program());
+        EXPECT_EQ(sess.feed(b.input.data(), simLen), simLen);
+        EXPECT_TRUE(sess.lazyInterpreted()) << "a stream hands off";
     }
 }
 
