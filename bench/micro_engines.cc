@@ -21,9 +21,9 @@
 #include <iostream>
 
 #include "bench/common.hh"
-#include "engine/lazy_dfa_engine.hh"
 #include "engine/multidfa_engine.hh"
 #include "engine/nfa_engine.hh"
+#include "engine/planner.hh"
 #include "input/dna.hh"
 #include "regex/glushkov.hh"
 #include "regex/parser.hh"
@@ -121,12 +121,13 @@ BM_Engines_SeqMatch(benchmark::State &state)
 BENCHMARK(BM_Engines_SeqMatch)->Arg(0)->Arg(1);
 
 /**
- * Lazy-DFA hybrid vs the interpreter on an AP PRNG workload — the
- * shape MultiDfaEngine used to hand to its NfaEngine fallback. The
- * PRNG chains keep a huge enabled set (every chain advances on every
+ * The lazy DFA (`--engine lazydfa`: a PlannedEngine over lazyPlan())
+ * vs the interpreter on an AP PRNG workload — the shape
+ * MultiDfaEngine used to hand to its NfaEngine fallback. The PRNG
+ * chains keep a huge enabled set (every chain advances on every
  * symbol) but visit only a handful of distinct state-sets, so the
- * interpreter pays O(active set) per symbol while the lazy engine
- * pays one cached-table probe.
+ * interpreter pays O(active set) per symbol while the lazy DFA pays
+ * one cached-table probe.
  */
 void
 BM_Engines_ApPrngFallback(benchmark::State &state)
@@ -146,22 +147,19 @@ BM_Engines_ApPrngFallback(benchmark::State &state)
                 e.simulate(b.input, scratch, opts).reportCount);
         }
     } else {
-        LazyDfaEngine e(b.automaton);
+        PlannedEngine e(compileProgram(EngineKind::kLazyDfa, b.automaton));
         for (auto _ : state) {
             benchmark::DoNotOptimize(
                 e.simulate(b.input, opts).reportCount);
         }
         state.counters["lazy_states"] =
-            static_cast<double>(e.cachedStates());
-        state.counters["symbol_classes"] =
-            static_cast<double>(e.symbolClasses());
+            static_cast<double>(e.lazyCache().states());
         state.counters["cache_flushes"] =
-            static_cast<double>(e.cacheFlushes());
+            static_cast<double>(e.lazyCache().flushes());
     }
     state.SetBytesProcessed(
         static_cast<int64_t>(state.iterations() * kInput));
-    state.SetLabel(state.range(0) == 0 ? "NfaEngine"
-                                       : "LazyDfaEngine");
+    state.SetLabel(state.range(0) == 0 ? "NfaEngine" : "lazydfa");
 }
 BENCHMARK(BM_Engines_ApPrngFallback)->Arg(0)->Arg(1);
 
@@ -179,9 +177,9 @@ BM_LazyDfa_CacheBudget(benchmark::State &state)
     cfg.inputBytes = kInput;
     zoo::SeqMatchParams p;
     zoo::Benchmark b = zoo::makeSeqMatchBenchmark(cfg, p);
-    LazyDfaOptions lo;
-    lo.cacheBytes = static_cast<size_t>(state.range(0));
-    LazyDfaEngine e(b.automaton, lo);
+    PlanOptions po;
+    po.lazyCacheBytes = static_cast<size_t>(state.range(0));
+    PlannedEngine e(compileProgram(EngineKind::kLazyDfa, b.automaton, po));
     SimOptions opts;
     opts.recordReports = false;
     opts.computeActiveSet = false;
@@ -190,10 +188,10 @@ BM_LazyDfa_CacheBudget(benchmark::State &state)
     state.SetBytesProcessed(
         static_cast<int64_t>(state.iterations() * kInput));
     state.counters["cache_flushes"] =
-        static_cast<double>(e.cacheFlushes());
+        static_cast<double>(e.lazyCache().flushes());
     state.counters["lazy_states"] =
-        static_cast<double>(e.cachedStates());
-    state.SetLabel("LazyDfaEngine");
+        static_cast<double>(e.lazyCache().states());
+    state.SetLabel("lazydfa");
 }
 BENCHMARK(BM_LazyDfa_CacheBudget)
     ->Arg(16 << 10)

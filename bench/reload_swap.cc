@@ -178,8 +178,10 @@ main(int argc, char **argv)
         cat("/tmp/azoo-reload-swap-", ::getpid(), ".azml");
     saveAzml(rulesetPath, b.automaton);
 
-    serve::Server server(serve::makeInlineRuleset(b.automaton, {*engine}),
-                         serve::ServerOptions());
+    serve::Server server(
+        serve::makeInlineRuleset(b.automaton,
+                                 {*engine, PlanOptions(), ParseLimits()}),
+        serve::ServerOptions());
     if (Status st = server.start(); !st.ok())
         fatal(cat("reload_swap: ", st.str()));
     const std::string addr = cat("tcp:", server.port());

@@ -174,7 +174,9 @@ main(int argc, char **argv)
         sopts.limits.sessionDeadlineMs =
             cli.getInt("session-deadline-ms", 0);
         server = std::make_unique<serve::Server>(
-            serve::makeInlineRuleset(*automaton, {*engine}), sopts);
+            serve::makeInlineRuleset(
+                *automaton, {*engine, PlanOptions(), ParseLimits()}),
+            sopts);
         if (Status st = server->start(); !st.ok())
             fatal(cat("serve_latency: ", st.str()));
         if (sopts.addr.rfind("tcp:", 0) == 0)

@@ -7,10 +7,10 @@
  * VASim-style prefix-merge optimization, compression factor, and the
  * dynamic active set measured with the NFA interpreter on the
  * standard input. The Lazy.* columns characterize the same run under
- * the lazy-DFA hybrid: distinct state-sets interned, whole-cache
- * flushes at the default budget, counter components interpreted by
- * the embedded fallback, and the transition-cache hit rate (read back
- * from the azoo::obs registry; 0.0 under AZOO_OBS=OFF). Plan is the
+ * `--engine lazydfa` (a PlannedEngine over lazyPlan()): distinct
+ * state-sets interned, whole-cache flushes at the default budget,
+ * counter components interpreted beside the DFA, and the
+ * transition-cache hit rate (from the cache's own counts). Plan is the
  * per-component backend census under --engine auto (P/A/D/I/S, see
  * engine/planner.hh) and Pf.Skip% the input fraction the literal
  * prefilter skipped on the same run.
@@ -29,8 +29,6 @@
 #include "analysis/profile.hh"
 #include "bench/common.hh"
 #include "core/stats.hh"
-#include "engine/lazy_dfa_engine.hh"
-#include "obs/obs.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/planner.hh"
 #include "transform/prefix_merge.hh"
@@ -167,21 +165,14 @@ main(int argc, char **argv)
         SimResult r = engine.simulate(b.input.data(), cfg.simBytes,
                                       opts);
 
-        LazyDfaEngine lazyEngine(b.automaton);
+        PlannedEngine lazyEngine(
+            compileProgram(EngineKind::kLazyDfa, b.automaton));
         SimOptions lazyOpts = opts;
         lazyOpts.computeActiveSet = false;
-        // Hit rate from the obs registry as counter deltas around
-        // this one run (0.0 under AZOO_OBS=OFF).
-        obs::Registry &reg = obs::Registry::global();
-        const uint64_t hits0 =
-            reg.counterValue("engine.lazy.cache_hits");
-        const uint64_t miss0 =
-            reg.counterValue("engine.lazy.cache_misses");
         lazyEngine.simulate(b.input.data(), cfg.simBytes, lazyOpts);
-        const uint64_t hits =
-            reg.counterValue("engine.lazy.cache_hits") - hits0;
-        const uint64_t misses =
-            reg.counterValue("engine.lazy.cache_misses") - miss0;
+        const LazyDfaCache &cache = lazyEngine.lazyCache();
+        const uint64_t hits = cache.hits();
+        const uint64_t misses = cache.misses();
         const double hitPct = hits + misses
             ? 100.0 * static_cast<double>(hits) / (hits + misses)
             : 0.0;
@@ -213,9 +204,10 @@ main(int argc, char **argv)
                   lintCell(b.automaton), census, litCov,
                   plannedEngine.plan().census(),
                   Table::fixed(pfSkip, 1),
-                  Table::num(lazyEngine.cachedStates()),
-                  Table::num(lazyEngine.cacheFlushes()),
-                  Table::num(lazyEngine.fallbackComponents()),
+                  Table::num(cache.states()),
+                  Table::num(cache.flushes()),
+                  Table::num(lazyEngine.plan().backendCount[size_t(
+                      PlanBackend::kInterpreter)]),
                   Table::fixed(hitPct, 1)});
 
         auto it = kPaper.find(info.name);

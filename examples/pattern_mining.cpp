@@ -66,9 +66,11 @@ main(int argc, char **argv)
             continue;
         ++frequent;
         std::string items;
-        for (auto it : itemsets[f])
-            items += (items.empty() ? "" : ",") +
-                std::to_string(static_cast<int>(it));
+        for (auto it : itemsets[f]) {
+            if (!items.empty())
+                items += ',';
+            items += std::to_string(static_cast<int>(it));
+        }
         t.addRow({"{" + items + "}", std::to_string(native[f]),
                   "yes"});
     }

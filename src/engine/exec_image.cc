@@ -1,8 +1,49 @@
 #include "engine/exec_image.hh"
 
+#include <unordered_set>
+
 #include "util/logging.hh"
 
 namespace azoo {
+
+SymbolClasses
+symbolClasses(std::span<const LabelWords> labels)
+{
+    // Each distinct label splits every class by membership; class ids
+    // are reassigned in first-byte order after every split.
+    struct LabelHash {
+        size_t
+        operator()(const LabelWords &l) const
+        {
+            uint64_t h = 0;
+            for (uint64_t w : l)
+                h = (h ^ w) * 0x9E3779B97F4A7C15ULL;
+            return static_cast<size_t>(h ^ (h >> 29));
+        }
+    };
+    const std::unordered_set<LabelWords, LabelHash> distinct(
+        labels.begin(), labels.end());
+    SymbolClasses sc;
+    uint32_t count = 1;
+    for (const LabelWords &l : distinct) {
+        if (count == 256)
+            break;
+        std::array<int16_t, 512> split;
+        split.fill(-1);
+        count = 0;
+        for (int b = 0; b < 256; ++b) {
+            const bool in = (l[b >> 6] >> (b & 63)) & 1;
+            int16_t &id = split[sc.classOf[b] * 2 + in];
+            if (id < 0)
+                id = static_cast<int16_t>(count++);
+            sc.classOf[b] = static_cast<uint8_t>(id);
+        }
+    }
+    sc.rep.assign(count, 0);
+    for (int b = 255; b >= 0; --b)
+        sc.rep[sc.classOf[b]] = static_cast<uint8_t>(b);
+    return sc;
+}
 
 NfaExecTables
 NfaExecTables::compile(const Automaton &a,

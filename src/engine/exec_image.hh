@@ -30,6 +30,23 @@ namespace azoo {
 /** An STE label as four 64-bit words (CharSet's storage layout). */
 using LabelWords = std::array<uint64_t, 4>;
 
+/**
+ * Input-symbol equivalence classes over a set of labels: two bytes
+ * share a class iff every label agrees on them, so a DFA over those
+ * labels needs one transition column per class, not per byte.
+ */
+struct SymbolClasses {
+    /** Byte -> class; classes are numbered in first-byte order. */
+    std::array<uint8_t, 256> classOf{};
+    /** One representative byte per class: its smallest. */
+    std::vector<uint8_t> rep{0};
+
+    uint32_t count() const { return static_cast<uint32_t>(rep.size()); }
+};
+
+/** The classes of @p labels (duplicates are fine). */
+SymbolClasses symbolClasses(std::span<const LabelWords> labels);
+
 /** Counter-mode byte values as stored in exec tables; identical to
  *  the CounterMode wire encoding. */
 inline constexpr uint8_t kExecModeLatch = 0;

@@ -1,7 +1,6 @@
 #include "engine/lazy_dfa_engine.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "engine/run_guard.hh"
 #include "obs/obs.hh"
@@ -13,7 +12,7 @@ namespace {
 
 /** Per-feed metrics flush. Hits and misses are counted in feed()
  *  stack locals — never one atomic per symbol — and land here once
- *  per call. The hybrid path's fallback half is accounted separately
+ *  per call. Components interpreted beside the DFA are accounted
  *  under engine.nfa.* by the interpreter. */
 void
 noteLazyFeed(uint64_t symbols, uint64_t hits, uint64_t misses,
@@ -33,19 +32,6 @@ noteLazyFeed(uint64_t symbols, uint64_t hits, uint64_t misses,
     cacheHits.add(hits);
     cacheMisses.add(misses);
     cacheFlushes.add(flushes);
-}
-
-/** Per-run metrics flush of LazyDfaEngine::simulate(). */
-void
-noteLazyRun(const SimResult &res)
-{
-    if (!obs::kEnabled)
-        return;
-    static obs::Counter &runs =
-        obs::Registry::global().counter("engine.lazy.runs");
-    runs.inc();
-    if (!res.guardStatus.ok())
-        obs::noteGuardStop("engine.lazy", res.guardStatus.code());
 }
 
 /** FNV-1a over the raw words of a sorted local-id set. */
@@ -92,41 +78,11 @@ LazyDfaProgram::LazyDfaProgram(const NfaExecImage &image, size_t count)
                          count_) -
         t_.startOfData.begin()));
 
-    // Symbol equivalence classes over the distinct labels: bytes no
-    // state can tell apart share one transition row, which shrinks
-    // both cache rows and the number of distinct cells a hot region
-    // touches. Each label splits every class by membership; class ids
-    // stay in first-byte order.
-    struct LabelHash {
-        size_t
-        operator()(const LabelWords &l) const
-        {
-            uint64_t h = 0;
-            for (uint64_t w : l)
-                h = (h ^ w) * 0x9E3779B97F4A7C15ULL;
-            return static_cast<size_t>(h ^ (h >> 29));
-        }
-    };
-    std::unordered_set<LabelWords, LabelHash> labels(
-        t_.label.begin(), t_.label.begin() + count_);
-    for (const LabelWords &l : labels) {
-        if (numClasses_ == 256)
-            break;
-        std::array<int16_t, 512> split;
-        split.fill(-1);
-        uint32_t count = 0;
-        for (int b = 0; b < 256; ++b) {
-            const bool in = (l[b >> 6] >> (b & 63)) & 1;
-            int16_t &id = split[classOf_[b] * 2 + in];
-            if (id < 0)
-                id = static_cast<int16_t>(count++);
-            classOf_[b] = static_cast<uint8_t>(id);
-        }
-        numClasses_ = count;
-    }
-    classRep_.assign(numClasses_, 0);
-    for (int b = 255; b >= 0; --b)
-        classRep_[classOf_[b]] = static_cast<uint8_t>(b);
+    // Bytes no state can tell apart share one transition column,
+    // which shrinks both cache rows and the number of distinct cells
+    // a hot region touches.
+    classes_ = azoo::symbolClasses(t_.label.first(count_));
+    numClasses_ = classes_.count();
 }
 
 void
@@ -170,7 +126,7 @@ LazyDfaProgram::feed(LazyDfaCache &c, LazyDfaCursor &cur,
         if (opts.computeActiveSet)
             enabled += c.members_[s].size();
 
-        const uint32_t cls = classOf_[data[i]];
+        const uint32_t cls = classes_.classOf[data[i]];
         size_t cell = static_cast<size_t>(s) * numClasses_ + cls;
         if (c.next_[cell] == LazyDfaCache::kUnknown) {
             cell = c.fill(*this, s, cls);
@@ -287,7 +243,7 @@ LazyDfaCache::fill(const LazyDfaProgram &p, uint32_t &cur, uint32_t cls)
         bytesUsed_ += p.count_ - inNext_.size();
         inNext_.assign(p.count_, 0);
     }
-    const uint8_t rep = p.classRep_[cls];
+    const uint8_t rep = p.classes_.rep[cls];
     const uint32_t word = rep >> 6;
     const uint64_t bit = uint64_t(1) << (rep & 63);
 
@@ -360,86 +316,6 @@ LazyDfaCache::footprintBytes() const
     for (const auto &l : pool_)
         n += 48 + 2 * l.capacity() * sizeof(Entry); // list + map key
     return n;
-}
-
-// ---------------------------------------------------------------------
-// LazyDfaEngine
-
-LazyDfaEngine::LazyDfaEngine(const Automaton &a,
-                             const LazyDfaOptions &opts)
-    : cache_(opts.cacheBytes, LazyDfaCache::OnFull::kFlush)
-{
-    // Components over activation *and* reset edges: a counter must
-    // stay with everything that counts or resets it, so the split
-    // below can never cut a counter off from its sources.
-    uint32_t count = 0;
-    const std::vector<uint32_t> comp = a.connectedComponents(count);
-    std::vector<uint8_t> compHasCounter(count, 0);
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (a.element(i).kind == ElementKind::kCounter)
-            compHasCounter[comp[i]] = 1;
-    }
-    for (uint8_t has : compHasCounter)
-        fallbackComponentCount_ += has;
-
-    if (fallbackComponentCount_ == 0) {
-        if (a.size() != 0) {
-            lazyTables_ = std::make_unique<NfaExecTables>(
-                NfaExecTables::compile(a));
-        }
-    } else {
-        std::vector<ElementId> lazyMembers;
-        for (ElementId i = 0; i < a.size(); ++i) {
-            if (compHasCounter[comp[i]])
-                fallbackToGlobal_.push_back(i);
-            else
-                lazyMembers.push_back(i);
-        }
-        fallbackEngine_ = std::make_unique<NfaEngine>(subAutomaton(
-            a, fallbackToGlobal_, a.name() + ".lazy-fallback"));
-        if (!lazyMembers.empty()) {
-            lazyTables_ = std::make_unique<NfaExecTables>(
-                NfaExecTables::compile(subAutomaton(
-                    a, lazyMembers, a.name() + ".lazy")));
-            lazyToGlobal_ = std::move(lazyMembers);
-        }
-    }
-    if (lazyTables_)
-        program_ = std::make_unique<LazyDfaProgram>(
-            lazyTables_->view(), lazyTables_->elementCount);
-}
-
-SimResult
-LazyDfaEngine::simulate(const uint8_t *input, size_t len,
-                        const SimOptions &opts)
-{
-    // The lazy half's results with the caller's options; as part of a
-    // hybrid, with the part options of the merge below.
-    const bool hybrid = fallbackEngine_ != nullptr;
-    const SimOptions inner = hybrid ? PartMerger::partOptions(opts) : opts;
-    SimResult res;
-    if (program_) {
-        program_->begin(cache_, cursor_);
-        program_->feed(cache_, cursor_, input, len, inner, res);
-    } else {
-        res.symbols = len;
-    }
-    res.lazyFallbackComponents = fallbackComponentCount_;
-    noteLazyRun(res);
-    if (!hybrid)
-        return res; // already canonical: reports stream out in order
-
-    // Hybrid path: the lazy half and the counter fallback are two
-    // parts of one merge. The fallback only scans the prefix the lazy
-    // half consumed; if its own poll stops even earlier, the merge
-    // cuts both to the shorter prefix.
-    PartMerger merger(len);
-    merger.add(std::move(res), lazyToGlobal_);
-    merger.add(fallbackEngine_->simulate(
-                   input, static_cast<size_t>(merger.consumed()),
-                   fallbackScratch_, inner),
-               fallbackToGlobal_);
-    return merger.finish(opts);
 }
 
 } // namespace azoo

@@ -34,41 +34,31 @@
  * enabled, excluded). DFA ids *are* the image's ids, so a cursor's
  * member set seeds an interpreter cursor over the same image exactly
  * (NfaEngine::resume(), then EngineScratch::enable() per member).
- * LazyDfaProgram::feed() holds the only lazy symbol loop;
- * LazyDfaEngine::simulate() and PlannedSession both run it.
+ * LazyDfaProgram::feed() holds the only lazy symbol loop, and
+ * PlannedSession is its only runner: `--engine lazydfa` is a planned
+ * program with a fixed plan (lazyPlan() in planner.hh).
  *
  * Counter components cannot be determinized (counter values are not
- * part of the subset state), so LazyDfaEngine splits them off at
- * construction and interprets them on an embedded NfaEngine,
- * mirroring how hybrid engines mix DFA and NFA subsystems.
+ * part of the subset state), so that plan routes them to the
+ * interpreter beside the DFA, mirroring how hybrid engines mix DFA
+ * and NFA subsystems.
  *
- * Determinism: results are bit-identical to NfaEngine's on every
- * semantic field — reports carry the original element ids and appear
- * in canonical (offset, element, code) order (the order
- * canonicalizeReports() gives a serial NfaEngine result), and
- * reportCount, totalEnabled, reportingCycles, and byCode are exact,
- * not approximations.
- *
- * LazyDfaEngine owns its cache, so simulate() mutates the engine
- * (the cache warms up and persists across calls): an engine must not
- * be shared by concurrently simulating threads; ParallelRunner builds
- * one per worker slot instead.
+ * Determinism: a feed's reports carry image ids and, within each
+ * cycle, come out in (element, code) order; reportCount,
+ * reportingCycles, byCode and totalEnabled are exactly the
+ * interpreter's over the same ids.
  */
 
 #ifndef AZOO_ENGINE_LAZY_DFA_ENGINE_HH
 #define AZOO_ENGINE_LAZY_DFA_ENGINE_HH
 
-#include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "core/automaton.hh"
-#include "engine/engine_scratch.hh"
 #include "engine/exec_image.hh"
-#include "engine/nfa_engine.hh"
 #include "engine/report.hh"
 
 namespace azoo {
@@ -123,9 +113,6 @@ class LazyDfaProgram
     /** Input-symbol equivalence classes. */
     uint32_t symbolClasses() const { return numClasses_; }
 
-    /** Ids on the DFA ([0, elementCount())). */
-    size_t elementCount() const { return count_; }
-
   private:
     friend class LazyDfaCache;
 
@@ -133,12 +120,10 @@ class LazyDfaProgram
     uint32_t count_;
     /** Start-of-data ids below count_: the cycle-0 state-set. */
     std::span<const ElementId> start_;
-    /** Byte -> symbol equivalence class (bytes indistinguishable to
-     *  every label share a class, and so a transition row). */
-    std::array<uint8_t, 256> classOf_{};
+    /** Bytes indistinguishable to every label share a class, and so
+     *  a transition column. */
+    SymbolClasses classes_;
     uint32_t numClasses_ = 1;
-    /** One representative byte per class. */
-    std::vector<uint8_t> classRep_;
 };
 
 /** The bounded transition cache of one lazy-DFA runner; serves one
@@ -238,81 +223,6 @@ class LazyDfaCache
     std::vector<uint8_t> inNext_;
     std::vector<uint32_t> succ_;
     std::vector<std::pair<ElementId, uint32_t>> reps_;
-};
-
-/** Knobs for LazyDfaEngine. */
-struct LazyDfaOptions {
-    /** Transition-cache byte budget (LazyDfaCache::OnFull::kFlush). */
-    size_t cacheBytes = 8u << 20;
-};
-
-/** Lazy-DFA hybrid engine: a program, its flushing cache and a
- *  counter fallback. The automaton need not outlive it. */
-class LazyDfaEngine
-{
-  public:
-    explicit LazyDfaEngine(const Automaton &a,
-                           const LazyDfaOptions &opts = LazyDfaOptions());
-
-    /**
-     * Run over @p input: begin, one feed and end over the engine's
-     * cache. Mutates the cache (and therefore the engine): callers
-     * share an engine across sequential calls to keep the cache warm,
-     * but never across concurrent threads.
-     */
-    SimResult simulate(const uint8_t *input, size_t len,
-                       const SimOptions &opts = SimOptions());
-
-    SimResult
-    simulate(const std::vector<uint8_t> &input,
-             const SimOptions &opts = SimOptions())
-    {
-        return simulate(input.data(), input.size(), opts);
-    }
-
-    /** Elements on the lazy-DFA path (counter-free components). */
-    size_t lazyElements() const
-    {
-        return program_ ? program_->elementCount() : 0;
-    }
-
-    /** Components interpreted by the NFA fallback (counters). */
-    size_t fallbackComponents() const { return fallbackComponentCount_; }
-
-    /** Whole-cache flushes since construction (cumulative). */
-    uint64_t cacheFlushes() const { return cache_.flushes(); }
-
-    /** State-sets currently interned in the cache. */
-    uint64_t cachedStates() const { return cache_.states(); }
-
-    /** Computed (state, class) transition cells currently cached. */
-    uint64_t cachedTransitions() const { return cache_.transitions(); }
-
-    /** Current accounted cache footprint in bytes. */
-    uint64_t cacheBytesUsed() const { return cache_.bytesUsed(); }
-
-    /** Input-symbol equivalence classes over the lazy partition. */
-    uint32_t symbolClasses() const
-    {
-        return program_ ? program_->symbolClasses() : 1;
-    }
-
-  private:
-    /** Execution image of the counter-free part (null when every
-     *  component has a counter); the program borrows its view. */
-    std::unique_ptr<NfaExecTables> lazyTables_;
-    std::unique_ptr<LazyDfaProgram> program_;
-    /** Lazy-part local id -> original id; empty when every element
-     *  is on the lazy path (the ids already are original). */
-    std::vector<ElementId> lazyToGlobal_;
-    LazyDfaCache cache_;
-    LazyDfaCursor cursor_;
-
-    // ---- counter fallback ----
-    std::unique_ptr<NfaEngine> fallbackEngine_;
-    std::vector<ElementId> fallbackToGlobal_;
-    size_t fallbackComponentCount_ = 0;
-    EngineScratch fallbackScratch_;
 };
 
 } // namespace azoo

@@ -34,14 +34,13 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
         std::bit_width(uint64_t(opts_.maxDfaStatesPerComponent)));
     uint64_t profileSkips = 0;
 
+    // The fallback runs lazyPlan() over the components that do not
+    // compile and skips the rest.
+    const EnginePlan lazy = lazyPlan(a);
+    EnginePlan fallback;
     for (uint32_t c = 0; c < comp_count; ++c) {
-        bool has_counter = false;
-        for (auto id : members[c]) {
-            if (a.element(id).kind == ElementKind::kCounter) {
-                has_counter = true;
-                break;
-            }
-        }
+        const PlanBackend backend = lazy.decisions[c].backend;
+        const bool has_counter = backend == PlanBackend::kInterpreter;
         // When the blowup estimate already dwarfs the state budget,
         // skip the eager subset construction that would grind to the
         // budget and bail anyway. The margin of one log2 step keeps
@@ -55,10 +54,9 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
         if (!has_counter && !predicted_blowup &&
             buildDfa(members[c], dfa)) {
             dfas_.push_back(std::move(dfa));
+            fallback.add(c, PlanBackend::kSkip);
         } else {
-            // Component-major member order fixes the fallback's ids.
-            fallbackToGlobal_.insert(fallbackToGlobal_.end(),
-                                     members[c].begin(), members[c].end());
+            fallback.add(c, backend);
             ++fallbackComponentCount_;
         }
     }
@@ -68,12 +66,12 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
             .add(profileSkips);
     }
 
-    if (!fallbackToGlobal_.empty()) {
-        LazyDfaOptions lazy_opts;
-        lazy_opts.cacheBytes = opts_.lazyCacheBytes;
-        fallbackEngine_ = std::make_unique<LazyDfaEngine>(
-            subAutomaton(a, fallbackToGlobal_, a.name() + ".fallback"),
-            lazy_opts);
+    if (fallbackComponentCount_) {
+        PlanOptions popts;
+        popts.lazyCacheBytes = opts_.lazyCacheBytes;
+        fallbackEngine_ = std::make_unique<PlannedEngine>(
+            std::make_shared<const PlannedProgram>(a, std::move(fallback),
+                                                   popts));
     }
 }
 
@@ -90,14 +88,15 @@ MultiDfaEngine::buildDfa(const std::vector<ElementId> &members,
         to_local[members[i]] = i;
 
     // Local views.
-    std::vector<const CharSet *> sym(m);
+    std::vector<LabelWords> labels(m);
     std::vector<std::vector<uint32_t>> out(m);
     std::vector<uint8_t> reporting(m);
     std::vector<uint32_t> always_local; // all-input states
     std::vector<uint32_t> start0;       // enabled at cycle 0
     for (uint32_t i = 0; i < m; ++i) {
         const Element &e = a_.element(members[i]);
-        sym[i] = &e.symbols;
+        for (int w = 0; w < 4; ++w)
+            labels[i][w] = e.symbols.word(w);
         reporting[i] = e.reporting;
         out[i].reserve(e.out.size());
         for (auto t : e.out)
@@ -110,50 +109,10 @@ MultiDfaEngine::buildDfa(const std::vector<ElementId> &members,
         }
     }
 
-    // Symbol equivalence classes: two bytes are equivalent iff every
-    // state charset in the component agrees on them. Signature is a
-    // bit per *distinct* charset.
-    std::vector<const CharSet *> distinct;
-    {
-        std::unordered_map<uint64_t, std::vector<const CharSet *>> seen;
-        for (uint32_t i = 0; i < m; ++i) {
-            auto &bucket = seen[sym[i]->hash()];
-            bool dup = false;
-            for (auto *cs : bucket) {
-                if (*cs == *sym[i]) {
-                    dup = true;
-                    break;
-                }
-            }
-            if (!dup) {
-                bucket.push_back(sym[i]);
-                distinct.push_back(sym[i]);
-            }
-        }
-    }
-    {
-        std::map<std::vector<uint8_t>, uint8_t> sig_to_class;
-        std::vector<uint8_t> sig(distinct.size());
-        for (int b = 0; b < 256; ++b) {
-            for (size_t d = 0; d < distinct.size(); ++d)
-                sig[d] = distinct[d]->test(static_cast<uint8_t>(b));
-            auto it = sig_to_class.find(sig);
-            if (it == sig_to_class.end()) {
-                if (sig_to_class.size() >= 256)
-                    return false; // cannot index classes in a byte
-                it = sig_to_class.emplace(
-                    sig,
-                    static_cast<uint8_t>(sig_to_class.size())).first;
-            }
-            dfa.classOf[b] = it->second;
-        }
-        dfa.numClasses = static_cast<uint32_t>(sig_to_class.size());
-    }
-
-    // One representative byte per class (classes partition [0,256)).
-    std::vector<uint8_t> rep(dfa.numClasses, 0);
-    for (int b = 255; b >= 0; --b)
-        rep[dfa.classOf[b]] = static_cast<uint8_t>(b);
+    const SymbolClasses classes = symbolClasses(labels);
+    dfa.classOf = classes.classOf;
+    dfa.numClasses = classes.count();
+    const std::vector<uint8_t> &rep = classes.rep;
 
     // Subset construction. DFA states are sorted local-id sets.
     std::map<std::vector<uint32_t>, uint32_t> state_ids;
@@ -195,7 +154,7 @@ MultiDfaEngine::buildDfa(const std::vector<ElementId> &members,
             std::vector<uint32_t> succ;
             std::vector<std::pair<ElementId, uint32_t>> reps;
             for (auto ls : cur) {
-                if (!sym[ls]->test(s))
+                if (!((labels[ls][s >> 6] >> (s & 63)) & 1))
                     continue;
                 if (reporting[ls]) {
                     reps.emplace_back(members[ls],
@@ -292,9 +251,7 @@ MultiDfaEngine::simulate(const uint8_t *input, size_t len,
 
     if (fallbackEngine_) {
         merger.add(fallbackEngine_->simulate(
-                       input, static_cast<size_t>(merger.consumed()),
-                       inner),
-                   fallbackToGlobal_);
+            input, static_cast<size_t>(merger.consumed()), inner));
     }
     return merger.finish(opts);
 }

@@ -12,16 +12,18 @@
  * directly slow down the enabled-set interpreter.
  *
  * Components that contain counter elements or whose determinization
- * exceeds a state budget fall back to a LazyDfaEngine, mirroring how
- * hybrid engines mix DFA and NFA subsystems: counter-free over-budget
- * components still get DFA-speed execution on hot input regions
- * (subset construction runs lazily under a byte budget), and only
- * counter components drop all the way to the enabled-set interpreter.
+ * exceeds a state budget fall back to a PlannedEngine running
+ * lazyPlan() over them (every compiled component is kSkip in its
+ * plan), mirroring how hybrid engines mix DFA and NFA subsystems:
+ * counter-free over-budget components still get DFA-speed execution
+ * on hot input regions (subset construction runs lazily under a byte
+ * budget), and only counter components drop all the way to the
+ * enabled-set interpreter.
  *
- * Because the lazy fallback's transition cache warms up across
- * simulate() calls, an engine with fallbackComponents() > 0 must not
- * be shared by concurrently simulating threads (a fully compiled
- * engine remains freely shareable).
+ * Because the fallback's transition cache warms up across simulate()
+ * calls, an engine with fallbackComponents() > 0 must not be shared
+ * by concurrently simulating threads (a fully compiled engine remains
+ * freely shareable).
  */
 
 #ifndef AZOO_ENGINE_MULTIDFA_ENGINE_HH
@@ -32,14 +34,10 @@
 #include <vector>
 
 #include "core/automaton.hh"
-#include "engine/lazy_dfa_engine.hh"
+#include "engine/planner.hh"
 #include "engine/report.hh"
 
 namespace azoo {
-
-namespace analysis {
-struct ComponentProfile;
-}
 
 /** Compilation limits for MultiDfaEngine. */
 struct MultiDfaOptions {
@@ -88,13 +86,6 @@ class MultiDfaEngine
     /** Total DFA states across all compiled components. */
     uint64_t totalDfaStates() const;
 
-    /** The lazy-DFA fallback engine, or nullptr if every component
-     *  compiled eagerly. Exposed for cache statistics. */
-    const LazyDfaEngine *lazyFallback() const
-    {
-        return fallbackEngine_.get();
-    }
-
   private:
     /** One report event attached to a (state, class) DFA cell. */
     struct CellReport {
@@ -127,9 +118,8 @@ class MultiDfaEngine
     MultiDfaOptions opts_;
     std::vector<Dfa> dfas_;
 
-    std::unique_ptr<LazyDfaEngine> fallbackEngine_;
-    /** fallback-local element id -> original element id. */
-    std::vector<ElementId> fallbackToGlobal_;
+    /** Null when every component compiled eagerly. */
+    std::unique_ptr<PlannedEngine> fallbackEngine_;
     size_t fallbackComponentCount_ = 0;
 };
 

@@ -26,8 +26,6 @@ ParallelRunner::Runner::simulate(const uint8_t *input, size_t len,
     }
     if (planned)
         return planned->simulate(input, len, opts);
-    if (lazy)
-        return lazy->simulate(input, len, opts);
     if (chunkBytes == 0)
         return nfa->simulate(input, len, scratch, opts);
     SimResult r;
@@ -48,7 +46,7 @@ ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
     const size_t threads =
         opts_.threads ? opts_.threads : ThreadPool::hardwareThreads();
     pool_ = std::make_unique<ThreadPool>(threads);
-    slots_ = buildRunners(a, pool_->size(), opts_.chunkBytes != 0);
+    slots_ = buildRunners(a, pool_->size());
     buildShards(a, threads);
 }
 
@@ -61,19 +59,9 @@ ParallelRunner::threads() const
 }
 
 std::vector<ParallelRunner::Runner>
-ParallelRunner::buildRunners(const Automaton &a, size_t count,
-                             bool chunked) const
+ParallelRunner::buildRunners(const Automaton &a, size_t count) const
 {
     std::vector<Runner> runners(count);
-    // A kind not run here is refused by name and compiles nothing:
-    // every run fails instead of silently using another engine.
-    auto refuse = [&](const char *runs) {
-        for (Runner &r : runners) {
-            r.refused = Status(ErrorCode::kInvalidArgument,
-                               cat(runs, ", not ",
-                                   engineName(opts_.engine)));
-        }
-    };
     switch (opts_.engine) {
       case EngineKind::kNfa: {
         const auto engine = std::make_shared<const NfaEngine>(a);
@@ -81,26 +69,21 @@ ParallelRunner::buildRunners(const Automaton &a, size_t count,
             r.nfa = engine;
         break;
       }
-      case EngineKind::kLazyDfa: {
-        if (chunked) { // no streaming API
-            refuse("chunkBytes needs a cursor engine: nfa|auto");
-            break;
-        }
-        LazyDfaOptions lo;
-        lo.cacheBytes = opts_.plan.lazyCacheBytes;
-        for (Runner &r : runners)
-            r.lazy = std::make_unique<LazyDfaEngine>(a, lo);
-        break;
-      }
+      case EngineKind::kLazyDfa:
       case EngineKind::kAuto: {
-        const auto program = std::make_shared<const PlannedProgram>(
-            a, analysis::inferProfiles(a, opts_.plan.infer), opts_.plan);
+        const auto program = compileProgram(opts_.engine, a, opts_.plan);
         for (Runner &r : runners)
             r.planned = std::make_unique<PlannedEngine>(program);
         break;
       }
       case EngineKind::kMultiDfa:
-        refuse("ParallelRunner runs nfa|lazydfa|auto");
+        // Refused by name, compiling nothing: every run fails instead
+        // of silently using another engine.
+        for (Runner &r : runners) {
+            r.refused = Status(ErrorCode::kInvalidArgument,
+                               "ParallelRunner runs nfa|lazydfa|auto, "
+                               "not multidfa");
+        }
         break;
     }
     return runners;
@@ -147,10 +130,10 @@ ParallelRunner::buildShards(const Automaton &a, size_t groups)
         shards_[s].sub = subAutomaton(a, shards_[s].origId,
                                       a.name() + "/shard" +
                                           std::to_string(s));
-        // Profiles are per-automaton, so a kAuto shard infers its
-        // own over its sub-automaton (construction-time only).
+        // Plans are per-automaton, so a planned shard plans its own
+        // sub-automaton (construction-time only).
         shards_[s].runner =
-            std::move(buildRunners(shards_[s].sub, 1, false).front());
+            std::move(buildRunners(shards_[s].sub, 1).front());
     }
     if (obs::kEnabled) {
         // LPT balance is visible as the spread of this distribution.

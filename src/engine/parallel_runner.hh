@@ -10,13 +10,14 @@
  *    streams (packets, disk-image chunks, DNA reads) fans out across
  *    the pool. Each worker slot owns a runner of the selected
  *    EngineKind (kNfa slots share one const NfaEngine, each with its
- *    own EngineScratch; a kLazyDfa slot's cache warms across its
- *    streams; kAuto slots are PlannedEngine cursors over one
- *    PlannedProgram built at construction), so the hot path performs
- *    no per-stream O(n) allocation. Chunked streams are cursors too:
- *    under kNfa they drive the shared engine through the slot's
- *    scratch, under kAuto each is a PlannedSession over that program
- *    — neither slots nor streams compile per slot or per stream.
+ *    own EngineScratch; kLazyDfa and kAuto slots are PlannedEngine
+ *    cursors over one PlannedProgram built at construction, whose
+ *    lazy caches warm across the slot's streams), so the hot path
+ *    performs no per-stream O(n) allocation. Chunked streams are
+ *    cursors too: under kNfa they drive the shared engine through the
+ *    slot's scratch, under kLazyDfa and kAuto each is a
+ *    PlannedSession over that program — neither slots nor streams
+ *    compile per slot or per stream.
  *
  *  - **Component-level** (simulateSharded): the automaton's connected
  *    components (activation *and* reset edges, so counters never
@@ -42,7 +43,6 @@
 #include <vector>
 
 #include "core/automaton.hh"
-#include "engine/lazy_dfa_engine.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/planner.hh"
 #include "engine/report.hh"
@@ -58,20 +58,16 @@ struct ParallelOptions {
     /** Batch mode: feed each stream to its cursor in chunks of this
      *  many bytes (0 = one monolithic simulate()). Chunking never
      *  changes results; it exists to exercise and measure the
-     *  streaming path under parallelism. Only cursor engines (kNfa,
-     *  kAuto) stream; combining it with kLazyDfa is rejected —
-     *  runBatch() marks every stream kInvalidArgument rather than
-     *  silently substituting a different engine. */
+     *  streaming path under parallelism. */
     size_t chunkBytes = 0;
     /** kNfa, kLazyDfa or kAuto; under kMultiDfa every stream and the
      *  sharded result fail with kInvalidArgument. */
     EngineKind engine = EngineKind::kNfa;
-    /** Planning knobs (engine == kAuto). The runner compiles one
-     *  PlannedProgram, and each worker slot owns a PlannedEngine
-     *  cursor over it; chunked streams are PlannedSessions over the
-     *  same program, and each shard plans its own sub-automaton.
-     *  plan.lazyCacheBytes is also the cache budget of every slot's
-     *  / shard's engine under kLazyDfa. */
+    /** Planning knobs (engine kLazyDfa or kAuto). The runner compiles
+     *  one PlannedProgram (compileProgram()), and each worker slot
+     *  owns a PlannedEngine cursor over it; chunked streams are
+     *  PlannedSessions over the same program, and each shard plans
+     *  its own sub-automaton. */
     PlanOptions plan;
     /** Per-stream simulation options. */
     SimOptions sim;
@@ -100,8 +96,8 @@ struct BatchResult {
  *
  * The automaton must outlive the runner (same borrow rule as the
  * engines). Construction compiles the selected engine only: once
- * for the worker slots (kLazyDfa: once per slot) and once per
- * component shard for sharded mode. runBatch()/simulateSharded() can then be called
+ * for the worker slots and once per component shard for sharded
+ * mode. runBatch()/simulateSharded() can then be called
  * repeatedly (but not concurrently with each other from multiple
  * threads — the runner owns one pool).
  */
@@ -140,9 +136,8 @@ class ParallelRunner
     struct Runner {
         std::shared_ptr<const NfaEngine> nfa; ///< kNfa (slots share it)
         EngineScratch scratch;                ///< kNfa cursor
-        std::unique_ptr<LazyDfaEngine> lazy;  ///< kLazyDfa
-        /** kAuto: a cursor over the runner's one program; chunked
-         *  streams are PlannedSessions over that program. */
+        /** kLazyDfa, kAuto: a cursor over the runner's one program;
+         *  chunked streams are PlannedSessions over that program. */
         std::unique_ptr<PlannedEngine> planned;
         Status refused; ///< why opts_.engine does not run here
 
@@ -160,8 +155,8 @@ class ParallelRunner
 
     /** The one build site of slot and shard engines: @p count runners
      *  over @p a for opts_.engine, sharing what they can. */
-    std::vector<Runner> buildRunners(const Automaton &a, size_t count,
-                                     bool chunked) const;
+    std::vector<Runner> buildRunners(const Automaton &a,
+                                     size_t count) const;
     void buildShards(const Automaton &a, size_t groups);
 
     ParallelOptions opts_;

@@ -294,6 +294,10 @@ class BackendClock
     std::array<bool, kPlanBackends> ran_{};
 };
 
+/** Report records a session's buffers keep between feeds whatever
+ *  its options record. */
+constexpr uint64_t kKeptReports = 256;
+
 /** engine.lazy.handoffs: sessions whose lazy group left the DFA for
  *  the interpreter. */
 void
@@ -318,13 +322,46 @@ planComponents(const Automaton &a,
         panic("planComponents: profiles do not match the automaton");
     EnginePlan plan;
     plan.decisions.reserve(profiles.size());
-    for (const analysis::ComponentProfile &p : profiles) {
-        const PlanBackend b =
-            decide(p, hasSod[p.componentId] != 0, opts);
-        plan.decisions.push_back({p.componentId, b});
-        ++plan.backendCount[static_cast<size_t>(b)];
+    for (const analysis::ComponentProfile &p : profiles)
+        plan.add(p.componentId, decide(p, hasSod[p.componentId] != 0, opts));
+    return plan;
+}
+
+EnginePlan
+lazyPlan(const Automaton &a)
+{
+    // Components over activation *and* reset edges: a counter stays
+    // with everything that counts or resets it.
+    uint32_t count = 0;
+    const std::vector<uint32_t> comp = a.connectedComponents(count);
+    std::vector<uint8_t> hasCounter(count, 0);
+    for (ElementId i = 0; i < a.size(); ++i) {
+        if (a.element(i).kind == ElementKind::kCounter)
+            hasCounter[comp[i]] = 1;
+    }
+    EnginePlan plan;
+    plan.decisions.reserve(count);
+    for (uint32_t c = 0; c < count; ++c) {
+        plan.add(c, hasCounter[c] ? PlanBackend::kInterpreter
+                                  : PlanBackend::kLazyDfa);
     }
     return plan;
+}
+
+std::shared_ptr<const PlannedProgram>
+compileProgram(EngineKind kind, const Automaton &a, const PlanOptions &opts)
+{
+    switch (kind) {
+      case EngineKind::kAuto:
+        return std::make_shared<const PlannedProgram>(
+            a, analysis::inferProfiles(a, opts.infer), opts);
+      case EngineKind::kLazyDfa:
+        return std::make_shared<const PlannedProgram>(a, lazyPlan(a),
+                                                      opts);
+      default:
+        panic(cat("compileProgram: ", engineName(kind),
+                  " is not a planned engine"));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -334,13 +371,24 @@ PlannedProgram::PlannedProgram(
     const Automaton &a,
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts)
-    : plan_(planComponents(a, profiles, opts))
-    , lazyCacheBytes_(opts.lazyCacheBytes)
+    : PlannedProgram(a, planComponents(a, profiles, opts), opts, profiles)
 {
     notePlan(plan_);
+}
 
+PlannedProgram::PlannedProgram(
+    const Automaton &a, EnginePlan plan, const PlanOptions &opts,
+    const std::vector<analysis::ComponentProfile> &profiles)
+    : plan_(std::move(plan))
+    , lazyCacheBytes_(opts.lazyCacheBytes)
+{
     uint32_t count = 0;
     const std::vector<uint32_t> comp = a.connectedComponents(count);
+    if (plan_.decisions.size() != count)
+        panic("PlannedProgram: the plan does not match the automaton");
+    if (plan_.backendCount[static_cast<size_t>(PlanBackend::kPrefilter)] &&
+        profiles.size() != count)
+        panic("PlannedProgram: prefilter components need profiles");
     prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles);
     const std::vector<uint8_t> lazy = routedTo(plan_, PlanBackend::kLazyDfa);
     const std::vector<uint8_t> interp =
@@ -450,6 +498,7 @@ PlannedSession::handOff()
 {
     const PlannedProgram &p = *program_;
     lazyCache_.release();
+    settled_.lazyStates = restResult_.lazyStates = 0; // none resident
     p.rest_->resume(restScratch_, lazyCursor_.pos);
     for (uint32_t id : lazyCursor_.members)
         restScratch_.enable(id);
@@ -471,15 +520,22 @@ PlannedSession::feed(const uint8_t *data, size_t len)
     const PlannedProgram &p = *program_;
     SimOptions inner;
     inner.computeActiveSet = options.computeActiveSet;
+    // A DFA that is the plan's only backend reports alone and in
+    // canonical order, so it counts and records straight into the
+    // settled state under the caller's options (the guard aside).
+    const bool dfaAlone = !p.interp_ && !prefilterSession_;
+    SimOptions alone = options;
+    alone.guard = nullptr;
+    SimResult &dfaOut = dfaAlone ? settled_ : restResult_;
     BackendClock clock;
-    size_t done = 0;
+    size_t done = 0, settledAt = 0;
     while (done < len) {
         // The session owns the poll clock: under a guard, every
         // cursor is fed in slices that never cross a
         // kGuardCheckIntervalSymbols boundary of *stream* position, so
         // truncation lands on the same poll points as the monolithic
         // engines regardless of how callers chunk their feeds.
-        size_t step = len - done;
+        size_t step = std::min(len - done, settledAt + kSettleBytes - done);
         if (options.guard) {
             if (t_ % kGuardCheckIntervalSymbols == 0) {
                 Status st = options.guard->check(t_);
@@ -496,8 +552,15 @@ PlannedSession::feed(const uint8_t *data, size_t len)
         size_t dfaBytes = 0; // bytes the DFA took
         if (onDfa_) {
             clock.charge(PlanBackend::kLazyDfa);
+            const size_t recorded = dfaOut.reports.size();
             dfaBytes = p.lazyDfa_->feed(lazyCache_, lazyCursor_, chunk,
-                                        step, inner, restResult_);
+                                        step, dfaAlone ? alone : inner,
+                                        dfaOut);
+            if (dfaAlone) {
+                for (size_t k = recorded; k < dfaOut.reports.size(); ++k)
+                    dfaOut.reports[k].element =
+                        p.restToGlobal_[dfaOut.reports[k].element];
+            }
             if (p.interp_) {
                 clock.charge(PlanBackend::kInterpreter);
                 p.interp_->feed(interpScratch_, chunk, dfaBytes, inner,
@@ -519,6 +582,21 @@ PlannedSession::feed(const uint8_t *data, size_t len)
         }
         done += step;
         t_ += step;
+        if (done - settledAt == kSettleBytes) {
+            settle();
+            settledAt = done;
+        }
+    }
+    if (settledAt != done)
+        settle();
+    // Between feeds the buffers hold at most the unsettled tail; one
+    // that grew past what the caller records is given back.
+    const uint64_t keep = std::max<uint64_t>(
+        kKeptReports, options.recordReports ? options.reportRecordLimit : 0);
+    for (std::vector<Report> *v : {&restResult_.reports,
+                                   &interpResult_.reports, &settling_}) {
+        if (v->capacity() > keep)
+            std::vector<Report>(v->begin(), v->end()).swap(*v);
     }
     if (prefilterSession_)
         prefilterSession_->noteStats();
@@ -526,24 +604,65 @@ PlannedSession::feed(const uint8_t *data, size_t len)
     return done;
 }
 
+void
+PlannedSession::settle()
+{
+    const PlannedProgram &p = *program_;
+    // Cursor backends report in offset order up to t_; the prefilter
+    // may still report down to its low-water mark.
+    const uint64_t below =
+        prefilterSession_ ? prefilterSession_->lowWater() : t_;
+    auto take = [&](std::vector<Report> &from,
+                    const std::vector<ElementId> &toGlobal) {
+        const auto end = std::partition_point(
+            from.begin(), from.end(),
+            [below](const Report &r) { return r.offset < below; });
+        for (auto r = from.begin(); r != end; ++r)
+            settling_.push_back({r->offset, toGlobal[r->element], r->code});
+        from.erase(from.begin(), end);
+    };
+    take(restResult_.reports, p.restToGlobal_);
+    take(interpResult_.reports, p.interpToGlobal_);
+    if (prefilterSession_)
+        prefilterSession_->takeReports(below, settling_);
+    if (!std::is_sorted(settling_.begin(), settling_.end()))
+        std::sort(settling_.begin(), settling_.end());
+    tallyReports(settling_, options, settled_, settledOffset_);
+    settling_.clear();
+}
+
+SimResult
+PlannedSession::collect(SimResult out) const
+{
+    const PlannedProgram &p = *program_;
+    std::vector<Report> tail;
+    auto add = [&](const SimResult &part,
+                   const std::vector<ElementId> &toGlobal) {
+        for (const Report &r : part.reports)
+            tail.push_back({r.offset, toGlobal[r.element], r.code});
+        out.totalEnabled += part.totalEnabled;
+    };
+    add(restResult_, p.restToGlobal_);
+    add(interpResult_, p.interpToGlobal_);
+    if (prefilterSession_) {
+        tail.insert(tail.end(), prefilterSession_->reports().begin(),
+                    prefilterSession_->reports().end());
+        out.totalEnabled += prefilterSession_->totalEnabled();
+    }
+    std::sort(tail.begin(), tail.end());
+    uint64_t lastOffset = settledOffset_;
+    tallyReports(tail, options, out, lastOffset);
+    out.symbols = t_;
+    out.guardStatus = guardStatus_;
+    out.lazyFlushes += restResult_.lazyFlushes;
+    out.lazyStates += restResult_.lazyStates;
+    return out;
+}
+
 SimResult
 PlannedSession::results() const
 {
-    const PlannedProgram &p = *program_;
-    PartMerger merger(t_);
-    if (stopped())
-        merger.stop(t_, guardStatus_);
-    if (p.rest_)
-        merger.add(restResult_, p.restToGlobal_);
-    if (p.interp_)
-        merger.add(interpResult_, p.interpToGlobal_);
-    if (prefilterSession_) {
-        SimResult pre;
-        pre.reports = prefilterSession_->reports();
-        pre.totalEnabled = prefilterSession_->totalEnabled();
-        merger.add(std::move(pre));
-    }
-    return merger.finish(options);
+    return collect(settled_);
 }
 
 void
@@ -552,6 +671,8 @@ PlannedSession::reset()
     if (prefilterSession_)
         prefilterSession_->reset();
     restart();
+    settled_ = SimResult();
+    settledOffset_ = ~uint64_t(0);
     t_ = 0;
     guardStatus_ = Status();
 }
@@ -563,7 +684,8 @@ PlannedSession::footprintBytes() const
         lazyCursor_.members.capacity() * sizeof(uint32_t) +
         interpScratch_.footprintBytes() + restScratch_.footprintBytes() +
         (interpResult_.reports.capacity() +
-         restResult_.reports.capacity()) * sizeof(Report);
+         restResult_.reports.capacity() + settled_.reports.capacity() +
+         settling_.capacity()) * sizeof(Report);
     if (prefilterSession_)
         n += prefilterSession_->footprintBytes();
     return n;
@@ -625,7 +747,7 @@ PlannedEngine::simulate(const uint8_t *input, size_t len,
     session_.reset();
     session_.options = opts;
     session_.feed(input, len);
-    return session_.results();
+    return session_.collect(std::move(session_.settled_));
 }
 
 } // namespace azoo

@@ -15,7 +15,9 @@
  * reportCount, reportingCycles, byCode, guardStatus) to the serial
  * NfaEngine after canonicalizeReports(). totalEnabled is
  * engine-defined, as for MultiDfaEngine: skipped regions and
- * never-simulated components contribute nothing.
+ * never-simulated components contribute nothing. A plan need not
+ * come from profiles: EngineKind::kLazyDfa runs lazyPlan(), which
+ * skips nothing, so its totalEnabled is the interpreter's too.
  *
  * The decision table (docs/ARCHITECTURE.md "Engine planning &
  * prefilters" is the narrative version):
@@ -65,7 +67,7 @@ enum class PlanBackend : uint8_t {
      *  slot keeps its name and census letter so per-backend
      *  counters and metric names stay stable. */
     kAnchoredPrefix = 1,
-    kLazyDfa = 2,        ///< lazy-DFA hybrid
+    kLazyDfa = 2,        ///< lazy DFA (LazyDfaProgram)
     kInterpreter = 3,    ///< enabled-set interpreter
     kSkip = 4,           ///< no reporting member: never simulated
 };
@@ -85,7 +87,9 @@ char planBackendCode(PlanBackend b);
 enum class EngineKind : uint8_t {
     kNfa,      ///< enabled-set interpreter (NfaEngine)
     kMultiDfa, ///< eager per-component DFAs (MultiDfaEngine)
-    kLazyDfa,  ///< lazy-DFA hybrid (LazyDfaEngine)
+    /** lazyPlan(): the lazy DFA beside the interpreter for counter
+     *  components, on PlannedEngine/PlannedSession cursors. */
+    kLazyDfa,
     kAuto,     ///< profile-planned backends (PlannedEngine/Session)
 };
 
@@ -107,9 +111,8 @@ struct PlanOptions {
      *  literal chains to the interpreter instead). */
     bool enablePrefilter = true;
     /** Transition-cache budget of the lazy-DFA backend's block runs
-     *  (PlannedEngine's flushing cache, kept by the PlannedProgram,
-     *  and EngineKind::kLazyDfa's ParallelRunner engines). A
-     *  streamed PlannedSession's cache budget is derived from the
+     *  (PlannedEngine's flushing cache, kept by the PlannedProgram).
+     *  A streamed PlannedSession's cache budget is derived from the
      *  lazy group's size instead; see PlannedSession. */
     size_t lazyCacheBytes = 8u << 20;
     /** Profile-inference knobs (when the planner infers them). */
@@ -127,6 +130,14 @@ struct EnginePlan {
     std::vector<ComponentDecision> decisions;
     std::array<uint32_t, kPlanBackends> backendCount{};
 
+    /** Route the next component, @p componentId, to @p backend. */
+    void
+    add(uint32_t componentId, PlanBackend backend)
+    {
+        decisions.push_back({componentId, backend});
+        ++backendCount[static_cast<size_t>(backend)];
+    }
+
     /** Compact census like "P12/D3/I1" (zero counts omitted; "-"
      *  when there are no components). */
     std::string census() const;
@@ -141,6 +152,13 @@ EnginePlan planComponents(const Automaton &a,
                           const std::vector<analysis::ComponentProfile>
                               &profiles,
                           const PlanOptions &opts = PlanOptions());
+
+/**
+ * EngineKind::kLazyDfa's fixed plan for @p a: components with a
+ * counter (which cannot be determinized) on the interpreter, every
+ * other component on the lazy DFA. Needs no profiles.
+ */
+EnginePlan lazyPlan(const Automaton &a);
 
 /**
  * The immutable half of a planned run, compiled once and shared by
@@ -159,10 +177,19 @@ EnginePlan planComponents(const Automaton &a,
 class PlannedProgram
 {
   public:
+    /** Plan @p a from @p profiles with planComponents(). */
     PlannedProgram(const Automaton &a,
                    const std::vector<analysis::ComponentProfile>
                        &profiles,
                    const PlanOptions &opts = PlanOptions());
+
+    /** Compile a given @p plan of @p a. @p profiles are read only
+     *  for prefilter components' literals and windows (panic()s when
+     *  the plan has some and they are missing). */
+    PlannedProgram(const Automaton &a, EnginePlan plan,
+                   const PlanOptions &opts = PlanOptions(),
+                   const std::vector<analysis::ComponentProfile>
+                       &profiles = {});
 
     const EnginePlan &plan() const { return plan_; }
 
@@ -201,6 +228,14 @@ class PlannedProgram
 };
 
 /**
+ * The program @p kind runs @p a on: kAuto plans from inferred
+ * profiles, kLazyDfa compiles lazyPlan(). panic()s on other kinds.
+ */
+std::shared_ptr<const PlannedProgram>
+compileProgram(EngineKind kind, const Automaton &a,
+               const PlanOptions &opts = PlanOptions());
+
+/**
  * A cursor over one shared PlannedProgram, with the same canonical
  * results under any chunking as serial NfaEngine +
  * canonicalizeReports().
@@ -224,6 +259,18 @@ class PlannedProgram
  * every kGuardCheckIntervalSymbols stream symbols regardless of
  * chunking, exactly like StreamingSession.
  *
+ * Reports settle as the stream advances: at the end of each slice of
+ * at most kSettleBytes of a feed, every backend's reports below a
+ * watermark (the position, or the prefilter's low-water mark) are
+ * counted in canonical order under the options then in force, so set
+ * options before the first feed. Only the first reportRecordLimit
+ * are kept, and report buffers larger than that (and than 256
+ * records) are released at the end of a feed: a session recording
+ * few reports stays small however many its stream produces. A DFA
+ * that is its plan's only backend reports alone and in canonical
+ * order, so it counts straight into the settled state. results()
+ * adds the unsettled tail.
+ *
  * A PlannedEngine's session differs in data only: its cache flushes
  * at the program's PlanOptions::lazyCacheBytes instead (RE2's
  * policy), so a feed never stops short on it and never hands off.
@@ -246,6 +293,9 @@ class PlannedSession
      *  options.guard stopped the session). */
     size_t feed(const uint8_t *data, size_t len);
 
+    /** Longest run of a feed between two settles. */
+    static constexpr size_t kSettleBytes = 64 * 1024;
+
     size_t
     feed(const std::vector<uint8_t> &data)
     {
@@ -265,9 +315,9 @@ class PlannedSession
 
     /** Resident bytes of this session's own state: the prefilter
      *  window (scratch, rolling buffer, hits, reports), the
-     *  interpreter cursors and the lazy-DFA cache and cursor. The
-     *  program's tables are shared and excluded
-     *  (PlannedProgram::footprintBytes()). */
+     *  interpreter cursors, the lazy-DFA cache and cursor, and the
+     *  settled and unsettled report records. The program's tables
+     *  are shared and excluded (PlannedProgram::footprintBytes()). */
     size_t footprintBytes() const;
 
     /** Bytes a running session over a program of @p a holds, from
@@ -325,6 +375,12 @@ class PlannedSession
     void handOff();
     /** (Re)open the rest cursors at stream position 0. */
     void restart();
+    /** Count every backend's reports below the watermark into
+     *  settled_. */
+    void settle();
+    /** @p settled plus the unsettled tail, over the consumed
+     *  prefix. */
+    SimResult collect(SimResult settled) const;
 
     /** Declared first: the cursors below refer into it. */
     std::shared_ptr<const PlannedProgram> program_;
@@ -340,6 +396,13 @@ class PlannedSession
     EngineScratch restScratch_;
     SimResult restResult_;
     bool onDfa_ = false;
+
+    /** Counts and the first records of the settled reports (a lone
+     *  DFA's too), and the last offset tallyReports() counted. */
+    SimResult settled_;
+    uint64_t settledOffset_ = ~uint64_t(0);
+    /** One settle's batch (global ids); empty between settles. */
+    std::vector<Report> settling_;
 
     uint64_t t_ = 0;
     Status guardStatus_;
@@ -406,6 +469,10 @@ class PlannedEngine
     {
         return session_.prefilterStats();
     }
+
+    /** The lazy-DFA group's flushing cache, warm across simulate()
+     *  calls: its state, transition, hit, miss and flush counts. */
+    const LazyDfaCache &lazyCache() const { return session_.lazyCache(); }
 
   private:
     PlannedSession session_;

@@ -254,6 +254,18 @@ PrefilteredNfa::Session::feedPiece(const uint8_t *data, size_t len)
 }
 
 void
+PrefilteredNfa::Session::takeReports(uint64_t offset,
+                                     std::vector<Report> &out)
+{
+    std::vector<Report> &reps = x_.out.reports;
+    const auto end = std::partition_point(
+        reps.begin(), reps.end(),
+        [offset](const Report &r) { return r.offset < offset; });
+    out.insert(out.end(), reps.begin(), end);
+    reps.erase(reps.begin(), end);
+}
+
+void
 PrefilteredNfa::Session::noteStats()
 {
     notePrefilter(x_.stats.candidates - flushedCandidates_,

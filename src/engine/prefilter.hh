@@ -276,11 +276,25 @@ class PrefilteredNfa
 
         static constexpr size_t kPieceBytes = 64 * 1024;
 
-        /** Accumulated reports (global ids, absolute offsets). */
+        /** Accumulated reports (global ids, absolute offsets), in
+         *  offset order: windows replay left to right. */
         const std::vector<Report> &reports() const
         {
             return x_.out.reports;
         }
+
+        /** The low-water mark: no later feed reports below it, as a
+         *  window never replays from more than maxRadius() behind
+         *  the position. It trails offset() by at most keepBytes(). */
+        uint64_t
+        lowWater() const
+        {
+            return pos_ - std::min<uint64_t>(pos_, pf_.maxRadius());
+        }
+
+        /** Move the reports below @p offset to the end of @p out. */
+        void takeReports(uint64_t offset, std::vector<Report> &out);
+
         uint64_t totalEnabled() const { return x_.out.totalEnabled; }
         const PrefilterStats &stats() const { return x_.stats; }
         uint64_t offset() const { return pos_; }

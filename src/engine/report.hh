@@ -54,7 +54,7 @@ struct SimOptions {
     /** Stop recording (not counting) reports past this many. */
     uint64_t reportRecordLimit = ~uint64_t(0);
     /** Optional stop-conditions (deadline / symbol budget /
-     *  cancellation), polled coarsely by NfaEngine and LazyDfaEngine;
+     *  cancellation), polled coarsely by every engine and session;
      *  see run_guard.hh. The guard must outlive the run; one guard
      *  may be shared across concurrent runs. */
     const RunGuard *guard = nullptr;
@@ -82,7 +82,7 @@ struct SimResult {
     /** True when a RunGuard truncated this run. */
     bool truncated() const { return !guardStatus.ok(); }
 
-    // Lazy-DFA engine statistics; zero for every other engine. These
+    // Lazy-DFA statistics of planned runs; zero for other engines. These
     // are *not* part of the semantic result (two engines producing
     // identical reports may differ here), so equivalence checks must
     // compare the fields above, never the whole struct.
@@ -90,9 +90,6 @@ struct SimResult {
     uint64_t lazyFlushes = 0;
     /** Interned state-sets resident in the cache after this run. */
     uint64_t lazyStates = 0;
-    /** Connected components simulated on the interpreter fallback
-     *  (counter components) instead of the lazy-DFA path. */
-    uint64_t lazyFallbackComponents = 0;
 
     /** Average active set: enabled STEs per input symbol. */
     double
@@ -129,21 +126,48 @@ canonicalizeReports(SimResult &r)
 }
 
 /**
- * The one merge rule of every composite engine: the LazyDfaEngine
- * and MultiDfaEngine hybrids, ParallelRunner's component shards and
- * PlannedSession's backend cursors (PlannedEngine's too: a block is
- * a one-chunk session) are each a list of parts run with
- * partOptions(), handed to add(), and finished once with the
- * caller's options.
+ * Count @p batch into @p r: reportCount, reportingCycles (a cycle is
+ * a distinct offset; @p lastOffset carries the last one counted
+ * across batches), byCode under opts.countByCode, and records up to
+ * opts.reportRecordLimit under opts.recordReports. The batch must be
+ * in canonical order and start at or after the previous batch's last
+ * offset, so batches settled in stream order count as one would.
+ */
+inline void
+tallyReports(const std::vector<Report> &batch, const SimOptions &opts,
+             SimResult &r, uint64_t &lastOffset)
+{
+    r.reportCount += batch.size();
+    for (const Report &rep : batch) {
+        if (rep.offset != lastOffset) {
+            ++r.reportingCycles;
+            lastOffset = rep.offset;
+        }
+        if (opts.countByCode)
+            ++r.byCode[rep.code];
+    }
+    if (!opts.recordReports || r.reports.size() >= opts.reportRecordLimit)
+        return;
+    const size_t take = static_cast<size_t>(std::min<uint64_t>(
+        batch.size(), opts.reportRecordLimit - r.reports.size()));
+    r.reports.insert(r.reports.end(), batch.begin(), batch.begin() + take);
+}
+
+/**
+ * The one merge rule of every composite engine: MultiDfaEngine's DFAs
+ * and its planned fallback, and ParallelRunner's component shards,
+ * are each a list of parts run with partOptions(), handed to add(),
+ * and finished once with the caller's options. PlannedSession counts
+ * its backends' reports with the same tallyReports(), batch by batch
+ * as they settle.
  *
  * Every part records its complete report stream over the prefix it
  * consumed, so the merged result is exact over the shortest prefix
  * any part stopped at: reports at or past it are dropped, and
  * reportCount, reportingCycles and byCode are counted from the
- * merged stream. A reporting cycle is a distinct offset, exactly as
- * the serial engine counts cycles with at least one report.
- * totalEnabled and the lazy-DFA statistics are summed over the
- * parts, so under a stop they may cover more than the merged prefix.
+ * merged stream. totalEnabled and the lazy-DFA statistics are summed
+ * over the parts, so under a stop they may cover more than the
+ * merged prefix.
  */
 class PartMerger
 {
@@ -181,7 +205,6 @@ class PartMerger
         out_.totalEnabled += part.totalEnabled;
         out_.lazyFlushes += part.lazyFlushes;
         out_.lazyStates += part.lazyStates;
-        out_.lazyFallbackComponents += part.lazyFallbackComponents;
         if (part.truncated())
             stop(part.symbols, part.guardStatus);
     }
@@ -215,26 +238,10 @@ class PartMerger
                 return r.offset >= consumed_;
             });
         }
-        // A lone lazy-DFA part is already canonical, and sorting a
-        // sorted stream still costs n log n comparisons.
         if (!std::is_sorted(reports_.begin(), reports_.end()))
             std::sort(reports_.begin(), reports_.end());
-        out_.reportCount = reports_.size();
         uint64_t lastOffset = ~uint64_t(0);
-        for (const Report &r : reports_) {
-            if (r.offset != lastOffset) {
-                ++out_.reportingCycles;
-                lastOffset = r.offset;
-            }
-            if (opts.countByCode)
-                ++out_.byCode[r.code];
-        }
-        if (opts.recordReports) {
-            if (reports_.size() > opts.reportRecordLimit)
-                reports_.resize(
-                    static_cast<size_t>(opts.reportRecordLimit));
-            out_.reports = std::move(reports_);
-        }
+        tallyReports(reports_, opts, out_, lastOffset);
         return std::move(out_);
     }
 

@@ -12,7 +12,6 @@
 #include <algorithm>
 
 #include "core/builder.hh"
-#include "engine/lazy_dfa_engine.hh"
 #include "engine/multidfa_engine.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/planner.hh"
@@ -223,6 +222,35 @@ TEST(Counters, LatchKeepsSuccessorsEnabled)
     EXPECT_EQ(e2.simulate(bytes("aazxz")).reportCount, 1u);
 }
 
+TEST(SymbolClasses, SplitByEveryLabelInFirstByteOrder)
+{
+    // Both DFAs number their columns with this helper: bytes share a
+    // class iff every label agrees on them, duplicates change
+    // nothing, and class ids follow each class's first byte.
+    auto words = [](const CharSet &cs) {
+        LabelWords w;
+        for (int i = 0; i < 4; ++i)
+            w[i] = cs.word(i);
+        return w;
+    };
+    const std::vector<LabelWords> labels = {
+        words(CharSet::range('a', 'z')), words(CharSet::range('0', '9')),
+        words(CharSet::single('m')), words(CharSet::range('a', 'z'))};
+    const SymbolClasses sc = symbolClasses(labels);
+    ASSERT_EQ(sc.count(), 4u);
+    EXPECT_EQ(sc.rep, (std::vector<uint8_t>{0, '0', 'a', 'm'}));
+    for (int b = 0; b < 256; ++b) {
+        const uint8_t want = b >= '0' && b <= '9' ? 1
+            : b == 'm'                           ? 3
+            : b >= 'a' && b <= 'z'               ? 2
+                                                 : 0;
+        EXPECT_EQ(sc.classOf[b], want) << b;
+    }
+    const SymbolClasses none = symbolClasses({});
+    EXPECT_EQ(none.count(), 1u);
+    EXPECT_EQ(none.classOf, decltype(none.classOf){});
+}
+
 TEST(MultiDfa, MatchesNfaOnLiterals)
 {
     Automaton a("t");
@@ -279,20 +307,37 @@ TEST(MultiDfa, StateBudgetForcesFallback)
               sortedReports(dfa.simulate(in)));
 }
 
+/** `--engine lazydfa`: a block PlannedEngine over lazyPlan(), its
+ *  cache flushing at @p cacheBytes. */
+PlannedEngine
+lazyEngine(const Automaton &a,
+           size_t cacheBytes = PlanOptions().lazyCacheBytes)
+{
+    PlanOptions opts;
+    opts.lazyCacheBytes = cacheBytes;
+    return PlannedEngine(compileProgram(EngineKind::kLazyDfa, a, opts));
+}
+
+/** Components lazyPlan() put on @p b. */
+uint32_t
+planned(const PlannedEngine &e, PlanBackend b)
+{
+    return e.plan().backendCount[static_cast<size_t>(b)];
+}
+
 TEST(LazyDfa, MatchesNfaOnLiterals)
 {
     Automaton a("t");
     addLiteral(a, "abc", StartType::kAllInput, true, 1);
     addLiteral(a, "bc", StartType::kAllInput, true, 2);
     NfaEngine nfa(a);
-    LazyDfaEngine lazy(a);
-    EXPECT_EQ(lazy.fallbackComponents(), 0u);
+    PlannedEngine lazy = lazyEngine(a);
+    EXPECT_EQ(planned(lazy, PlanBackend::kInterpreter), 0u);
     auto in = bytes("xxabcxbcabc");
     auto r = lazy.simulate(in, fullOptions());
     expectSameSemantics(nfa.simulate(in, fullOptions()), r);
-    EXPECT_GT(lazy.cachedStates(), 0u);
+    EXPECT_GT(lazy.lazyCache().states(), 0u);
     EXPECT_EQ(r.lazyFlushes, 0u);
-    EXPECT_EQ(r.lazyFallbackComponents, 0u);
 }
 
 TEST(LazyDfa, CounterComponentsRunOnFallback)
@@ -300,12 +345,12 @@ TEST(LazyDfa, CounterComponentsRunOnFallback)
     Automaton a = counterAutomaton(3, CounterMode::kRollover, true);
     addLiteral(a, "xy", StartType::kAllInput, true, 7);
     NfaEngine nfa(a);
-    LazyDfaEngine lazy(a);
-    EXPECT_EQ(lazy.fallbackComponents(), 1u);
+    PlannedEngine lazy = lazyEngine(a);
+    EXPECT_EQ(planned(lazy, PlanBackend::kInterpreter), 1u);
+    EXPECT_EQ(planned(lazy, PlanBackend::kLazyDfa), 1u);
     auto in = bytes("aaxyaraaaxy");
     auto r = lazy.simulate(in, fullOptions());
     expectSameSemantics(nfa.simulate(in, fullOptions()), r);
-    EXPECT_EQ(r.lazyFallbackComponents, 1u);
 }
 
 TEST(LazyDfa, PureCounterAutomatonHasNoLazyPart)
@@ -314,9 +359,9 @@ TEST(LazyDfa, PureCounterAutomatonHasNoLazyPart)
                       CounterMode::kRollover}) {
         Automaton a = counterAutomaton(2, mode, true);
         NfaEngine nfa(a);
-        LazyDfaEngine lazy(a);
-        EXPECT_EQ(lazy.lazyElements(), 0u);
-        EXPECT_EQ(lazy.fallbackComponents(), 1u);
+        PlannedEngine lazy = lazyEngine(a);
+        EXPECT_EQ(planned(lazy, PlanBackend::kLazyDfa), 0u);
+        EXPECT_EQ(planned(lazy, PlanBackend::kInterpreter), 1u);
         auto in = bytes("aararaaaa");
         expectSameSemantics(nfa.simulate(in, fullOptions()),
                             lazy.simulate(in, fullOptions()));
@@ -333,7 +378,7 @@ TEST(LazyDfa, LatchedCounterSuccessorsMatchInterpreter)
     a.addEdge(s, c);
     a.addEdge(c, z);
     NfaEngine nfa(a);
-    LazyDfaEngine lazy(a);
+    PlannedEngine lazy = lazyEngine(a);
     auto in = bytes("aaxzxz");
     expectSameSemantics(nfa.simulate(in, fullOptions()),
                         lazy.simulate(in, fullOptions()));
@@ -363,9 +408,8 @@ TEST(LazyDfa, TinyBudgetFlushesMidStreamAndStaysExact)
 {
     Automaton a = boundedRepeatAutomaton(24);
     NfaEngine nfa(a);
-    LazyDfaOptions lopts;
-    lopts.cacheBytes = 2048; // absurdly small: forces eviction
-    LazyDfaEngine lazy(a, lopts);
+    // An absurdly small budget forces eviction.
+    PlannedEngine lazy = lazyEngine(a, 2048);
 
     Rng rng(3);
     std::vector<uint8_t> in;
@@ -376,26 +420,26 @@ TEST(LazyDfa, TinyBudgetFlushesMidStreamAndStaysExact)
     expectSameSemantics(nfa.simulate(in.data(), in.size(),
                                      fullOptions()), r);
     EXPECT_GT(r.lazyFlushes, 0u);
-    EXPECT_EQ(r.lazyFlushes, lazy.cacheFlushes());
+    EXPECT_EQ(r.lazyFlushes, lazy.lazyCache().flushes());
 }
 
 TEST(LazyDfa, WarmCacheSecondRunIsIdentical)
 {
     Automaton a = boundedRepeatAutomaton(12);
-    LazyDfaEngine lazy(a);
+    PlannedEngine lazy = lazyEngine(a);
     Rng rng(9);
     std::vector<uint8_t> in;
     for (int i = 0; i < 2000; ++i)
         in.push_back(rng.nextBool(0.8) ? 'a' : 'x');
 
     auto r1 = lazy.simulate(in, fullOptions());
-    const uint64_t states = lazy.cachedStates();
-    const uint64_t cells = lazy.cachedTransitions();
+    const uint64_t states = lazy.lazyCache().states();
+    const uint64_t cells = lazy.lazyCache().transitions();
     auto r2 = lazy.simulate(in, fullOptions());
     // Second pass replays entirely from the warm cache: no growth,
     // same answer.
-    EXPECT_EQ(lazy.cachedStates(), states);
-    EXPECT_EQ(lazy.cachedTransitions(), cells);
+    EXPECT_EQ(lazy.lazyCache().states(), states);
+    EXPECT_EQ(lazy.lazyCache().transitions(), cells);
     EXPECT_EQ(r1.reports, r2.reports);
     EXPECT_EQ(r1.totalEnabled, r2.totalEnabled);
 }
@@ -404,7 +448,7 @@ TEST(LazyDfa, ReportRecordLimitCapsVectorNotCount)
 {
     Automaton a("t");
     addLiteral(a, "a", StartType::kAllInput, true, 1);
-    LazyDfaEngine lazy(a);
+    PlannedEngine lazy = lazyEngine(a);
     SimOptions opts;
     opts.reportRecordLimit = 3;
     auto r = lazy.simulate(bytes("aaaaaaaa"), opts);
@@ -439,10 +483,8 @@ TEST_P(EngineEquivalence, RandomAutomata)
 
     NfaEngine nfa(a);
     MultiDfaEngine dfa(a);
-    LazyDfaEngine lazy(a);
-    LazyDfaOptions tiny_opts;
-    tiny_opts.cacheBytes = 1; // every insertion over budget
-    LazyDfaEngine tiny(a, tiny_opts);
+    PlannedEngine lazy = lazyEngine(a);
+    PlannedEngine tiny = lazyEngine(a, 1); // every insertion over budget
     for (int trial = 0; trial < 5; ++trial) {
         std::string text = rng.randomString(1 + rng.nextBelow(80),
                                             "abcd");

@@ -418,7 +418,7 @@ TEST(RunGuard, SymbolBudgetStopsEveryEngineOnTheSerialPrefix)
 
         MultiDfaEngine dfa(*a);
         EXPECT_EQ(dfa.fallbackComponents(), a == &dfaOnly ? 0u : 1u);
-        LazyDfaEngine lazy(*a);
+        PlannedEngine lazy(compileProgram(EngineKind::kLazyDfa, *a));
         PlannedEngine planned(*a);
         const std::pair<const char *, SimResult> runs[] = {
             {"multidfa", dfa.simulate(input, opts)},
@@ -613,30 +613,6 @@ alternatingInput(size_t n)
     for (size_t i = 0; i < n; ++i)
         in[i] = i % 2 ? 'b' : 'a';
     return in;
-}
-
-TEST(ParallelErrors, ChunkedBatchRejectsLazyDfa)
-{
-    Automaton a = twoComponentAutomaton();
-    ParallelOptions popts;
-    popts.threads = 2;
-    popts.chunkBytes = 64;
-    popts.engine = EngineKind::kLazyDfa;
-    ParallelRunner runner(a, popts);
-
-    const auto streams = makeStreams(4);
-    BatchResult br = runner.runBatch(streams);
-    EXPECT_FALSE(br.allOk());
-    EXPECT_EQ(br.failedStreams, streams.size());
-    ASSERT_EQ(br.perStreamStatus.size(), streams.size());
-    for (size_t i = 0; i < streams.size(); ++i) {
-        EXPECT_EQ(br.perStreamStatus[i].code(),
-                  ErrorCode::kInvalidArgument)
-            << i;
-        EXPECT_EQ(br.perStream[i].symbols, 0u) << i;
-    }
-    EXPECT_EQ(br.totalSymbols, 0u);
-    EXPECT_EQ(br.totalReports, 0u);
 }
 
 TEST(ParallelErrors, ChunkedBatchHonoursGuardBudget)

@@ -261,8 +261,8 @@ TEST(ParallelRunner, ChunkedBatchEqualsMonolithicBatch)
 TEST(ParallelRunner, ChunkedBatchCompilesOnlyAtConstruction)
 {
     // Chunked streams are cursors over what the runner compiled: the
-    // shared engine (kNfa) or one PlannedProgram (kAuto). A batch
-    // of any size must not compile again.
+    // shared engine (kNfa) or one PlannedProgram (kLazyDfa, kAuto). A
+    // batch of any size must not compile again.
     zoo::Benchmark b = zoo::makeBenchmark("Snort", tinyConfig());
     std::vector<std::vector<uint8_t>> streams;
     for (size_t i = 0; i < 8; ++i) {
@@ -270,8 +270,9 @@ TEST(ParallelRunner, ChunkedBatchCompilesOnlyAtConstruction)
                              b.input.begin() + (i + 1) * 4096);
     }
     obs::Registry &reg = obs::Registry::global();
-    for (EngineKind eng : {EngineKind::kNfa, EngineKind::kAuto}) {
-        SCOPED_TRACE(static_cast<int>(eng));
+    for (EngineKind eng :
+         {EngineKind::kNfa, EngineKind::kLazyDfa, EngineKind::kAuto}) {
+        SCOPED_TRACE(engineName(eng));
         ParallelOptions popts;
         popts.threads = 3;
         popts.chunkBytes = 1000;
@@ -300,28 +301,18 @@ TEST(ParallelRunner, ChunkedBatchCompilesOnlyAtConstruction)
 
 TEST(ParallelRunner, CompilesOnlyTheSelectedEngine)
 {
-    // Every slot and shard holds the selected engine alone: kLazyDfa
-    // over a counter-free automaton (no interpreted fallback) builds
-    // no interpreter tables, for the whole automaton or any shard.
     // kMultiDfa is not run at all: it compiles nothing and fails
     // every stream and the sharded result by name.
     zoo::Benchmark b = zoo::makeBenchmark("Snort", tinyConfig());
-    for (ElementId i = 0; i < b.automaton.size(); ++i)
-        ASSERT_NE(b.automaton.element(i).kind, ElementKind::kCounter);
     obs::Registry &reg = obs::Registry::global();
-    for (EngineKind eng : {EngineKind::kLazyDfa, EngineKind::kMultiDfa}) {
-        SCOPED_TRACE(engineName(eng));
+    {
         ParallelOptions popts;
         popts.threads = 3;
-        popts.engine = eng;
+        popts.engine = EngineKind::kMultiDfa;
         const uint64_t before = reg.counterValue("engine.nfa.compiles");
         ParallelRunner runner(b.automaton, popts);
         if (obs::kEnabled) {
             EXPECT_EQ(reg.counterValue("engine.nfa.compiles"), before);
-        }
-        if (eng == EngineKind::kLazyDfa) {
-            EXPECT_EQ(runner.shardCount(), 3u);
-            continue;
         }
         const BatchResult br = runner.runBatch({b.input, b.input});
         EXPECT_EQ(br.failedStreams, 2u);
@@ -335,25 +326,30 @@ TEST(ParallelRunner, CompilesOnlyTheSelectedEngine)
         EXPECT_EQ(sharded.symbols, 0u);
     }
 
-    // kAuto compiles one program for all of its slots. A
+    // The planned kinds compile one program for all of their slots
+    // (under kLazyDfa, the NfaEngine whose image the DFA runs on). A
     // one-component automaton is one shard at any thread count, so
     // the compiles may not grow with the slots.
     Automaton one("one");
     addLiteral(one, "abc", StartType::kAllInput, true, 1);
-    auto autoCompiles = [&](size_t threads) {
-        ParallelOptions popts;
-        popts.threads = threads;
-        popts.engine = EngineKind::kAuto;
-        const uint64_t before = reg.counterValue("engine.nfa.compiles");
-        ParallelRunner runner(one, popts);
-        EXPECT_EQ(runner.shardCount(), 1u);
-        return reg.counterValue("engine.nfa.compiles") - before;
-    };
-    const uint64_t single = autoCompiles(1);
-    const uint64_t three = autoCompiles(3);
-    if (obs::kEnabled) {
-        EXPECT_GT(single, 0u);
-        EXPECT_EQ(three, single);
+    for (EngineKind eng : {EngineKind::kLazyDfa, EngineKind::kAuto}) {
+        SCOPED_TRACE(engineName(eng));
+        auto compiles = [&](size_t threads) {
+            ParallelOptions popts;
+            popts.threads = threads;
+            popts.engine = eng;
+            const uint64_t before =
+                reg.counterValue("engine.nfa.compiles");
+            ParallelRunner runner(one, popts);
+            EXPECT_EQ(runner.shardCount(), 1u);
+            return reg.counterValue("engine.nfa.compiles") - before;
+        };
+        const uint64_t single = compiles(1);
+        const uint64_t three = compiles(3);
+        if (obs::kEnabled) {
+            EXPECT_GT(single, 0u);
+            EXPECT_EQ(three, single);
+        }
     }
 }
 

@@ -339,6 +339,39 @@ TEST(PrefilteredNfa, SessionStraddlesChunkBoundaries)
     }
 }
 
+TEST(PrefilteredNfa, LowWaterBoundsLaterReports)
+{
+    // No feed reports below the low-water mark set before it, the
+    // mark trails the position by at most keepBytes(), and reports
+    // taken below it come out as the prefix they are.
+    Automaton a = literalAutomaton(kLits);
+    PrefilteredNfa pf(a, identityMap(a), patternsFor(kLits));
+    Rng rng(5);
+    std::vector<uint8_t> in = plantedInput(rng, kLits, 20000);
+    PrefilteredNfa::Session whole(pf);
+    whole.feed(in.data(), in.size());
+
+    PrefilteredNfa::Session sess(pf);
+    std::vector<Report> taken;
+    for (size_t pos = 0; pos < in.size();) {
+        const size_t n = std::min<size_t>(1 + rng.nextBelow(300),
+                                          in.size() - pos);
+        const uint64_t mark = sess.lowWater();
+        const size_t before = sess.reports().size();
+        sess.feed(in.data() + pos, n);
+        pos += n;
+        for (size_t k = before; k < sess.reports().size(); ++k)
+            EXPECT_GE(sess.reports()[k].offset, mark);
+        EXPECT_LE(sess.offset() - sess.lowWater(), pf.keepBytes());
+        sess.takeReports(sess.lowWater(), taken);
+        for (const Report &r : sess.reports())
+            EXPECT_GE(r.offset, sess.lowWater());
+    }
+    sess.takeReports(sess.offset(), taken);
+    EXPECT_TRUE(sess.reports().empty());
+    EXPECT_EQ(taken, whole.reports());
+}
+
 /** Compare a planned result against a canonicalized serial result on
  *  the semantic fields (totalEnabled is engine-defined). */
 void
@@ -474,6 +507,59 @@ INSTANTIATE_TEST_SUITE_P(AllZoo, PlannedVsSerial,
                              }
                              return n;
                          });
+
+TEST(PlannedSession, RecordLimitSettlesExactly)
+{
+    // Reports settle every kSettleBytes of a feed, below the
+    // prefilter's low-water mark when there is one: a capped run must
+    // still count every report and keep the first canonical ones,
+    // across settles inside one block and across chunked feeds, under
+    // auto's plan and lazydfa's. The rows cover a lone DFA (AP PRNG),
+    // the prefilter beside the DFA and the interpreter (Snort,
+    // ClamAV), a hand-off (Random Forest A) and counters (Seq. Match
+    // wC).
+    for (const char *name : {"AP PRNG 8-sided", "Snort", "ClamAV",
+                             "Random Forest A", "Seq. Match 6w 6p wC"}) {
+        SCOPED_TRACE(name);
+        zoo::Benchmark b = zoo::makeBenchmark(name, tinyConfig());
+        std::vector<uint8_t> in;
+        for (int i = 0; i < 3; ++i)
+            in.insert(in.end(), b.input.begin(), b.input.end());
+        ASSERT_GT(in.size(), PlannedSession::kSettleBytes);
+
+        SimOptions all;
+        all.countByCode = true;
+        SimResult want = NfaEngine(b.automaton).simulate(in, all);
+        canonicalizeReports(want);
+        SimOptions capped = all;
+        capped.reportRecordLimit = 100;
+        if (want.reports.size() > capped.reportRecordLimit)
+            want.reports.resize(capped.reportRecordLimit);
+        SimOptions counted = all;
+        counted.recordReports = false;
+        SimResult wantCounted = want;
+        wantCounted.reports.clear();
+
+        for (EngineKind kind : {EngineKind::kAuto, EngineKind::kLazyDfa}) {
+            const auto program = compileProgram(kind, b.automaton);
+            PlannedEngine block(program);
+            expectSemanticallyEqual(block.simulate(in, capped), want,
+                                    cat(engineName(kind), " block"));
+            expectSemanticallyEqual(
+                block.simulate(in, counted), wantCounted,
+                cat(engineName(kind), " block, counted"));
+            PlannedSession sess(program);
+            sess.options = capped;
+            for (size_t pos = 0; pos < in.size(); pos += 5000) {
+                sess.feed(in.data() + pos,
+                          std::min<size_t>(5000, in.size() - pos));
+            }
+            expectSemanticallyEqual(sess.results(), want,
+                                    cat(engineName(kind), " chunked"));
+        }
+    }
+}
+
 
 // ---------------------------------------------------------------
 // The streamed lazy-DFA group: a cursor over a session-owned cache

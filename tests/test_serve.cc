@@ -889,9 +889,10 @@ TEST(ServeSession, LazySessionFootprintWithinEstimate)
     // A planned session's lazy-DFA cache is session state: counted in
     // its footprint, and held to the lazy group's share of the
     // admission unit. AP PRNG stays on the DFA; Random Forest A hands
-    // off to the interpreter and frees its cache. Each stream is cut
-    // before its 257th report: the unit prices maxReportRecords (256)
-    // recorded reports, and this checks the engine state, not that.
+    // off to the interpreter and frees its cache. Each whole stream
+    // is fed at once, recording at most the unit's maxReportRecords
+    // (256) reports as the server does: AP PRNG reports 2,230 times,
+    // and the settled counts stand in for the rest.
     zoo::ZooConfig cfg;
     cfg.scale = 0.01;
     cfg.inputBytes = 16 << 10;
@@ -900,19 +901,23 @@ TEST(ServeSession, LazySessionFootprintWithinEstimate)
         const zoo::Benchmark b = zoo::makeBenchmark(name, cfg);
         SimResult ref = NfaEngine(b.automaton).simulate(b.input);
         canonicalizeReports(ref);
-        const size_t len = ref.reports.size() > 256
-            ? static_cast<size_t>(ref.reports[256].offset)
-            : b.input.size();
-        ASSERT_GT(len, 1024u);
+        const size_t len = b.input.size();
 
         MatchSessionPool pool(b.automaton, EngineKind::kAuto,
                               PlanOptions(), 256);
         std::unique_ptr<MatchSession> s = pool.acquire();
+        s->options().reportRecordLimit = 256;
         ASSERT_EQ(s->feed(b.input.data(), len), len);
         EXPECT_LE(s->footprintBytes(), pool.estimatedSessionBytes());
+        const SimResult got = s->results();
+        EXPECT_EQ(got.reportCount, ref.reportCount);
+        EXPECT_EQ(got.reportingCycles, ref.reportingCycles);
+        ref.reports.resize(std::min<size_t>(ref.reports.size(), 256));
+        EXPECT_EQ(got.reports, ref.reports);
         pool.release(std::move(s));
 
         PlannedSession direct(b.automaton);
+        direct.options.reportRecordLimit = 256;
         direct.feed(b.input.data(), len);
         const size_t cache = direct.lazyCache().footprintBytes();
         EXPECT_GE(direct.footprintBytes(), sizeof(PlannedSession) + cache);
@@ -921,6 +926,7 @@ TEST(ServeSession, LazySessionFootprintWithinEstimate)
         if (handsOff) {
             EXPECT_LT(cache, 1024u) << "a hand-off frees the cache";
         } else {
+            EXPECT_GT(ref.reportCount, 256u);
             EXPECT_GT(direct.lazyCache().bytesUsed(), 0u);
             EXPECT_GT(cache, 0u);
         }

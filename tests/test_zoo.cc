@@ -14,9 +14,9 @@
 #include <set>
 
 #include "core/stats.hh"
-#include "engine/lazy_dfa_engine.hh"
 #include "engine/multidfa_engine.hh"
 #include "engine/nfa_engine.hh"
+#include "engine/planner.hh"
 #include "regex/glushkov.hh"
 #include "regex/parser.hh"
 #include "zoo/clamav.hh"
@@ -136,9 +136,10 @@ TEST_P(ZooEngineEquivalence, NfaAndDfaReportIdentically)
     EXPECT_EQ(ref.byCode, got.byCode);
 }
 
-/** The lazy-DFA hybrid is bit-identical to the interpreter on every
- *  benchmark -- at the default budget and at a deliberately tiny one
- *  that forces whole-cache flushes mid-stream. */
+/** `--engine lazydfa` (a PlannedEngine over lazyPlan()) is
+ *  bit-identical to the interpreter on every benchmark -- at the
+ *  default budget and at a deliberately tiny one that forces
+ *  whole-cache flushes mid-stream. */
 TEST_P(ZooEngineEquivalence, LazyDfaIsBitIdenticalToNfa)
 {
     zoo::ZooConfig cfg;
@@ -152,10 +153,11 @@ TEST_P(ZooEngineEquivalence, LazyDfaIsBitIdenticalToNfa)
     SimResult ref = nfa.simulate(b.input, opts);
     std::sort(ref.reports.begin(), ref.reports.end());
 
-    LazyDfaOptions tiny;
-    tiny.cacheBytes = 4096;
-    for (const auto &lopts : {LazyDfaOptions(), tiny}) {
-        LazyDfaEngine lazy(b.automaton, lopts);
+    PlanOptions tiny;
+    tiny.lazyCacheBytes = 4096;
+    for (const PlanOptions &popts : {PlanOptions(), tiny}) {
+        PlannedEngine lazy(
+            compileProgram(EngineKind::kLazyDfa, b.automaton, popts));
         SimResult got = lazy.simulate(b.input, opts);
         EXPECT_EQ(ref.reports, got.reports);
         EXPECT_EQ(ref.reportCount, got.reportCount);

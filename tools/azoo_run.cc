@@ -26,11 +26,13 @@
  * lazydfa|auto; any other name is a usage error listing these): nfa
  * is the enabled-set interpreter; multidfa (alias: dfa) determinizes
  * each component eagerly; lazydfa runs subset construction on the
- * fly, memoizing transitions in a cache bounded by --cache-bytes;
- * auto profiles the automaton and plans each component onto the
- * cheapest exact backend (literal prefilter, lazy DFA, or
- * interpreter — see docs/ARCHITECTURE.md "Engine planning &
- * prefilters"). --no-prefilter keeps the planner but routes literal
+ * fly, memoizing transitions in a cache bounded by --cache-bytes,
+ * and interprets counter components beside it; auto profiles the
+ * automaton and plans each component onto the cheapest exact backend
+ * (literal prefilter, lazy DFA, or interpreter — see
+ * docs/ARCHITECTURE.md "Engine planning & prefilters"). lazydfa and
+ * auto are both planned programs (lazydfa's plan is fixed) and run
+ * the same way. --no-prefilter keeps the planner but routes literal
  * chains to the interpreter instead of the prefilter. All engines
  * produce identical reports and counts, also under --symbol-budget
  * (canonical order for every engine but nfa).
@@ -45,11 +47,10 @@
  * way the reports are byte-identical to a serial run (canonical
  * order). Both parallel paths run one ParallelRunner configuration
  * and take --engine nfa, lazydfa, or auto (multidfa is a usage
- * error); a chunked --batch under lazydfa fails every stream. --chunk
- * also works single-stream (without --batch): the input is fed
- * through one StreamingSession (nfa) or PlannedSession (auto); any
- * other engine, or --threads > 1, is a usage error (there is no
- * streaming multidfa or lazydfa).
+ * error). --chunk also works single-stream (without --batch): the
+ * input is fed through one StreamingSession (nfa) or PlannedSession
+ * (lazydfa, auto); multidfa, or --threads > 1, is a usage error
+ * (there is no streaming multidfa).
  *
  * --metrics prints the azoo::obs registry snapshot (JSON) after the
  * run; --metrics=FILE writes it to FILE instead.
@@ -62,7 +63,6 @@
 #include "analysis/profile.hh"
 #include "artifact/artifact.hh"
 #include "core/stats.hh"
-#include "engine/lazy_dfa_engine.hh"
 #include "engine/multidfa_engine.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
@@ -290,7 +290,7 @@ main(int argc, char **argv)
                   << Table::fixed(br.totalSymbols / secs / 1e6, 1)
                   << " MB/s aggregate, " << runner.threads()
                   << " threads), " << br.totalReports << " reports\n";
-        if (engine == EngineKind::kLazyDfa) {
+        if (br.totalLazyFlushes) {
             std::cout << "lazy cache: " << br.totalLazyFlushes
                       << " flushes across streams\n";
         }
@@ -299,12 +299,12 @@ main(int argc, char **argv)
     }
 
     if (chunkBytes != 0) {
-        // Chunks feed a session cursor; mirror the runBatch rejection
-        // instead of silently substituting an engine.
-        if (engine != EngineKind::kNfa && engine != EngineKind::kAuto)
-            tool::usageError(cat("azoo_run: --chunk requires --engine "
-                                 "nfa or auto (", engineName(engine),
-                                 " has no streaming session)"));
+        // Chunks feed a session cursor; refuse instead of silently
+        // substituting an engine.
+        if (engine == EngineKind::kMultiDfa)
+            tool::usageError("azoo_run: --chunk requires --engine nfa, "
+                             "lazydfa or auto (multidfa has no "
+                             "streaming session)");
         if (threads > 1)
             tool::usageError("azoo_run: --chunk with --threads > 1 "
                              "requires --batch");
@@ -322,8 +322,11 @@ main(int argc, char **argv)
                    });
         r = sess.results();
     };
-    if (chunkBytes != 0 && engine == EngineKind::kAuto) {
-        PlannedSession sess(graph(), planOpts);
+    // lazydfa and auto are planned programs; lazydfa's plan is fixed.
+    const bool planned =
+        engine == EngineKind::kLazyDfa || engine == EngineKind::kAuto;
+    if (chunkBytes != 0 && planned) {
+        PlannedSession sess(compileProgram(engine, graph(), planOpts));
         feedSession(sess);
         const PrefilterStats &pf = sess.prefilterStats();
         std::cout << "planned " << sess.plan().census() << ": "
@@ -349,18 +352,8 @@ main(int argc, char **argv)
             NfaEngine e(graph());
             r = e.simulate(input, opts);
         }
-    } else if (engine == EngineKind::kLazyDfa) {
-        LazyDfaOptions lo;
-        lo.cacheBytes = cacheBytes;
-        LazyDfaEngine e(graph(), lo);
-        std::cout << "lazy DFA over " << e.lazyElements()
-                  << " elements (" << e.symbolClasses()
-                  << " symbol classes), " << e.fallbackComponents()
-                  << " counter components interpreted\n";
-        timer.reset();
-        r = e.simulate(input, opts);
-    } else if (engine == EngineKind::kAuto) {
-        PlannedEngine e(graph(), planOpts);
+    } else if (planned) {
+        PlannedEngine e(compileProgram(engine, graph(), planOpts));
         std::cout << "planned " << e.plan().census() << " ("
                   << e.prefilterPatterns() << " scan literals)\n";
         timer.reset();
@@ -399,12 +392,14 @@ main(int argc, char **argv)
               << Table::fixed(static_cast<double>(r.symbols) / secs /
                               1e6, 1)
               << " MB/s), " << r.reportCount << " reports";
-    if (engine == EngineKind::kNfa || engine == EngineKind::kLazyDfa) {
+    // totalEnabled is engine-defined where components are compiled,
+    // skipped or windowed.
+    if (engine != EngineKind::kMultiDfa && engine != EngineKind::kAuto) {
         std::cout << ", avg active set "
                   << Table::fixed(r.avgActiveSet(), 1);
     }
     std::cout << "\n";
-    if (engine == EngineKind::kLazyDfa) {
+    if (r.lazyStates) {
         std::cout << "lazy cache: " << r.lazyStates << " state-sets, "
                   << r.lazyFlushes << " flushes\n";
     }
