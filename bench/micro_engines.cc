@@ -121,9 +121,9 @@ BM_Engines_SeqMatch(benchmark::State &state)
 BENCHMARK(BM_Engines_SeqMatch)->Arg(0)->Arg(1);
 
 /**
- * The lazy DFA (`--engine lazydfa`: a PlannedEngine over lazyPlan())
- * vs the interpreter on an AP PRNG workload — the shape
- * MultiDfaEngine used to hand to its NfaEngine fallback. The PRNG
+ * The lazy DFA (`--engine lazydfa`: a PlannedEngine over
+ * fixedPlan(kLazyDfa)) vs the interpreter on an AP PRNG workload —
+ * the shape MultiDfaEngine used to hand to its NfaEngine fallback. The PRNG
  * chains keep a huge enabled set (every chain advances on every
  * symbol) but visit only a handful of distinct state-sets, so the
  * interpreter pays O(active set) per symbol while the lazy DFA pays

@@ -7,9 +7,9 @@
  * VASim-style prefix-merge optimization, compression factor, and the
  * dynamic active set measured with the NFA interpreter on the
  * standard input. The Lazy.* columns characterize the same run under
- * `--engine lazydfa` (a PlannedEngine over lazyPlan()): distinct
- * state-sets interned, whole-cache flushes at the default budget,
- * counter components interpreted beside the DFA, and the
+ * `--engine lazydfa` (a PlannedEngine over fixedPlan(kLazyDfa)):
+ * distinct state-sets interned, whole-cache flushes at the default
+ * budget, counter components interpreted beside the DFA, and the
  * transition-cache hit rate (from the cache's own counts). Plan is the
  * per-component backend census under --engine auto (P/A/D/I/S, see
  * engine/planner.hh) and Pf.Skip% the input fraction the literal

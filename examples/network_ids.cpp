@@ -3,7 +3,8 @@
  * Streaming network-intrusion-detection example.
  *
  * Compiles the Snort benchmark's clean ruleset and feeds packet
- * buffers through a StreamingSession the way a live IDS tap would:
+ * buffers through a PlannedSession (a cursor over the ruleset's
+ * compiled interpreter program) the way a live IDS tap would:
  * chunk by chunk, with matches allowed to straddle buffer boundaries
  * and alerts attributed to rules as they fire.
  *
@@ -13,7 +14,7 @@
 #include <iostream>
 
 #include "core/stats.hh"
-#include "engine/streaming.hh"
+#include "engine/planner.hh"
 #include "util/cli.hh"
 #include "util/table.hh"
 #include "util/timer.hh"
@@ -41,7 +42,7 @@ main(int argc, char **argv)
     std::cout << "IDS loaded: " << s.subgraphs << " rules, "
               << s.states << " states\n";
 
-    StreamingSession session(ids);
+    PlannedSession session(compileProgram(EngineKind::kNfa, ids));
     session.options.countByCode = true;
     session.options.reportRecordLimit = 16;
 
@@ -56,7 +57,7 @@ main(int argc, char **argv)
     }
     const double secs = timer.seconds();
 
-    const SimResult &r = session.results();
+    const SimResult r = session.results();
     std::cout << "processed " << buffers << " buffers ("
               << traffic.size() << " bytes) in "
               << Table::fixed(secs, 2) << "s ("

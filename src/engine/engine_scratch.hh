@@ -8,8 +8,9 @@
  * position and the last reporting cycle. A run is opened with
  * NfaEngine::begin(), advanced by any number of NfaEngine::feed()
  * calls and closed with NfaEngine::end(); simulate() is one feed
- * between the two. Block runs, StreamingSession and the prefilter's
- * window replay are all such cursors over an NfaEngine.
+ * between the two. Block runs, PlannedSession's interpreter groups
+ * and the prefilter's window replay are all such cursors over an
+ * NfaEngine.
  *
  * Reusing a scratch avoids rebuilding five O(n) vectors (stamp,
  * counter values, count/reset stamps, latch bits) per run, which
@@ -22,9 +23,9 @@
  * Ownership rule: a scratch may be used by one run at a time. It may
  * be reused across different engines as long as the automata have
  * the same element count (otherwise it transparently reinitializes).
- * ParallelRunner gives each worker slot its own scratch (block and
- * chunked streams alike); StreamingSession and PrefilteredNfa::Session
- * own one each.
+ * Every PlannedSession (ParallelRunner's worker slots and chunked
+ * streams, served sessions) owns its interpreter cursors' scratches,
+ * and PrefilteredNfa::Session owns one for its windows.
  */
 
 #ifndef AZOO_ENGINE_ENGINE_SCRATCH_HH

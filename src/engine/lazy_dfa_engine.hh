@@ -36,7 +36,7 @@
  * (NfaEngine::resume(), then EngineScratch::enable() per member).
  * LazyDfaProgram::feed() holds the only lazy symbol loop, and
  * PlannedSession is its only runner: `--engine lazydfa` is a planned
- * program with a fixed plan (lazyPlan() in planner.hh).
+ * program with a fixed plan (fixedPlan() in planner.hh).
  *
  * Counter components cannot be determinized (counter values are not
  * part of the subset state), so that plan routes them to the

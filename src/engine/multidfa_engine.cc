@@ -34,9 +34,9 @@ MultiDfaEngine::MultiDfaEngine(const Automaton &a,
         std::bit_width(uint64_t(opts_.maxDfaStatesPerComponent)));
     uint64_t profileSkips = 0;
 
-    // The fallback runs lazyPlan() over the components that do not
-    // compile and skips the rest.
-    const EnginePlan lazy = lazyPlan(a);
+    // The fallback runs lazydfa's fixedPlan() over the components
+    // that do not compile and skips the rest.
+    const EnginePlan lazy = fixedPlan(EngineKind::kLazyDfa, a);
     EnginePlan fallback;
     for (uint32_t c = 0; c < comp_count; ++c) {
         const PlanBackend backend = lazy.decisions[c].backend;

@@ -13,8 +13,8 @@
  *
  * Components that contain counter elements or whose determinization
  * exceeds a state budget fall back to a PlannedEngine running
- * lazyPlan() over them (every compiled component is kSkip in its
- * plan), mirroring how hybrid engines mix DFA and NFA subsystems:
+ * lazydfa's fixedPlan() over them (every compiled component is kSkip
+ * in its plan), mirroring how hybrid engines mix DFA and NFA subsystems:
  * counter-free over-budget components still get DFA-speed execution
  * on hot input regions (subset construction runs lazily under a byte
  * budget), and only counter components drop all the way to the

@@ -44,12 +44,13 @@ namespace azoo {
  * cursor: begin() opens a run at stream position 0, feed() advances
  * it over any number of chunks, end() closes it. This cursor holds
  * the only copy of the per-symbol loop; simulate() is begin + one
- * feed + end, StreamingSession is a cursor over a shared engine, and
- * the prefilter replays its windows through one. The engine is never
+ * feed + end (the serial reference run), a PlannedSession runs its
+ * interpreter groups as cursors over shared engines, and the
+ * prefilter replays its windows through one. The engine is never
  * mutated after construction, so one engine may be shared by any
  * number of threads running concurrently as long as each thread uses
  * its own scratch (ParallelRunner's batches and the serve pool's
- * sessions rely on this).
+ * sessions, all PlannedSessions over one program, rely on this).
  */
 class NfaEngine
 {

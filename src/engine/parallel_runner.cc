@@ -9,36 +9,34 @@
 
 namespace azoo {
 
+namespace {
+
+/** One stream on a slot's @p engine: one simulate(), or
+ *  @p chunkBytes slices fed to a PlannedSession over its program. */
 SimResult
-ParallelRunner::Runner::simulate(const uint8_t *input, size_t len,
-                                 const SimOptions &opts, size_t chunkBytes)
+runStream(PlannedEngine &engine, const uint8_t *input, size_t len,
+          const SimOptions &opts, size_t chunkBytes)
 {
-    if (!refused.ok())
-        throw StatusError(refused);
-    if (planned && chunkBytes != 0) {
-        PlannedSession sess(planned->program());
-        sess.options = opts;
-        feedChunks(input, len, chunkBytes,
-                   [&](const uint8_t *p, size_t n) {
-                       return sess.feed(p, n);
-                   });
-        return sess.results();
-    }
-    if (planned)
-        return planned->simulate(input, len, opts);
     if (chunkBytes == 0)
-        return nfa->simulate(input, len, scratch, opts);
+        return engine.simulate(input, len, opts);
+    PlannedSession sess(engine.program());
+    sess.options = opts;
+    feedChunks(input, len, chunkBytes, [&](const uint8_t *p, size_t n) {
+        return sess.feed(p, n);
+    });
+    return sess.results();
+}
+
+/** An empty result carrying @p st: a run that failed outright. */
+SimResult
+failedRun(Status st)
+{
     SimResult r;
-    nfa->begin(scratch);
-    feedChunks(input, len, chunkBytes,
-               [&](const uint8_t *p, size_t n) {
-                   return nfa->feed(scratch, p, n, opts, r);
-               });
-    nfa->end(scratch);
-    if (r.truncated())
-        obs::noteGuardStop("engine.stream", r.guardStatus.code());
+    r.guardStatus = std::move(st);
     return r;
 }
+
+} // namespace
 
 ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
     : opts_(std::move(opts))
@@ -46,7 +44,17 @@ ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
     const size_t threads =
         opts_.threads ? opts_.threads : ThreadPool::hardwareThreads();
     pool_ = std::make_unique<ThreadPool>(threads);
-    slots_ = buildRunners(a, pool_->size());
+    if (opts_.engine == EngineKind::kMultiDfa) {
+        // Refused by name, compiling nothing: every run fails instead
+        // of silently using another engine.
+        refused_ = Status(ErrorCode::kInvalidArgument,
+                          "ParallelRunner runs nfa|lazydfa|auto, not "
+                          "multidfa");
+        return;
+    }
+    const auto program = compileProgram(opts_.engine, a, opts_.plan);
+    for (size_t s = 0; s < pool_->size(); ++s)
+        slots_.push_back(std::make_unique<PlannedEngine>(program));
     buildShards(a, threads);
 }
 
@@ -56,37 +64,6 @@ size_t
 ParallelRunner::threads() const
 {
     return pool_->size();
-}
-
-std::vector<ParallelRunner::Runner>
-ParallelRunner::buildRunners(const Automaton &a, size_t count) const
-{
-    std::vector<Runner> runners(count);
-    switch (opts_.engine) {
-      case EngineKind::kNfa: {
-        const auto engine = std::make_shared<const NfaEngine>(a);
-        for (Runner &r : runners)
-            r.nfa = engine;
-        break;
-      }
-      case EngineKind::kLazyDfa:
-      case EngineKind::kAuto: {
-        const auto program = compileProgram(opts_.engine, a, opts_.plan);
-        for (Runner &r : runners)
-            r.planned = std::make_unique<PlannedEngine>(program);
-        break;
-      }
-      case EngineKind::kMultiDfa:
-        // Refused by name, compiling nothing: every run fails instead
-        // of silently using another engine.
-        for (Runner &r : runners) {
-            r.refused = Status(ErrorCode::kInvalidArgument,
-                               "ParallelRunner runs nfa|lazydfa|auto, "
-                               "not multidfa");
-        }
-        break;
-    }
-    return runners;
 }
 
 void
@@ -121,26 +98,26 @@ ParallelRunner::buildShards(const Automaton &a, size_t groups)
         load[s] += compSize[c];
     }
 
-    // Materialize the shard sub-automata, elements in original id
-    // order so per-shard behaviour is reproducible.
+    // Compile the shard sub-automata, elements in original id order
+    // so per-shard behaviour is reproducible. Plans are
+    // per-automaton, so each shard plans its own sub-automaton
+    // (construction-time only); the program outlives the copy.
     shards_.resize(g);
     for (ElementId i = 0; i < n; ++i)
         shards_[shardOf[compOf[i]]].origId.push_back(i);
     for (size_t s = 0; s < shards_.size(); ++s) {
-        shards_[s].sub = subAutomaton(a, shards_[s].origId,
-                                      a.name() + "/shard" +
-                                          std::to_string(s));
-        // Plans are per-automaton, so a planned shard plans its own
-        // sub-automaton (construction-time only).
-        shards_[s].runner =
-            std::move(buildRunners(shards_[s].sub, 1).front());
+        const Automaton sub =
+            subAutomaton(a, shards_[s].origId,
+                         a.name() + "/shard" + std::to_string(s));
+        shards_[s].engine = std::make_unique<PlannedEngine>(
+            compileProgram(opts_.engine, sub, opts_.plan));
     }
     if (obs::kEnabled) {
         // LPT balance is visible as the spread of this distribution.
         obs::Histogram &h =
             obs::Registry::global().histogram("runner.shard.states");
         for (const Shard &sh : shards_)
-            h.record(sh.sub.size());
+            h.record(sh.origId.size());
     }
 }
 
@@ -158,6 +135,8 @@ ParallelRunner::runBatch(
         // injected worker fault) never kills the batch; the other
         // streams complete exactly as a serial run would.
         try {
+            if (!refused_.ok())
+                throw StatusError(refused_);
             if (fault::shouldFail(fault::Point::kAllocFail)) {
                 throw StatusError(
                     Status(ErrorCode::kResourceExhausted,
@@ -165,8 +144,8 @@ ParallelRunner::runBatch(
                                ": worker allocation failed")));
             }
             out.perStream[i] =
-                slots_[slot].simulate(streams[i].data(), streams[i].size(),
-                                      opts_.sim, opts_.chunkBytes);
+                runStream(*slots_[slot], streams[i].data(),
+                          streams[i].size(), opts_.sim, opts_.chunkBytes);
             canonicalizeReports(out.perStream[i]);
         } catch (const StatusError &e) {
             out.perStream[i] = SimResult();
@@ -201,6 +180,8 @@ ParallelRunner::runBatch(
 SimResult
 ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
 {
+    if (!refused_.ok())
+        return failedRun(refused_);
     PartMerger merger(len);
     if (shards_.empty())
         return merger.finish(opts_.sim);
@@ -220,8 +201,8 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
                                cat("shard ", s,
                                    ": worker allocation failed")));
                 }
-                parts[s] = shards_[s].runner.simulate(input, simLen,
-                                                      shardOpts, 0);
+                parts[s] =
+                    shards_[s].engine->simulate(input, simLen, shardOpts);
             });
         } catch (const StatusError &e) {
             return e.status();
@@ -233,9 +214,7 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
         // A failed shard invalidates the merged view (its reports are
         // missing); return an empty result carrying the error instead
         // of a silently wrong one.
-        SimResult failed;
-        failed.guardStatus = st;
-        return failed;
+        return failedRun(st);
     }
 
     for (const SimResult &p : parts) {
@@ -258,11 +237,8 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
         replay.guard = nullptr;
         if (Status st = runShards(
                 static_cast<size_t>(merger.consumed()), replay);
-            !st.ok()) {
-            SimResult failed;
-            failed.guardStatus = st;
-            return failed;
-        }
+            !st.ok())
+            return failedRun(st);
     }
 
     for (size_t s = 0; s < parts.size(); ++s)

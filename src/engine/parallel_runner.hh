@@ -8,22 +8,20 @@
  *
  *  - **Stream-level** (runBatch): a batch of independent input
  *    streams (packets, disk-image chunks, DNA reads) fans out across
- *    the pool. Each worker slot owns a runner of the selected
- *    EngineKind (kNfa slots share one const NfaEngine, each with its
- *    own EngineScratch; kLazyDfa and kAuto slots are PlannedEngine
- *    cursors over one PlannedProgram built at construction, whose
- *    lazy caches warm across the slot's streams), so the hot path
- *    performs no per-stream O(n) allocation. Chunked streams are
- *    cursors too: under kNfa they drive the shared engine through the
- *    slot's scratch, under kLazyDfa and kAuto each is a
- *    PlannedSession over that program — neither slots nor streams
- *    compile per slot or per stream.
+ *    the pool. The runner compiles one PlannedProgram for the
+ *    selected EngineKind (compileProgram(): kNfa's and kLazyDfa's
+ *    fixed plans, or kAuto's profile plan), and each worker slot
+ *    owns a PlannedEngine cursor over it, whose scratch and lazy
+ *    cache are reused across the slot's streams. A chunked stream is
+ *    a PlannedSession over the same program: nothing compiles per
+ *    slot or per stream.
  *
  *  - **Component-level** (simulateSharded): the automaton's connected
  *    components (activation *and* reset edges, so counters never
  *    split from their enable/reset sources) are packed into one shard
  *    per thread by size-balanced LPT, and each shard simulates the
- *    same input concurrently.
+ *    same input concurrently. Each shard is a PlannedEngine over
+ *    its own sub-automaton's program.
  *
  * Determinism guarantee: results are *canonical* — per stream,
  * reports are sorted by (offset, element, code); a batch is ordered
@@ -43,7 +41,6 @@
 #include <vector>
 
 #include "core/automaton.hh"
-#include "engine/nfa_engine.hh"
 #include "engine/planner.hh"
 #include "engine/report.hh"
 
@@ -63,11 +60,10 @@ struct ParallelOptions {
     /** kNfa, kLazyDfa or kAuto; under kMultiDfa every stream and the
      *  sharded result fail with kInvalidArgument. */
     EngineKind engine = EngineKind::kNfa;
-    /** Planning knobs (engine kLazyDfa or kAuto). The runner compiles
-     *  one PlannedProgram (compileProgram()), and each worker slot
-     *  owns a PlannedEngine cursor over it; chunked streams are
-     *  PlannedSessions over the same program, and each shard plans
-     *  its own sub-automaton. */
+    /** Planning knobs. The runner compiles one PlannedProgram
+     *  (compileProgram()), and each worker slot owns a PlannedEngine
+     *  cursor over it; chunked streams are PlannedSessions over the
+     *  same program, and each shard plans its own sub-automaton. */
     PlanOptions plan;
     /** Per-stream simulation options. */
     SimOptions sim;
@@ -92,14 +88,14 @@ struct BatchResult {
 };
 
 /**
- * Parallel driver over a borrowed automaton.
+ * Parallel driver over one automaton.
  *
- * The automaton must outlive the runner (same borrow rule as the
- * engines). Construction compiles the selected engine only: once
- * for the worker slots and once per component shard for sharded
- * mode. runBatch()/simulateSharded() can then be called
- * repeatedly (but not concurrently with each other from multiple
- * threads — the runner owns one pool).
+ * Construction compiles the selected engine only: one program for
+ * the worker slots and one per component shard for sharded mode;
+ * the automaton need not outlive the runner. runBatch() and
+ * simulateSharded() can then be called repeatedly (but not
+ * concurrently with each other from multiple threads — the runner
+ * owns one pool).
  */
 class ParallelRunner
 {
@@ -131,41 +127,25 @@ class ParallelRunner
     }
 
   private:
-    /** One worker slot's or shard's engine, driven by one worker at
-     *  a time; only opts_.engine's members are set. */
-    struct Runner {
-        std::shared_ptr<const NfaEngine> nfa; ///< kNfa (slots share it)
-        EngineScratch scratch;                ///< kNfa cursor
-        /** kLazyDfa, kAuto: a cursor over the runner's one program;
-         *  chunked streams are PlannedSessions over that program. */
-        std::unique_ptr<PlannedEngine> planned;
-        Status refused; ///< why opts_.engine does not run here
-
-        /** Whole run, or @p chunkBytes slices fed to a cursor. */
-        SimResult simulate(const uint8_t *input, size_t len,
-                           const SimOptions &opts, size_t chunkBytes);
-    };
-
     struct Shard {
-        Automaton sub;
         /** Shard-local element id -> id in the borrowed automaton. */
         std::vector<ElementId> origId;
-        mutable Runner runner;
+        /** Over the shard's own program; one worker at a time. */
+        std::unique_ptr<PlannedEngine> engine;
     };
 
-    /** The one build site of slot and shard engines: @p count runners
-     *  over @p a for opts_.engine, sharing what they can. */
-    std::vector<Runner> buildRunners(const Automaton &a,
-                                     size_t count) const;
     void buildShards(const Automaton &a, size_t groups);
 
     ParallelOptions opts_;
+    /** Why opts_.engine does not run here (kMultiDfa): every stream
+     *  and the sharded result fail with it, and nothing compiles. */
+    Status refused_;
     std::unique_ptr<ThreadPool> pool_;
     std::vector<Shard> shards_;
-    /** Per worker slot: the slot-indexed parallelFor guarantees
-     *  exclusive slot ownership, so scratches and lazy caches are
-     *  reused lock-free across streams. */
-    mutable std::vector<Runner> slots_;
+    /** Per worker slot, over one program: the slot-indexed
+     *  parallelFor guarantees exclusive slot ownership, so scratches
+     *  and lazy caches are reused lock-free across streams. */
+    std::vector<std::unique_ptr<PlannedEngine>> slots_;
 };
 
 } // namespace azoo

@@ -328,22 +328,24 @@ planComponents(const Automaton &a,
 }
 
 EnginePlan
-lazyPlan(const Automaton &a)
+fixedPlan(EngineKind kind, const Automaton &a)
 {
+    if (kind != EngineKind::kNfa && kind != EngineKind::kLazyDfa)
+        panic(cat("fixedPlan: ", engineName(kind), " has no fixed plan"));
     // Components over activation *and* reset edges: a counter stays
     // with everything that counts or resets it.
     uint32_t count = 0;
     const std::vector<uint32_t> comp = a.connectedComponents(count);
-    std::vector<uint8_t> hasCounter(count, 0);
+    std::vector<uint8_t> interpret(count, kind == EngineKind::kNfa);
     for (ElementId i = 0; i < a.size(); ++i) {
         if (a.element(i).kind == ElementKind::kCounter)
-            hasCounter[comp[i]] = 1;
+            interpret[comp[i]] = 1;
     }
     EnginePlan plan;
     plan.decisions.reserve(count);
     for (uint32_t c = 0; c < count; ++c) {
-        plan.add(c, hasCounter[c] ? PlanBackend::kInterpreter
-                                  : PlanBackend::kLazyDfa);
+        plan.add(c, interpret[c] ? PlanBackend::kInterpreter
+                                 : PlanBackend::kLazyDfa);
     }
     return plan;
 }
@@ -351,17 +353,12 @@ lazyPlan(const Automaton &a)
 std::shared_ptr<const PlannedProgram>
 compileProgram(EngineKind kind, const Automaton &a, const PlanOptions &opts)
 {
-    switch (kind) {
-      case EngineKind::kAuto:
+    if (kind == EngineKind::kAuto) {
         return std::make_shared<const PlannedProgram>(
             a, analysis::inferProfiles(a, opts.infer), opts);
-      case EngineKind::kLazyDfa:
-        return std::make_shared<const PlannedProgram>(a, lazyPlan(a),
-                                                      opts);
-      default:
-        panic(cat("compileProgram: ", engineName(kind),
-                  " is not a planned engine"));
     }
+    return std::make_shared<const PlannedProgram>(a, fixedPlan(kind, a),
+                                                  opts);
 }
 
 // ---------------------------------------------------------------------
@@ -391,17 +388,18 @@ PlannedProgram::PlannedProgram(
         panic("PlannedProgram: prefilter components need profiles");
     prefilter_ = buildPrefilterGroup(a, comp, plan_, profiles);
     const std::vector<uint8_t> lazy = routedTo(plan_, PlanBackend::kLazyDfa);
-    const std::vector<uint8_t> interp =
+    const std::vector<uint8_t> interpreted =
         routedTo(plan_, PlanBackend::kInterpreter);
+    std::vector<ElementId> interp;
     for (ElementId i = 0; i < a.size(); ++i) {
         if (lazy[comp[i]])
             restToGlobal_.push_back(i);
-        else if (interp[comp[i]])
-            interpToGlobal_.push_back(i);
+        else if (interpreted[comp[i]])
+            interp.push_back(i);
     }
     lazyCount_ = restToGlobal_.size();
-    restToGlobal_.insert(restToGlobal_.end(), interpToGlobal_.begin(),
-                         interpToGlobal_.end());
+    restToGlobal_.insert(restToGlobal_.end(), interp.begin(),
+                         interp.end());
     if (restToGlobal_.empty())
         return;
     rest_ = std::make_unique<const NfaEngine>(a, restToGlobal_);
@@ -410,7 +408,8 @@ PlannedProgram::PlannedProgram(
         (!img.counters.empty() && img.counters.front() < lazyCount_))
         return;
     lazyDfa_ = std::make_unique<const LazyDfaProgram>(img, lazyCount_);
-    if (!interpToGlobal_.empty()) {
+    if (!interp.empty()) {
+        interpToGlobal_ = std::move(interp);
         interp_ = std::make_unique<const NfaEngine>(a, interpToGlobal_);
     }
 }
@@ -540,6 +539,7 @@ PlannedSession::feed(const uint8_t *data, size_t len)
             if (t_ % kGuardCheckIntervalSymbols == 0) {
                 Status st = options.guard->check(t_);
                 if (!st.ok()) {
+                    obs::noteGuardStop("engine.planned", st.code());
                     guardStatus_ = std::move(st);
                     break;
                 }
@@ -608,27 +608,38 @@ void
 PlannedSession::settle()
 {
     const PlannedProgram &p = *program_;
-    // Cursor backends report in offset order up to t_; the prefilter
-    // may still report down to its low-water mark.
-    const uint64_t below =
-        prefilterSession_ ? prefilterSession_->lowWater() : t_;
-    auto take = [&](std::vector<Report> &from,
-                    const std::vector<ElementId> &toGlobal) {
-        const auto end = std::partition_point(
-            from.begin(), from.end(),
-            [below](const Report &r) { return r.offset < below; });
-        for (auto r = from.begin(); r != end; ++r)
-            settling_.push_back({r->offset, toGlobal[r->element], r->code});
-        from.erase(from.begin(), end);
-    };
-    take(restResult_.reports, p.restToGlobal_);
-    take(interpResult_.reports, p.interpToGlobal_);
-    if (prefilterSession_)
-        prefilterSession_->takeReports(below, settling_);
-    if (!std::is_sorted(settling_.begin(), settling_.end()))
-        std::sort(settling_.begin(), settling_.end());
-    tallyReports(settling_, options, settled_, settledOffset_);
-    settling_.clear();
+    std::vector<Report> *batch = &settling_;
+    if (!prefilterSession_ && interpResult_.reports.empty()) {
+        // One cursor holds every report, all below t_ (kNfa's program,
+        // a hand-off, a DFA without interpreter components): settle
+        // them in place.
+        batch = &restResult_.reports;
+        for (Report &r : *batch)
+            r.element = p.restToGlobal_[r.element];
+    } else {
+        // Cursor backends report in offset order up to t_; the
+        // prefilter may still report down to its low-water mark.
+        const uint64_t below =
+            prefilterSession_ ? prefilterSession_->lowWater() : t_;
+        auto take = [&](std::vector<Report> &from,
+                        const std::vector<ElementId> &toGlobal) {
+            const auto end = std::partition_point(
+                from.begin(), from.end(),
+                [below](const Report &r) { return r.offset < below; });
+            for (auto r = from.begin(); r != end; ++r)
+                settling_.push_back(
+                    {r->offset, toGlobal[r->element], r->code});
+            from.erase(from.begin(), end);
+        };
+        take(restResult_.reports, p.restToGlobal_);
+        take(interpResult_.reports, p.interpToGlobal_);
+        if (prefilterSession_)
+            prefilterSession_->takeReports(below, settling_);
+    }
+    if (!std::is_sorted(batch->begin(), batch->end()))
+        std::sort(batch->begin(), batch->end());
+    tallyReports(*batch, options, settled_, settledOffset_);
+    batch->clear();
 }
 
 SimResult
@@ -693,28 +704,37 @@ PlannedSession::footprintBytes() const
 
 size_t
 PlannedSession::cursorBytes(
-    const Automaton &a,
+    EngineKind kind, const Automaton &a,
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts, size_t maxReportRecords)
 {
     // The cursors' scratches together span at most every element (the
     // lazy group's cache is budgeted at its scratch's bytes and freed
-    // before that scratch is allocated), and the window keeps at most
-    // the widest reach of any component the planner could route to
-    // the prefilter (decide() without the start-of-data veto, which
-    // only ever removes components) — so this needs no plan and no
-    // program.
+    // before that scratch is allocated), their two worklists hold at
+    // most every element, and the window keeps at most the widest
+    // reach of any component the planner could route to the
+    // prefilter (decide() without the start-of-data veto, which only
+    // ever removes components) — so this needs no plan and no
+    // program. Fixed plans route nothing to the prefilter.
+    const size_t cursors = sizeof(PlannedSession) +
+        EngineScratch::elementBytes(a.size()) +
+        2 * a.size() * sizeof(ElementId) +
+        maxReportRecords * sizeof(Report);
+    if (kind != EngineKind::kAuto)
+        return cursors;
+    bool prefilter = false;
     uint64_t radius = 0, literal = 0;
     for (const analysis::ComponentProfile &p : profiles) {
         if (decide(p, false, opts) != PlanBackend::kPrefilter)
             continue;
+        prefilter = true;
         const PrefilterPattern pat = prefilterPattern(p);
         radius = std::max<uint64_t>(radius, pat.radius);
         literal = std::max<uint64_t>(literal, pat.literal.size());
     }
-    return sizeof(PlannedSession) + sizeof(PrefilteredNfa::Session) +
-        EngineScratch::elementBytes(a.size()) +
-        maxReportRecords * sizeof(Report) +
+    if (!prefilter)
+        return cursors;
+    return cursors + sizeof(PrefilteredNfa::Session) +
         PrefilteredNfa::Session::bufferBound(radius + literal);
 }
 

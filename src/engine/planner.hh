@@ -16,8 +16,9 @@
  * NfaEngine after canonicalizeReports(). totalEnabled is
  * engine-defined, as for MultiDfaEngine: skipped regions and
  * never-simulated components contribute nothing. A plan need not
- * come from profiles: EngineKind::kLazyDfa runs lazyPlan(), which
- * skips nothing, so its totalEnabled is the interpreter's too.
+ * come from profiles: EngineKind::kNfa and kLazyDfa run fixedPlan(),
+ * which skips nothing, so their totalEnabled is the interpreter's
+ * too.
  *
  * The decision table (docs/ARCHITECTURE.md "Engine planning &
  * prefilters" is the narrative version):
@@ -41,6 +42,7 @@
 #ifndef AZOO_ENGINE_PLANNER_HH
 #define AZOO_ENGINE_PLANNER_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <initializer_list>
@@ -55,7 +57,6 @@
 #include "engine/nfa_engine.hh"
 #include "engine/prefilter.hh"
 #include "engine/report.hh"
-#include "engine/streaming.hh"
 #include "util/status.hh"
 
 namespace azoo {
@@ -85,9 +86,12 @@ char planBackendCode(PlanBackend b);
  *  every `--engine`). Each consumer rejects the kinds it does not run
  *  by name; none substitutes another engine. */
 enum class EngineKind : uint8_t {
-    kNfa,      ///< enabled-set interpreter (NfaEngine)
+    /** The enabled-set interpreter: NfaEngine (the serial
+     *  reference), or fixedPlan()'s all-interpreter program on
+     *  PlannedEngine/PlannedSession cursors. */
+    kNfa,
     kMultiDfa, ///< eager per-component DFAs (MultiDfaEngine)
-    /** lazyPlan(): the lazy DFA beside the interpreter for counter
+    /** fixedPlan(): the lazy DFA beside the interpreter for counter
      *  components, on PlannedEngine/PlannedSession cursors. */
     kLazyDfa,
     kAuto,     ///< profile-planned backends (PlannedEngine/Session)
@@ -154,11 +158,13 @@ EnginePlan planComponents(const Automaton &a,
                           const PlanOptions &opts = PlanOptions());
 
 /**
- * EngineKind::kLazyDfa's fixed plan for @p a: components with a
- * counter (which cannot be determinized) on the interpreter, every
- * other component on the lazy DFA. Needs no profiles.
+ * The fixed plan @p kind runs @p a on, needing no profiles: under
+ * kNfa every component is interpreted; under kLazyDfa components
+ * with a counter (which cannot be determinized) are interpreted and
+ * every other one runs on the lazy DFA. Neither skips a component.
+ * panic()s on other kinds.
  */
-EnginePlan lazyPlan(const Automaton &a);
+EnginePlan fixedPlan(EngineKind kind, const Automaton &a);
 
 /**
  * The immutable half of a planned run, compiled once and shared by
@@ -224,12 +230,13 @@ class PlannedProgram
     /** The interpreter group alone, run beside the DFA (null without
      *  a DFA or without interpreter components). */
     std::unique_ptr<const NfaEngine> interp_;
-    std::vector<ElementId> interpToGlobal_;
+    std::vector<ElementId> interpToGlobal_; ///< empty without interp_
 };
 
 /**
  * The program @p kind runs @p a on: kAuto plans from inferred
- * profiles, kLazyDfa compiles lazyPlan(). panic()s on other kinds.
+ * profiles, kNfa and kLazyDfa compile fixedPlan(). panic()s on
+ * kMultiDfa.
  */
 std::shared_ptr<const PlannedProgram>
 compileProgram(EngineKind kind, const Automaton &a,
@@ -253,11 +260,16 @@ compileProgram(EngineKind kind, const Automaton &a,
  * interpreter group's state, the cache is freed, and the session
  * interprets both groups in that one cursor from then on, across
  * reset() too. The hand-off is exact, so results never depend on
- * where it happens.
+ * where it happens. A kNfa program has neither a prefilter nor a
+ * DFA: its session is one interpreter cursor over the rest engine.
  *
  * The session owns the guard poll clock: options.guard is polled
  * every kGuardCheckIntervalSymbols stream symbols regardless of
- * chunking, exactly like StreamingSession.
+ * chunking, the serial engines' poll points, so a chunked stream
+ * stops at the same prefix as a monolithic run. feed() returns the
+ * bytes it consumed; once the guard fires, results() covers exactly
+ * that prefix, engine.planned.guard_stops.<code> counts the stop,
+ * and further feeds consume nothing until reset().
  *
  * Reports settle as the stream advances: at the end of each slice of
  * at most kSettleBytes of a feed, every backend's reports below a
@@ -320,14 +332,16 @@ class PlannedSession
      *  are shared and excluded (PlannedProgram::footprintBytes()). */
     size_t footprintBytes() const;
 
-    /** Bytes a running session over a program of @p a holds, from
-     *  the cursor's layout: the scratches' per-element arrays (the
-     *  lazy cache is held to the lazy group's share of them),
-     *  @p maxReportRecords recorded reports and the prefilter
-     *  window's buffer bound. The serve layer's admission unit;
-     *  computed without compiling the program. */
+    /** Bytes a running session over @p kind's program of @p a holds,
+     *  from the cursor's layout: the scratches' per-element arrays
+     *  (the lazy cache is held to the lazy group's share of them)
+     *  and worklists (every element enabled), @p maxReportRecords
+     *  recorded reports and, when some component can be routed to
+     *  the prefilter (kAuto only), the prefilter window. The serve
+     *  layer's admission unit; computed without compiling the
+     *  program. */
     static size_t
-    cursorBytes(const Automaton &a,
+    cursorBytes(EngineKind kind, const Automaton &a,
                 const std::vector<analysis::ComponentProfile> &profiles,
                 const PlanOptions &opts, size_t maxReportRecords);
 
@@ -477,6 +491,22 @@ class PlannedEngine
   private:
     PlannedSession session_;
 };
+
+/** Feed @p data to a cursor's @p feed in @p chunk-byte slices; a
+ *  short feed means the guard stopped the stream, so later slices
+ *  are not offered. */
+template <typename Feed>
+void
+feedChunks(const uint8_t *data, size_t len, size_t chunk, Feed &&feed)
+{
+    for (size_t pos = 0; pos < len;) {
+        const size_t want = std::min(chunk, len - pos);
+        const size_t got = feed(data + pos, want);
+        pos += got;
+        if (got < want)
+            break;
+    }
+}
 
 } // namespace azoo
 

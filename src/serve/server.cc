@@ -245,7 +245,7 @@ Server::handleOpen(Conn &c, const Frame &f)
     c.session = c.pool->acquire();
     c.guard.setDeadlineMs(opts_.limits.sessionDeadlineMs);
     c.guard.setSymbolBudget(opts_.limits.sessionSymbolBudget);
-    SimOptions &so = c.session->options();
+    SimOptions &so = c.session->options;
     so.guard = &c.guard;
     so.reportRecordLimit = opts_.limits.maxReportRecords;
     c.deadlineAt = TimePoint{}; // handshake deadline met
@@ -546,7 +546,7 @@ Server::maybeDispatch(Conn &c)
     Conn *conn = &c;
     const uint64_t id = c.id;
     workers_->post([this, conn, id] {
-        MatchSession &s = *conn->session;
+        PlannedSession &s = *conn->session;
         for (;;) {
             std::vector<uint8_t> chunk;
             {

@@ -244,7 +244,7 @@ class Server
          *  always released to *this* pool, never the server's
          *  current one — pooled sessions cannot cross rulesets. */
         std::shared_ptr<MatchSessionPool> pool;
-        std::unique_ptr<MatchSession> session;
+        std::unique_ptr<PlannedSession> session;
         RunGuard guard;
 
         /** Forced outcome (shed/drain/idle-deadline); kOk = none. */

@@ -6,49 +6,6 @@
 namespace azoo {
 namespace serve {
 
-namespace {
-
-/** MatchSession over a cursor (StreamingSession or PlannedSession)
- *  on the generation's shared program. */
-template <typename Cursor>
-class CursorMatchSession final : public MatchSession
-{
-  public:
-    template <typename Program>
-    explicit CursorMatchSession(Program program) : s_(std::move(program))
-    {
-    }
-
-    size_t
-    feed(const uint8_t *data, size_t len) override
-    {
-        return s_.feed(data, len);
-    }
-    bool stopped() const override { return s_.stopped(); }
-    SimResult
-    results() const override
-    {
-        // The interpreter emits same-cycle reports in propagation
-        // order; a planned merge is already canonical.
-        SimResult r = s_.results();
-        canonicalizeReports(r);
-        return r;
-    }
-    uint64_t offset() const override { return s_.offset(); }
-    void reset() override { s_.reset(); }
-    SimOptions &options() override { return s_.options; }
-    size_t
-    footprintBytes() const override
-    {
-        return sizeof(*this) + s_.footprintBytes();
-    }
-
-  private:
-    Cursor s_;
-};
-
-} // namespace
-
 MatchSessionPool::MatchSessionPool(
     std::shared_ptr<const CompiledRuleset> gen, size_t maxReportRecords)
     : gen_(std::move(gen))
@@ -59,11 +16,9 @@ MatchSessionPool::MatchSessionPool(
     if (engine != EngineKind::kNfa && engine != EngineKind::kAuto)
         panic(cat("MatchSessionPool: no session cursor for engine ",
                   engineName(engine)));
-    sessionBytes_ = engine == EngineKind::kAuto
-        ? PlannedSession::cursorBytes(gen_->automaton, gen_->profiles,
-                                      gen_->spec.plan, maxReportRecords)
-        : StreamingSession::cursorBytes(gen_->automaton.size(),
-                                        maxReportRecords);
+    sessionBytes_ = PlannedSession::cursorBytes(
+        engine, gen_->automaton, gen_->profiles, gen_->spec.plan,
+        maxReportRecords);
 }
 
 MatchSessionPool::MatchSessionPool(const Automaton &a, EngineKind engine,
@@ -83,36 +38,34 @@ MatchSessionPool::epoch() const
     return gen_->epoch;
 }
 
-std::unique_ptr<MatchSession>
+std::unique_ptr<PlannedSession>
 MatchSessionPool::acquire()
 {
     if (!free_.empty()) {
-        std::unique_ptr<MatchSession> s = std::move(free_.back());
+        std::unique_ptr<PlannedSession> s = std::move(free_.back());
         free_.pop_back();
         // Fresh options for the new client; release() already reset
         // the engine state.
-        s->options() = SimOptions();
+        s->options = SimOptions();
         return s;
     }
     // The generation compiles here, on its first session, not at
     // load: a reload publishes without paying for a compile that the
-    // first OPEN after it pays once instead.
+    // first OPEN after it pays once instead. kAuto plans from the
+    // generation's profiles, inferred once at load.
     ++created_;
-    if (gen_->spec.engine == EngineKind::kAuto) {
-        if (!program_) {
-            program_ = std::make_shared<const PlannedProgram>(
-                gen_->automaton, gen_->profiles, gen_->spec.plan);
-        }
-        return std::make_unique<CursorMatchSession<PlannedSession>>(
-            program_);
+    if (!program_) {
+        program_ = gen_->spec.engine == EngineKind::kAuto
+            ? std::make_shared<const PlannedProgram>(
+                  gen_->automaton, gen_->profiles, gen_->spec.plan)
+            : compileProgram(gen_->spec.engine, gen_->automaton,
+                             gen_->spec.plan);
     }
-    if (!nfa_)
-        nfa_ = std::make_shared<const NfaEngine>(gen_->automaton);
-    return std::make_unique<CursorMatchSession<StreamingSession>>(nfa_);
+    return std::make_unique<PlannedSession>(program_);
 }
 
 void
-MatchSessionPool::release(std::unique_ptr<MatchSession> s)
+MatchSessionPool::release(std::unique_ptr<PlannedSession> s)
 {
     if (!s)
         return;

@@ -1,23 +1,19 @@
 /**
  * @file
- * Session lifecycle for the match service: the engine-session
- * abstraction, a reset-reuse pool, and the admission controller.
+ * Session lifecycle for the match service: a reset-reuse pool of
+ * session cursors and the admission controller.
  *
- * Three separable robustness mechanisms live here, used by
+ * Two separable robustness mechanisms live here, used by
  * serve::Server but testable without sockets:
  *
- *  - MatchSession erases the difference between the two streaming
- *    engines (StreamingSession for --engine nfa, PlannedSession for
- *    --engine auto) behind feed/results/reset, so the server's data
- *    path has exactly one shape.
- *
- *  - MatchSessionPool compiles its generation once — one NfaEngine
- *    (kNfa) or one PlannedProgram (kAuto), built when it creates
- *    its first session — and every session is a cursor over that
- *    shared, immutable program: opening one allocates only its
- *    scratch and window state (no compile), reset() is O(counters),
- *    and the pool recycles cursors across client sessions. The
- *    pool's correctness contract — a reused session behaves
+ *  - MatchSessionPool compiles its generation once — one
+ *    PlannedProgram over kNfa's fixed all-interpreter plan or kAuto's
+ *    profile plan, built when it creates its first session — and
+ *    every session is a PlannedSession cursor over that shared,
+ *    immutable program, so the server's data path has one shape.
+ *    Opening a session allocates only its scratch and window state
+ *    (no compile), reset() is O(counters), and the pool recycles
+ *    cursors across client sessions. The pool's correctness contract — a reused session behaves
  *    bit-identically to a fresh one, including after a guard stop —
  *    is what the reset-reuse regression in tests/test_streaming.cc
  *    pins across the zoo.
@@ -44,7 +40,6 @@
 #include "analysis/profile.hh"
 #include "engine/planner.hh"
 #include "engine/report.hh"
-#include "engine/streaming.hh"
 #include "serve/protocol.hh"
 
 namespace azoo {
@@ -72,44 +67,13 @@ struct ServeLimits {
     size_t maxReportRecords = 4096;
 };
 
-/** Engine-agnostic streaming match session (one client stream). */
-class MatchSession
-{
-  public:
-    virtual ~MatchSession() = default;
-
-    /** Feed a chunk; returns bytes consumed (short exactly when the
-     *  guard in options() stopped the session). */
-    virtual size_t feed(const uint8_t *data, size_t len) = 0;
-
-    /** True once the guard stopped this session. */
-    virtual bool stopped() const = 0;
-
-    /** Canonical results over the consumed prefix. */
-    virtual SimResult results() const = 0;
-
-    /** Stream position (symbols consumed). */
-    virtual uint64_t offset() const = 0;
-
-    /** Back to a fresh start-of-stream state (results cleared,
-     *  guard stop cleared). */
-    virtual void reset() = 0;
-
-    /** Simulation options (guard, record caps); set before feeding. */
-    virtual SimOptions &options() = 0;
-
-    /** Measured resident footprint: the sum of this session's owned
-     *  container capacities (scratch, window buffers, report
-     *  vectors). The shared program is not the session's and is
-     *  excluded. The admission bound is validated against this in
-     *  tests. */
-    virtual size_t footprintBytes() const = 0;
-};
-
 /**
- * Free-list of engine sessions over one ruleset generation. acquire()
- * hands out a reset session with default options; release() returns
- * it for the next client. Not thread-safe: the server's event loop
+ * Free-list of PlannedSession cursors over one ruleset generation.
+ * acquire() hands out a reset session with default options;
+ * release() returns it for the next client. A session's
+ * footprintBytes() (its own scratch, window and report buffers; the
+ * shared program excluded) is what tests hold the admission unit
+ * to. Not thread-safe: the server's event loop
  * owns acquire/release (workers only touch a session between them,
  * and sessions on different workers only read the shared program).
  *
@@ -142,13 +106,13 @@ class MatchSessionPool
 
     ~MatchSessionPool();
 
-    std::unique_ptr<MatchSession> acquire();
-    void release(std::unique_ptr<MatchSession> s);
+    std::unique_ptr<PlannedSession> acquire();
+    void release(std::unique_ptr<PlannedSession> s);
 
     /** Resident bytes of one running session, from the cursor's
-     *  layout (StreamingSession / PlannedSession::cursorBytes()),
-     *  computed at construction without compiling anything; the
-     *  admission controller's memory unit. */
+     *  layout (PlannedSession::cursorBytes()), computed at
+     *  construction without compiling anything; the admission
+     *  controller's memory unit. */
     size_t estimatedSessionBytes() const { return sessionBytes_; }
 
 
@@ -161,11 +125,10 @@ class MatchSessionPool
 
   private:
     std::shared_ptr<const CompiledRuleset> gen_;
-    /** The generation's program, compiled by the first acquire()
-     *  (exactly one is set, per the spec); sessions co-own it. */
-    std::shared_ptr<const NfaEngine> nfa_;
+    /** The generation's program, compiled by the first acquire();
+     *  sessions co-own it. */
     std::shared_ptr<const PlannedProgram> program_;
-    std::vector<std::unique_ptr<MatchSession>> free_;
+    std::vector<std::unique_ptr<PlannedSession>> free_;
     size_t created_ = 0;
     size_t sessionBytes_ = 0;
 };

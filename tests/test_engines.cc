@@ -307,8 +307,8 @@ TEST(MultiDfa, StateBudgetForcesFallback)
               sortedReports(dfa.simulate(in)));
 }
 
-/** `--engine lazydfa`: a block PlannedEngine over lazyPlan(), its
- *  cache flushing at @p cacheBytes. */
+/** `--engine lazydfa`: a block PlannedEngine over
+ *  fixedPlan(kLazyDfa), its cache flushing at @p cacheBytes. */
 PlannedEngine
 lazyEngine(const Automaton &a,
            size_t cacheBytes = PlanOptions().lazyCacheBytes)
@@ -318,7 +318,7 @@ lazyEngine(const Automaton &a,
     return PlannedEngine(compileProgram(EngineKind::kLazyDfa, a, opts));
 }
 
-/** Components lazyPlan() put on @p b. */
+/** Components fixedPlan(kLazyDfa) put on @p b. */
 uint32_t
 planned(const PlannedEngine &e, PlanBackend b)
 {

@@ -869,7 +869,7 @@ TEST(ServeSession, EstimateWithinOrderOfMagnitudeOfMeasured)
     const auto in = testPayload(5, 64 << 10);
     for (EngineKind eng : {EngineKind::kNfa, EngineKind::kAuto}) {
         MatchSessionPool pool(a, eng, PlanOptions(), 256);
-        std::unique_ptr<MatchSession> s = pool.acquire();
+        std::unique_ptr<PlannedSession> s = pool.acquire();
         s->feed(in.data(), in.size());
         const size_t measured = s->footprintBytes();
         const size_t estimate = pool.estimatedSessionBytes();
@@ -905,8 +905,8 @@ TEST(ServeSession, LazySessionFootprintWithinEstimate)
 
         MatchSessionPool pool(b.automaton, EngineKind::kAuto,
                               PlanOptions(), 256);
-        std::unique_ptr<MatchSession> s = pool.acquire();
-        s->options().reportRecordLimit = 256;
+        std::unique_ptr<PlannedSession> s = pool.acquire();
+        s->options.reportRecordLimit = 256;
         ASSERT_EQ(s->feed(b.input.data(), len), len);
         EXPECT_LE(s->footprintBytes(), pool.estimatedSessionBytes());
         const SimResult got = s->results();
@@ -933,6 +933,46 @@ TEST(ServeSession, LazySessionFootprintWithinEstimate)
     }
 }
 
+TEST(ServeSession, CappedRecordsAreTheCanonicalFirstOnEveryEngine)
+{
+    // A record-capped session keeps the first reportRecordLimit
+    // reports in canonical order on every served engine. "b" (element
+    // 0) and "ab" (its 'b' is element 2) report in the same cycle at
+    // every "ab"; the interpreter emits the edge-enabled element 2
+    // first, canonical order element 0. The leading "b" puts the
+    // 256th report inside such a cycle, so keeping the first 256 in
+    // propagation order and sorting them after gives a different set.
+    Automaton a("same-cycle");
+    addLiteral(a, "b", StartType::kAllInput, true, 1);
+    addLiteral(a, "ab", StartType::kAllInput, true, 2);
+    std::vector<uint8_t> in = bytes("b");
+    for (int i = 0; i < 1000; ++i) {
+        in.push_back('a');
+        in.push_back('b');
+    }
+    SimResult want = serialRun(a, in.data(), in.size());
+    ASSERT_EQ(want.reportCount, 2001u);
+    want.reports.resize(256);
+    SimResult got[2];
+    const EngineKind kinds[2] = {EngineKind::kNfa, EngineKind::kAuto};
+    for (size_t k = 0; k < 2; ++k) {
+        SCOPED_TRACE(engineName(kinds[k]));
+        MatchSessionPool pool(a, kinds[k], PlanOptions(), 256);
+        std::unique_ptr<PlannedSession> s = pool.acquire();
+        s->options.reportRecordLimit = 256;
+        feedChunks(in.data(), in.size(), 100,
+                   [&](const uint8_t *p, size_t n) {
+                       return s->feed(p, n);
+                   });
+        got[k] = s->results();
+        EXPECT_EQ(got[k].reportCount, want.reportCount);
+        EXPECT_EQ(got[k].reportingCycles, want.reportingCycles);
+        EXPECT_EQ(got[k].reports, want.reports);
+        pool.release(std::move(s));
+    }
+    EXPECT_EQ(got[0].reports, got[1].reports);
+}
+
 // ---------------------------------------------------------------
 // One program per generation; sessions are cursors over it.
 
@@ -951,21 +991,14 @@ TEST(ServeSession, ConcurrentSessionsShareOneProgram)
         // What compiling one program costs, and the tables it holds,
         // on a standalone one.
         uint64_t before = reg.counterValue("engine.nfa.compiles");
-        size_t sharedBytes = 0;
-        if (eng == EngineKind::kAuto) {
-            sharedBytes = PlannedProgram(b.automaton,
-                                         analysis::inferProfiles(
-                                             b.automaton))
-                              .footprintBytes();
-        } else {
-            sharedBytes = NfaEngine(b.automaton).footprintBytes();
-        }
+        const size_t sharedBytes =
+            compileProgram(eng, b.automaton)->footprintBytes();
         const uint64_t perProgram =
             reg.counterValue("engine.nfa.compiles") - before;
 
         before = reg.counterValue("engine.nfa.compiles");
         MatchSessionPool pool(b.automaton, eng);
-        std::vector<std::unique_ptr<MatchSession>> sessions;
+        std::vector<std::unique_ptr<PlannedSession>> sessions;
         for (int i = 0; i < 3; ++i)
             sessions.push_back(pool.acquire());
         EXPECT_EQ(pool.created(), 3u);

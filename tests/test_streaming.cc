@@ -1,24 +1,26 @@
 /**
  * @file
- * StreamingSession tests: chunked feeding is equivalent to monolithic
- * simulation for arbitrary chunkings, including single-byte feeds,
- * counter state across boundaries, reset semantics, and cursors on
- * different threads over one shared program. Run under
- * -fsanitize=thread in CI.
+ * Session-cursor tests: a PlannedSession fed in chunks is equivalent
+ * to monolithic simulation for arbitrary chunkings, including
+ * single-byte feeds, counter state across boundaries, guard stops at
+ * stream poll points, reset semantics, and cursors on different
+ * threads over one shared program. Most run the `--engine nfa`
+ * program (compileProgram(EngineKind::kNfa): every component on one
+ * interpreter cursor); reset reuse and guard-stop counting run every
+ * planned kind. Run under -fsanitize=thread in CI.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <thread>
-#include <type_traits>
 
 #include "core/builder.hh"
 #include "engine/nfa_engine.hh"
 #include "engine/parallel_runner.hh"
 #include "engine/planner.hh"
 #include "engine/run_guard.hh"
-#include "engine/streaming.hh"
+#include "obs/obs.hh"
 #include "util/fault.hh"
 #include "regex/glushkov.hh"
 #include "regex/parser.hh"
@@ -35,11 +37,27 @@ bytes(const std::string &s)
     return {s.begin(), s.end()};
 }
 
+/** A cursor over @p a's `--engine nfa` program. */
+PlannedSession
+nfaSession(const Automaton &a)
+{
+    return PlannedSession(compileProgram(EngineKind::kNfa, a));
+}
+
+/** Canonicalized copy (sorted reports) for order-independent
+ *  comparison. */
+SimResult
+canon(SimResult r)
+{
+    canonicalizeReports(r);
+    return r;
+}
+
 TEST(Streaming, MatchStraddlesChunkBoundary)
 {
     Automaton a("t");
     addLiteral(a, "abcd", StartType::kAllInput, true, 1);
-    StreamingSession sess(a);
+    PlannedSession sess = nfaSession(a);
     sess.feed(bytes("xxab"));
     EXPECT_EQ(sess.results().reportCount, 0u);
     sess.feed(bytes("cdxx"));
@@ -51,7 +69,7 @@ TEST(Streaming, OffsetsAreAbsolute)
 {
     Automaton a("t");
     addLiteral(a, "z", StartType::kAllInput, true, 1);
-    StreamingSession sess(a);
+    PlannedSession sess = nfaSession(a);
     for (int chunk = 0; chunk < 5; ++chunk)
         sess.feed(bytes("xyz"));
     ASSERT_EQ(sess.results().reportCount, 5u);
@@ -63,7 +81,7 @@ TEST(Streaming, StartOfDataOnlyAtStreamStart)
 {
     Automaton a("t");
     addLiteral(a, "ab", StartType::kStartOfData, true, 1);
-    StreamingSession sess(a);
+    PlannedSession sess = nfaSession(a);
     sess.feed(bytes("a"));
     sess.feed(bytes("b"));
     EXPECT_EQ(sess.results().reportCount, 1u);
@@ -80,7 +98,7 @@ TEST(Streaming, CounterStatePersistsAcrossChunks)
     ElementId s = a.addSte(CharSet::single('a'), StartType::kAllInput);
     ElementId c = a.addCounter(3, CounterMode::kLatch, true, 9);
     a.addEdge(s, c);
-    StreamingSession sess(a);
+    PlannedSession sess = nfaSession(a);
     sess.feed(bytes("a"));
     sess.feed(bytes("a"));
     EXPECT_EQ(sess.results().reportCount, 0u);
@@ -121,9 +139,9 @@ TEST_P(StreamingProperty, ChunkingInvariance)
     NfaEngine mono(a);
     SimOptions opts;
     opts.countByCode = true;
-    auto expect = mono.simulate(in, opts);
+    const SimResult expect = canon(mono.simulate(in, opts));
 
-    StreamingSession sess(a);
+    PlannedSession sess = nfaSession(a);
     sess.options.countByCode = true;
     size_t pos = 0;
     while (pos < in.size()) {
@@ -140,7 +158,7 @@ TEST_P(StreamingProperty, ChunkingInvariance)
     EXPECT_EQ(sess.results().byCode, expect.byCode);
 
     // Byte-at-a-time feeding too.
-    StreamingSession one(a);
+    PlannedSession one = nfaSession(a);
     for (auto b : in)
         one.feed(&b, 1);
     EXPECT_EQ(one.results().reports, expect.reports);
@@ -181,7 +199,7 @@ TEST(StreamingGuard, BudgetStopsMidChunkAndMatchesSerial)
     RunGuard guard;
     guard.setSymbolBudget(3000);
 
-    StreamingSession sess(a);
+    PlannedSession sess = nfaSession(a);
     sess.options.guard = &guard;
     size_t consumed = 0;
     // 512-byte chunks: the stop point (a multiple of 1024) falls
@@ -199,7 +217,7 @@ TEST(StreamingGuard, BudgetStopsMidChunkAndMatchesSerial)
     }
     EXPECT_TRUE(sawShortFeed);
     EXPECT_TRUE(sess.stopped());
-    const SimResult &r = sess.results();
+    const SimResult r = sess.results();
     EXPECT_EQ(r.guardStatus.code(), ErrorCode::kLimitExceeded);
     EXPECT_TRUE(r.truncated());
     EXPECT_EQ(r.symbols, consumed);
@@ -215,7 +233,7 @@ TEST(StreamingGuard, BudgetStopsMidChunkAndMatchesSerial)
     SimResult serial = engine.simulate(in.data(), in.size(), sopts);
     EXPECT_EQ(r.symbols, serial.symbols);
     EXPECT_EQ(r.reportCount, serial.reportCount);
-    EXPECT_EQ(r.reports, serial.reports);
+    EXPECT_EQ(r.reports, canon(serial).reports);
     EXPECT_EQ(r.totalEnabled, serial.totalEnabled);
 }
 
@@ -226,7 +244,7 @@ TEST(StreamingGuard, StoppedSessionRefusesFeedUntilReset)
 
     RunGuard guard;
     guard.setSymbolBudget(1000);
-    StreamingSession sess(a);
+    PlannedSession sess = nfaSession(a);
     sess.options.guard = &guard;
     EXPECT_LT(sess.feed(in), in.size());
     ASSERT_TRUE(sess.stopped());
@@ -253,7 +271,7 @@ TEST(StreamingGuard, CancelledGuardStopsAtFirstPoll)
 
     RunGuard guard;
     guard.cancel(); // already raised before the first check
-    StreamingSession sess(a);
+    PlannedSession sess = nfaSession(a);
     sess.options.guard = &guard;
     EXPECT_EQ(sess.feed(in), 0u); // poll at t=0 fires before any byte
     EXPECT_TRUE(sess.stopped());
@@ -273,18 +291,43 @@ TEST(StreamingGuard, InjectedExpiryTruncatesAtPollBoundary)
     const std::vector<uint8_t> in = guardInput(8192);
 
     RunGuard guard; // no limits: only the injected fault can fire
-    StreamingSession sess(a);
+    PlannedSession sess = nfaSession(a);
     sess.options.guard = &guard;
     // Skip the t=0 poll, fire on the second check (t=1024).
     fault::armAfter(fault::Point::kGuardExpiry, 1);
     const size_t got = sess.feed(in);
     EXPECT_EQ(got, kGuardCheckIntervalSymbols);
     EXPECT_TRUE(sess.stopped());
-    const SimResult &r = sess.results();
+    const SimResult r = sess.results();
     EXPECT_EQ(r.guardStatus.code(), ErrorCode::kDeadlineExceeded);
     EXPECT_EQ(r.symbols, kGuardCheckIntervalSymbols);
     // Results cover exactly the consumed prefix: one 'z' per 7 bytes.
     EXPECT_EQ(r.reportCount, (kGuardCheckIntervalSymbols + 6) / 7);
+}
+
+TEST(StreamingGuard, EveryPlannedKindCountsItsStop)
+{
+    // One engine.planned.guard_stops.<code> per stopped session, on
+    // each planned kind; refused feeds after the stop count nothing.
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "built with AZOO_OBS=OFF";
+    const Automaton a = guardAutomaton();
+    const std::vector<uint8_t> in = guardInput(4096);
+    obs::Registry &reg = obs::Registry::global();
+    const char *const kStops = "engine.planned.guard_stops.limit-exceeded";
+    for (EngineKind kind :
+         {EngineKind::kNfa, EngineKind::kLazyDfa, EngineKind::kAuto}) {
+        SCOPED_TRACE(engineName(kind));
+        PlannedSession sess(compileProgram(kind, a));
+        RunGuard guard;
+        guard.setSymbolBudget(1000);
+        sess.options.guard = &guard;
+        const uint64_t before = reg.counterValue(kStops);
+        EXPECT_EQ(sess.feed(in), kGuardCheckIntervalSymbols);
+        EXPECT_EQ(sess.feed(in), 0u);
+        EXPECT_TRUE(sess.stopped());
+        EXPECT_EQ(reg.counterValue(kStops) - before, 1u);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -296,21 +339,11 @@ TEST(StreamingGuard, InjectedExpiryTruncatesAtPollBoundary)
 // demands bit-identical results to a fresh session, including the
 // nastiest path: reset after a mid-stream guard stop.
 
-/** Canonicalized copy (sorted reports) for order-independent
- *  comparison. */
-SimResult
-canon(SimResult r)
-{
-    canonicalizeReports(r);
-    return r;
-}
-
-template <typename Session>
 void
-expectSameAsFresh(const Automaton &a, Session &reused,
-                  const std::vector<uint8_t> &in, const char *what)
+expectSameAsFresh(PlannedSession &reused, const std::vector<uint8_t> &in,
+                  const char *what)
 {
-    Session fresh(a);
+    PlannedSession fresh(reused.program());
     size_t pos = 0;
     // Uneven chunking on the reused session, monolithic on the fresh
     // one: reset must also clear chunk-boundary carry state.
@@ -322,20 +355,19 @@ expectSameAsFresh(const Automaton &a, Session &reused,
         pos += n;
     }
     fresh.feed(in.data(), in.size());
-    const SimResult got = canon(reused.results());
-    const SimResult want = canon(fresh.results());
+    const SimResult got = reused.results();
+    const SimResult want = fresh.results();
     EXPECT_EQ(got.symbols, want.symbols) << what;
     EXPECT_EQ(got.reportCount, want.reportCount) << what;
     EXPECT_EQ(got.reports, want.reports) << what;
     EXPECT_EQ(reused.offset(), in.size()) << what;
 }
 
-/** Runs the cycles on every zoo row; returns how many planned
- *  sessions had handed their lazy-DFA group to the interpreter when
- *  first reset (0 for other sessions). */
-template <typename Session>
+/** Runs the cycles on every zoo row over @p kind's program; returns
+ *  how many sessions had handed their lazy-DFA group to the
+ *  interpreter when first reset. */
 size_t
-cycleResetAcrossZoo()
+cycleResetAcrossZoo(EngineKind kind)
 {
     zoo::ZooConfig cfg;
     cfg.scale = 0.01;
@@ -345,14 +377,13 @@ cycleResetAcrossZoo()
         SCOPED_TRACE(info.name);
         zoo::Benchmark b = info.make(cfg);
         const std::vector<uint8_t> &in = b.input;
-        Session sess(b.automaton);
+        PlannedSession sess(compileProgram(kind, b.automaton));
 
         // Cycle 1: dirty the session with a different slice, reset.
         sess.feed(in.data(), in.size() / 2);
-        if constexpr (std::is_same_v<Session, PlannedSession>)
-            handedOff += sess.lazyInterpreted();
+        handedOff += sess.lazyInterpreted();
         sess.reset();
-        expectSameAsFresh(b.automaton, sess, in, "after plain reset");
+        expectSameAsFresh(sess, in, "after plain reset");
 
         // Cycle 2: stop it mid-stream with a guard, reset. A stopped
         // session refuses feeds, so this is the path a pooled serve
@@ -365,28 +396,26 @@ cycleResetAcrossZoo()
         EXPECT_TRUE(sess.stopped());
         sess.reset();
         sess.options.guard = nullptr;
-        expectSameAsFresh(b.automaton, sess, in, "after guard stop");
+        expectSameAsFresh(sess, in, "after guard stop");
     }
     return handedOff;
 }
 
-TEST(SessionReuse, StreamingResetIsBitIdenticalAcrossZoo)
-{
-    cycleResetAcrossZoo<StreamingSession>();
-}
-
 TEST(SessionReuse, PlannedResetIsBitIdenticalAcrossZoo)
 {
+    // Every planned kind, nfa's all-interpreter program included.
     // Rows whose lazy-DFA cache outgrows its budget are reset after
     // the hand-off and must keep matching a fresh session (which
-    // starts on the DFA again).
-    EXPECT_GT(cycleResetAcrossZoo<PlannedSession>(), 0u);
+    // starts on the DFA again); nfa's program has no DFA to leave.
+    EXPECT_EQ(cycleResetAcrossZoo(EngineKind::kNfa), 0u);
+    EXPECT_GT(cycleResetAcrossZoo(EngineKind::kLazyDfa), 0u);
+    EXPECT_GT(cycleResetAcrossZoo(EngineKind::kAuto), 0u);
 }
 
 // ---------------------------------------------------------------
 // One compiled program, many cursors: sessions only read the shared
-// engine or PlannedProgram, so cursors on different threads may run
-// over it at once.
+// PlannedProgram, so cursors on different threads may run over it at
+// once.
 
 TEST(SharedProgram, ConcurrentCursorsMatchSerial)
 {
@@ -402,30 +431,28 @@ TEST(SharedProgram, ConcurrentCursorsMatchSerial)
         const std::vector<uint8_t> in[2] = {
             {b.input.begin(), b.input.begin() + half},
             {b.input.begin() + half, b.input.end()}};
-        const auto engine = std::make_shared<const NfaEngine>(b.automaton);
-        const auto program =
-            std::make_shared<const PlannedProgram>(
-            b.automaton, analysis::inferProfiles(b.automaton));
+        const auto nfa = compileProgram(EngineKind::kNfa, b.automaton);
+        const auto planned = compileProgram(EngineKind::kAuto, b.automaton);
 
-        SimResult streamed[2], planned[2];
+        SimResult viaNfa[2], viaAuto[2];
         auto run = [&](size_t i) {
-            StreamingSession s(engine);
-            PlannedSession p(program);
+            PlannedSession s(nfa), p(planned);
             for (size_t pos = 0; pos < in[i].size(); pos += 1500) {
                 const size_t n = std::min<size_t>(1500, in[i].size() - pos);
                 s.feed(in[i].data() + pos, n);
                 p.feed(in[i].data() + pos, n);
             }
-            streamed[i] = canon(s.results());
-            planned[i] = p.results();
+            viaNfa[i] = s.results();
+            viaAuto[i] = p.results();
         };
         std::thread t0(run, 0), t1(run, 1);
         t0.join();
         t1.join();
 
+        const NfaEngine serial(b.automaton);
         for (size_t i = 0; i < 2; ++i) {
-            const SimResult want = canon(engine->simulate(in[i]));
-            for (const SimResult *got : {&streamed[i], &planned[i]}) {
+            const SimResult want = canon(serial.simulate(in[i]));
+            for (const SimResult *got : {&viaNfa[i], &viaAuto[i]}) {
                 EXPECT_EQ(got->symbols, want.symbols) << i;
                 EXPECT_EQ(got->reportCount, want.reportCount) << i;
                 EXPECT_EQ(got->reportingCycles, want.reportingCycles)

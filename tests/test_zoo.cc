@@ -136,7 +136,7 @@ TEST_P(ZooEngineEquivalence, NfaAndDfaReportIdentically)
     EXPECT_EQ(ref.byCode, got.byCode);
 }
 
-/** `--engine lazydfa` (a PlannedEngine over lazyPlan()) is
+/** `--engine lazydfa` (a PlannedEngine over fixedPlan(kLazyDfa)) is
  *  bit-identical to the interpreter on every benchmark -- at the
  *  default budget and at a deliberately tiny one that forces
  *  whole-cache flushes mid-stream. */

@@ -32,10 +32,12 @@
  * (literal prefilter, lazy DFA, or interpreter — see
  * docs/ARCHITECTURE.md "Engine planning & prefilters"). lazydfa and
  * auto are both planned programs (lazydfa's plan is fixed) and run
- * the same way. --no-prefilter keeps the planner but routes literal
- * chains to the interpreter instead of the prefilter. All engines
- * produce identical reports and counts, also under --symbol-budget
- * (canonical order for every engine but nfa).
+ * the same way; nfa runs the serial NfaEngine on one block and a
+ * planned program with a fixed all-interpreter plan everywhere else.
+ * --no-prefilter keeps the planner but routes literal chains to the
+ * interpreter instead of the prefilter. All engines produce identical
+ * reports and counts, also under --symbol-budget (canonical order for
+ * every run but a serial block nfa run).
  *
  * --threads N (N > 1) simulates with the parallel layer: by default
  * the automaton is sharded by connected components and all shards
@@ -48,8 +50,8 @@
  * order). Both parallel paths run one ParallelRunner configuration
  * and take --engine nfa, lazydfa, or auto (multidfa is a usage
  * error). --chunk also works single-stream (without --batch): the
- * input is fed through one StreamingSession (nfa) or PlannedSession
- * (lazydfa, auto); multidfa, or --threads > 1, is a usage error
+ * input is fed through one PlannedSession over the engine's program
+ * (nfa, lazydfa, auto); multidfa, or --threads > 1, is a usage error
  * (there is no streaming multidfa).
  *
  * --metrics prints the azoo::obs registry snapshot (JSON) after the
@@ -68,7 +70,6 @@
 #include "engine/parallel_runner.hh"
 #include "engine/planner.hh"
 #include "engine/run_guard.hh"
-#include "engine/streaming.hh"
 #include "obs/obs.hh"
 #include "tool_common.hh"
 #include "util/cli.hh"
@@ -313,7 +314,10 @@ main(int argc, char **argv)
     auto input = loadBytes(ipath);
     Timer timer;
     SimResult r;
-    auto feedSession = [&](auto &sess) {
+    if (chunkBytes != 0) {
+        // Every streamed engine is a planned program; nfa's and
+        // lazydfa's plans are fixed.
+        PlannedSession sess(compileProgram(engine, graph(), planOpts));
         sess.options = opts;
         timer.reset();
         feedChunks(input.data(), input.size(), chunkBytes,
@@ -321,20 +325,10 @@ main(int argc, char **argv)
                        return sess.feed(p, n);
                    });
         r = sess.results();
-    };
-    // lazydfa and auto are planned programs; lazydfa's plan is fixed.
-    const bool planned =
-        engine == EngineKind::kLazyDfa || engine == EngineKind::kAuto;
-    if (chunkBytes != 0 && planned) {
-        PlannedSession sess(compileProgram(engine, graph(), planOpts));
-        feedSession(sess);
         const PrefilterStats &pf = sess.prefilterStats();
         std::cout << "planned " << sess.plan().census() << ": "
                   << pf.candidates << " prefilter candidates, "
                   << pf.skippedBytes << " bytes skipped\n";
-    } else if (chunkBytes != 0) {
-        StreamingSession sess(graph());
-        feedSession(sess);
     } else if (threads > 1) {
         ParallelRunner runner(graph(), popts);
         std::cout << "sharded into " << runner.shardCount()
@@ -352,7 +346,7 @@ main(int argc, char **argv)
             NfaEngine e(graph());
             r = e.simulate(input, opts);
         }
-    } else if (planned) {
+    } else if (engine != EngineKind::kMultiDfa) { // lazydfa, auto
         PlannedEngine e(compileProgram(engine, graph(), planOpts));
         std::cout << "planned " << e.plan().census() << " ("
                   << e.prefilterPatterns() << " scan literals)\n";
