@@ -228,17 +228,22 @@ notePlan(const EnginePlan &plan)
  * clock is read only where the charged backend changes, so a guarded
  * feed's slices cost one read per backend switch, and none between
  * slices of a plan with one running backend. Time between switches
- * (guard polls included) goes to the backend that ran last. Compiles
- * to nothing under AZOO_OBS=OFF.
+ * (guard polls included) goes to the backend that ran last. A clock
+ * made off reads nothing and records nothing. Compiles to nothing
+ * under AZOO_OBS=OFF.
  */
 class BackendClock
 {
   public:
+    explicit BackendClock(bool on) : on_(on) {}
+
     /** Charge the time from here on to @p b. */
     void
     charge(PlanBackend b)
     {
         if constexpr (obs::kEnabled) {
+            if (!on_)
+                return;
             const auto i = static_cast<size_t>(b);
             if (i == current_)
                 return;
@@ -253,6 +258,8 @@ class BackendClock
     record()
     {
         if constexpr (obs::kEnabled) {
+            if (!on_)
+                return;
             lap();
             // Only the three timed backends have a histogram.
             static obs::Histogram *const h[kPlanBackends] = {
@@ -288,6 +295,7 @@ class BackendClock
         since_ = now;
     }
 
+    bool on_;
     size_t current_ = kPlanBackends; ///< none yet
     std::chrono::steady_clock::time_point since_;
     std::array<uint64_t, kPlanBackends> ns_{};
@@ -297,6 +305,12 @@ class BackendClock
 /** Report records a session's buffers keep between feeds whatever
  *  its options record. */
 constexpr uint64_t kKeptReports = 256;
+
+/** Shortest feed that BackendClock times. Two clock reads and a
+ *  histogram sample cost as much as interpreting a few bytes, so
+ *  timing every feed made byte-at-a-time streams several times
+ *  slower; from here on they are a small share of the feed. */
+constexpr size_t kTimedFeedBytes = 256;
 
 /** engine.lazy.handoffs: sessions whose lazy group left the DFA for
  *  the interpreter. */
@@ -526,8 +540,9 @@ PlannedSession::feed(const uint8_t *data, size_t len)
     SimOptions alone = options;
     alone.guard = nullptr;
     SimResult &dfaOut = dfaAlone ? settled_ : restResult_;
-    BackendClock clock;
+    BackendClock clock(len >= kTimedFeedBytes);
     size_t done = 0, settledAt = 0;
+    bool settled = false; // some settle this feed had reports
     while (done < len) {
         // The session owns the poll clock: under a guard, every
         // cursor is fed in slices that never cross a
@@ -583,20 +598,24 @@ PlannedSession::feed(const uint8_t *data, size_t len)
         done += step;
         t_ += step;
         if (done - settledAt == kSettleBytes) {
-            settle();
+            settled |= settle();
             settledAt = done;
         }
     }
     if (settledAt != done)
-        settle();
+        settled |= settle();
     // Between feeds the buffers hold at most the unsettled tail; one
-    // that grew past what the caller records is given back.
-    const uint64_t keep = std::max<uint64_t>(
-        kKeptReports, options.recordReports ? options.reportRecordLimit : 0);
-    for (std::vector<Report> *v : {&restResult_.reports,
-                                   &interpResult_.reports, &settling_}) {
-        if (v->capacity() > keep)
-            std::vector<Report>(v->begin(), v->end()).swap(*v);
+    // that grew past what the caller records is given back. Only a
+    // feed whose backends reported can have grown one.
+    if (settled) {
+        const uint64_t keep = std::max<uint64_t>(
+            kKeptReports,
+            options.recordReports ? options.reportRecordLimit : 0);
+        for (std::vector<Report> *v : {&restResult_.reports,
+                                       &interpResult_.reports, &settling_}) {
+            if (v->capacity() > keep)
+                std::vector<Report>(v->begin(), v->end()).swap(*v);
+        }
     }
     if (prefilterSession_)
         prefilterSession_->noteStats();
@@ -604,42 +623,35 @@ PlannedSession::feed(const uint8_t *data, size_t len)
     return done;
 }
 
-void
+bool
 PlannedSession::settle()
 {
+    if (restResult_.reports.empty() && interpResult_.reports.empty() &&
+        (!prefilterSession_ || prefilterSession_->reports().empty()))
+        return false;
     const PlannedProgram &p = *program_;
-    std::vector<Report> *batch = &settling_;
-    if (!prefilterSession_ && interpResult_.reports.empty()) {
-        // One cursor holds every report, all below t_ (kNfa's program,
-        // a hand-off, a DFA without interpreter components): settle
-        // them in place.
-        batch = &restResult_.reports;
-        for (Report &r : *batch)
-            r.element = p.restToGlobal_[r.element];
-    } else {
-        // Cursor backends report in offset order up to t_; the
-        // prefilter may still report down to its low-water mark.
-        const uint64_t below =
-            prefilterSession_ ? prefilterSession_->lowWater() : t_;
-        auto take = [&](std::vector<Report> &from,
-                        const std::vector<ElementId> &toGlobal) {
-            const auto end = std::partition_point(
-                from.begin(), from.end(),
-                [below](const Report &r) { return r.offset < below; });
-            for (auto r = from.begin(); r != end; ++r)
-                settling_.push_back(
-                    {r->offset, toGlobal[r->element], r->code});
-            from.erase(from.begin(), end);
-        };
-        take(restResult_.reports, p.restToGlobal_);
-        take(interpResult_.reports, p.interpToGlobal_);
-        if (prefilterSession_)
-            prefilterSession_->takeReports(below, settling_);
-    }
-    if (!std::is_sorted(batch->begin(), batch->end()))
-        std::sort(batch->begin(), batch->end());
-    tallyReports(*batch, options, settled_, settledOffset_);
-    batch->clear();
+    // Cursor backends report in offset order up to t_; the prefilter
+    // may still report down to its low-water mark.
+    const uint64_t below =
+        prefilterSession_ ? prefilterSession_->lowWater() : t_;
+    auto take = [&](std::vector<Report> &from,
+                    const std::vector<ElementId> &toGlobal) {
+        const auto end = std::partition_point(
+            from.begin(), from.end(),
+            [below](const Report &r) { return r.offset < below; });
+        for (auto r = from.begin(); r != end; ++r)
+            settling_.push_back({r->offset, toGlobal[r->element], r->code});
+        from.erase(from.begin(), end);
+    };
+    take(restResult_.reports, p.restToGlobal_);
+    take(interpResult_.reports, p.interpToGlobal_);
+    if (prefilterSession_)
+        prefilterSession_->takeReports(below, settling_);
+    if (!std::is_sorted(settling_.begin(), settling_.end()))
+        std::sort(settling_.begin(), settling_.end());
+    tallyReports(settling_, options, settled_, settledOffset_);
+    settling_.clear();
+    return true;
 }
 
 SimResult
@@ -704,7 +716,7 @@ PlannedSession::footprintBytes() const
 
 size_t
 PlannedSession::cursorBytes(
-    EngineKind kind, const Automaton &a,
+    const Automaton &a,
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts, size_t maxReportRecords)
 {
@@ -715,13 +727,11 @@ PlannedSession::cursorBytes(
     // reach of any component the planner could route to the
     // prefilter (decide() without the start-of-data veto, which only
     // ever removes components) — so this needs no plan and no
-    // program. Fixed plans route nothing to the prefilter.
+    // program. Fixed plans have no profiles, so route nothing there.
     const size_t cursors = sizeof(PlannedSession) +
         EngineScratch::elementBytes(a.size()) +
         2 * a.size() * sizeof(ElementId) +
         maxReportRecords * sizeof(Report);
-    if (kind != EngineKind::kAuto)
-        return cursors;
     bool prefilter = false;
     uint64_t radius = 0, literal = 0;
     for (const analysis::ComponentProfile &p : profiles) {

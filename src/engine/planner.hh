@@ -332,16 +332,16 @@ class PlannedSession
      *  are shared and excluded (PlannedProgram::footprintBytes()). */
     size_t footprintBytes() const;
 
-    /** Bytes a running session over @p kind's program of @p a holds,
-     *  from the cursor's layout: the scratches' per-element arrays
-     *  (the lazy cache is held to the lazy group's share of them)
-     *  and worklists (every element enabled), @p maxReportRecords
-     *  recorded reports and, when some component can be routed to
-     *  the prefilter (kAuto only), the prefilter window. The serve
-     *  layer's admission unit; computed without compiling the
-     *  program. */
+    /** Bytes a running session over a program of @p a holds, from
+     *  the cursor's layout: the scratches' per-element arrays (the
+     *  lazy cache is held to the lazy group's share of them) and
+     *  worklists (every element enabled), @p maxReportRecords
+     *  recorded reports and, when some component of @p profiles can
+     *  be routed to the prefilter, the prefilter window (a fixed
+     *  plan has no profiles, so none). The serve layer's admission
+     *  unit; computed without compiling the program. */
     static size_t
-    cursorBytes(EngineKind kind, const Automaton &a,
+    cursorBytes(const Automaton &a,
                 const std::vector<analysis::ComponentProfile> &profiles,
                 const PlanOptions &opts, size_t maxReportRecords);
 
@@ -390,8 +390,8 @@ class PlannedSession
     /** (Re)open the rest cursors at stream position 0. */
     void restart();
     /** Count every backend's reports below the watermark into
-     *  settled_. */
-    void settle();
+     *  settled_; false when no backend held a report. */
+    bool settle();
     /** @p settled plus the unsettled tail, over the consumed
      *  prefix. */
     SimResult collect(SimResult settled) const;

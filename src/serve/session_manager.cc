@@ -17,7 +17,7 @@ MatchSessionPool::MatchSessionPool(
         panic(cat("MatchSessionPool: no session cursor for engine ",
                   engineName(engine)));
     sessionBytes_ = PlannedSession::cursorBytes(
-        engine, gen_->automaton, gen_->profiles, gen_->spec.plan,
+        gen_->automaton, gen_->profiles, gen_->spec.plan,
         maxReportRecords);
 }
 
