@@ -20,7 +20,6 @@
 #define AZOO_CORE_AUTOMATON_HH
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -166,19 +165,6 @@ class Automaton
     std::string name_;
     std::vector<Element> elements_;
 };
-
-/**
- * The sub-automaton of @p a induced by @p members, named @p name.
- * @p members must be distinct original ids, closed under activation
- * and reset edges (whole connected components are). Element i of the
- * result is a copy of a.element(members[i]), so @p members doubles
- * as the local-to-global id map, and its order fixes the local ids
- * (original-id order, or component-major as MultiDfaEngine's
- * fallback uses). panic()s on an edge leaving the member set.
- */
-Automaton subAutomaton(const Automaton &a,
-                       std::span<const ElementId> members,
-                       std::string name);
 
 } // namespace azoo
 

@@ -115,11 +115,11 @@ struct NfaExecTables {
     std::vector<uint32_t> maiBegin;
     std::vector<ElementId> maiTarget;
 
-    /** Flatten @p a, or only its @p members when given: numbered as
-     *  in subAutomaton(a, members), without copying the graph (every
-     *  edge must stay inside them). panic()s on counter->counter
-     *  edges (the zoo never generates them; the interpreter has no
-     *  settle cascade). */
+    /** Flatten @p a, or only its @p members when given: element i
+     *  of the tables is a.element(members[i]), so @p members is the
+     *  tables' id map (every edge must stay inside them). panic()s
+     *  on counter->counter edges (the zoo never generates them; the
+     *  interpreter has no settle cascade). */
     static NfaExecTables compile(const Automaton &a,
                                  std::span<const ElementId> members = {});
 

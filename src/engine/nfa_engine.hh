@@ -57,8 +57,9 @@ class NfaEngine
   public:
     explicit NfaEngine(const Automaton &a);
 
-    /** Compile only @p members of @p a (NfaExecTables::compile()):
-     *  the engine of subAutomaton(a, members), without the copy. */
+    /** Compile only @p members of @p a in place
+     *  (NfaExecTables::compile()): report element i is
+     *  a.element(members[i]). */
     NfaEngine(const Automaton &a, std::span<const ElementId> members);
 
     /** Adopt a precompiled execution image (zero-copy; O(1)). */

@@ -52,10 +52,17 @@ ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
                           "multidfa");
         return;
     }
-    const auto program = compileProgram(opts_.engine, a, opts_.plan);
+    // kAuto infers profiles once: the slots' program plans from them,
+    // and the shards mask that plan.
+    const std::vector<analysis::ComponentProfile> profiles =
+        opts_.engine == EngineKind::kAuto
+        ? analysis::inferProfiles(a, opts_.plan.infer)
+        : std::vector<analysis::ComponentProfile>();
+    const auto program =
+        compileProgram(opts_.engine, a, opts_.plan, profiles);
     for (size_t s = 0; s < pool_->size(); ++s)
         slots_.push_back(std::make_unique<PlannedEngine>(program));
-    buildShards(a, threads);
+    buildShards(a, threads, program->plan(), profiles);
 }
 
 ParallelRunner::~ParallelRunner() = default;
@@ -67,10 +74,11 @@ ParallelRunner::threads() const
 }
 
 void
-ParallelRunner::buildShards(const Automaton &a, size_t groups)
+ParallelRunner::buildShards(
+    const Automaton &a, size_t groups, const EnginePlan &plan,
+    const std::vector<analysis::ComponentProfile> &profiles)
 {
-    const size_t n = a.size();
-    if (n == 0)
+    if (a.size() == 0)
         return;
 
     // Components over activation *and* reset edges: a counter must
@@ -98,26 +106,27 @@ ParallelRunner::buildShards(const Automaton &a, size_t groups)
         load[s] += compSize[c];
     }
 
-    // Compile the shard sub-automata, elements in original id order
-    // so per-shard behaviour is reproducible. Plans are
-    // per-automaton, so each shard plans its own sub-automaton
-    // (construction-time only); the program outlives the copy.
-    shards_.resize(g);
-    for (ElementId i = 0; i < n; ++i)
-        shards_[shardOf[compOf[i]]].origId.push_back(i);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-        const Automaton sub =
-            subAutomaton(a, shards_[s].origId,
-                         a.name() + "/shard" + std::to_string(s));
-        shards_[s].engine = std::make_unique<PlannedEngine>(
-            compileProgram(opts_.engine, sub, opts_.plan));
+    // Each shard is the runner's plan with every other component
+    // skipped, compiled in place over the same automaton, so its
+    // reports carry the automaton's own ids.
+    for (size_t s = 0; s < g; ++s) {
+        EnginePlan masked;
+        masked.decisions.reserve(plan.decisions.size());
+        for (const ComponentDecision &d : plan.decisions) {
+            masked.add(d.componentId, shardOf[d.componentId] == s
+                                          ? d.backend
+                                          : PlanBackend::kSkip);
+        }
+        shards_.push_back(std::make_unique<PlannedEngine>(
+            std::make_shared<const PlannedProgram>(
+                a, std::move(masked), opts_.plan, profiles)));
     }
     if (obs::kEnabled) {
         // LPT balance is visible as the spread of this distribution.
         obs::Histogram &h =
             obs::Registry::global().histogram("runner.shard.states");
-        for (const Shard &sh : shards_)
-            h.record(sh.origId.size());
+        for (uint64_t states : load)
+            h.record(states);
     }
 }
 
@@ -201,8 +210,7 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
                                cat("shard ", s,
                                    ": worker allocation failed")));
                 }
-                parts[s] =
-                    shards_[s].engine->simulate(input, simLen, shardOpts);
+                parts[s] = shards_[s]->simulate(input, simLen, shardOpts);
             });
         } catch (const StatusError &e) {
             return e.status();
@@ -241,8 +249,8 @@ ParallelRunner::simulateSharded(const uint8_t *input, size_t len) const
             return failedRun(st);
     }
 
-    for (size_t s = 0; s < parts.size(); ++s)
-        merger.add(std::move(parts[s]), shards_[s].origId);
+    for (SimResult &p : parts)
+        merger.add(std::move(p));
     SimResult merged = merger.finish(opts_.sim);
     if (merged.truncated())
         obs::noteGuardStop("runner.sharded", merged.guardStatus.code());

@@ -20,8 +20,11 @@
  *    components (activation *and* reset edges, so counters never
  *    split from their enable/reset sources) are packed into one shard
  *    per thread by size-balanced LPT, and each shard simulates the
- *    same input concurrently. Each shard is a PlannedEngine over
- *    its own sub-automaton's program.
+ *    same input concurrently. Each shard is a PlannedEngine over the
+ *    runner's plan with every component outside the shard skipped,
+ *    compiled in place over the same automaton (kAuto infers its
+ *    profiles once, for the slots and every shard), so shard reports
+ *    already carry the automaton's element ids.
  *
  * Determinism guarantee: results are *canonical* — per stream,
  * reports are sorted by (offset, element, code); a batch is ordered
@@ -63,7 +66,8 @@ struct ParallelOptions {
     /** Planning knobs. The runner compiles one PlannedProgram
      *  (compileProgram()), and each worker slot owns a PlannedEngine
      *  cursor over it; chunked streams are PlannedSessions over the
-     *  same program, and each shard plans its own sub-automaton. */
+     *  same program, and each shard compiles that program's plan
+     *  with the other shards' components skipped. */
     PlanOptions plan;
     /** Per-stream simulation options. */
     SimOptions sim;
@@ -91,8 +95,8 @@ struct BatchResult {
  * Parallel driver over one automaton.
  *
  * Construction compiles the selected engine only: one program for
- * the worker slots and one per component shard for sharded mode;
- * the automaton need not outlive the runner. runBatch() and
+ * the worker slots and one masked program per component shard for
+ * sharded mode; the automaton need not outlive the runner. runBatch() and
  * simulateSharded() can then be called repeatedly (but not
  * concurrently with each other from multiple threads — the runner
  * owns one pool).
@@ -127,21 +131,21 @@ class ParallelRunner
     }
 
   private:
-    struct Shard {
-        /** Shard-local element id -> id in the borrowed automaton. */
-        std::vector<ElementId> origId;
-        /** Over the shard's own program; one worker at a time. */
-        std::unique_ptr<PlannedEngine> engine;
-    };
-
-    void buildShards(const Automaton &a, size_t groups);
+    /** Pack the components of @p a into at most @p groups shards and
+     *  compile each one's mask of @p plan. */
+    void buildShards(const Automaton &a, size_t groups,
+                     const EnginePlan &plan,
+                     const std::vector<analysis::ComponentProfile>
+                         &profiles);
 
     ParallelOptions opts_;
     /** Why opts_.engine does not run here (kMultiDfa): every stream
      *  and the sharded result fail with it, and nothing compiles. */
     Status refused_;
     std::unique_ptr<ThreadPool> pool_;
-    std::vector<Shard> shards_;
+    /** One per shard, over the shard's masked program; one worker at
+     *  a time. */
+    std::vector<std::unique_ptr<PlannedEngine>> shards_;
     /** Per worker slot, over one program: the slot-indexed
      *  parallelFor guarantees exclusive slot ownership, so scratches
      *  and lazy caches are reused lock-free across streams. */

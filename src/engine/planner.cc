@@ -142,25 +142,6 @@ decide(const analysis::ComponentProfile &p, bool hasSod,
     return PlanBackend::kInterpreter;
 }
 
-/** Copy the components selected by @p wanted into a fresh
- *  sub-automaton; fills the local-to-global remap (subAutomaton's
- *  member list). Returns nullptr when the group is empty. */
-std::unique_ptr<Automaton>
-buildGroup(const Automaton &a, const std::vector<uint32_t> &comp,
-           const std::vector<uint8_t> &wanted, const char *suffix,
-           std::vector<ElementId> &toGlobal)
-{
-    toGlobal.clear();
-    for (ElementId i = 0; i < a.size(); ++i) {
-        if (wanted[comp[i]])
-            toGlobal.push_back(i);
-    }
-    if (toGlobal.empty())
-        return nullptr;
-    return std::make_unique<Automaton>(
-        subAutomaton(a, toGlobal, a.name() + suffix));
-}
-
 /** Components of @p plan routed to @p backend. */
 std::vector<uint8_t>
 routedTo(const EnginePlan &plan, PlanBackend backend)
@@ -184,8 +165,8 @@ prefilterPattern(const analysis::ComponentProfile &p)
 }
 
 /** The prefilter group of @p plan: one PrefilteredNfa over its
- *  components, one scan literal + window per component; null when
- *  no component was routed there. */
+ *  components' members, one scan literal + window per component;
+ *  null when no component was routed there. */
 std::unique_ptr<PrefilteredNfa>
 buildPrefilterGroup(const Automaton &a, const std::vector<uint32_t> &comp,
                     const EnginePlan &plan,
@@ -194,16 +175,19 @@ buildPrefilterGroup(const Automaton &a, const std::vector<uint32_t> &comp,
 {
     const std::vector<uint8_t> wanted =
         routedTo(plan, PlanBackend::kPrefilter);
-    std::vector<ElementId> toGlobal;
-    auto sub = buildGroup(a, comp, wanted, ".prefilter", toGlobal);
-    if (!sub)
+    std::vector<ElementId> members;
+    for (ElementId i = 0; i < a.size(); ++i) {
+        if (wanted[comp[i]])
+            members.push_back(i);
+    }
+    if (members.empty())
         return nullptr;
     std::vector<PrefilterPattern> pats;
     for (const analysis::ComponentProfile &p : profiles) {
         if (wanted[p.componentId])
             pats.push_back(prefilterPattern(p));
     }
-    return std::make_unique<PrefilteredNfa>(*sub, std::move(toGlobal),
+    return std::make_unique<PrefilteredNfa>(a, std::move(members),
                                             std::move(pats));
 }
 
@@ -365,14 +349,17 @@ fixedPlan(EngineKind kind, const Automaton &a)
 }
 
 std::shared_ptr<const PlannedProgram>
-compileProgram(EngineKind kind, const Automaton &a, const PlanOptions &opts)
+compileProgram(EngineKind kind, const Automaton &a, const PlanOptions &opts,
+               const std::vector<analysis::ComponentProfile> &profiles)
 {
-    if (kind == EngineKind::kAuto) {
+    if (kind != EngineKind::kAuto) {
         return std::make_shared<const PlannedProgram>(
-            a, analysis::inferProfiles(a, opts.infer), opts);
+            a, fixedPlan(kind, a), opts);
     }
-    return std::make_shared<const PlannedProgram>(a, fixedPlan(kind, a),
-                                                  opts);
+    if (!profiles.empty())
+        return std::make_shared<const PlannedProgram>(a, profiles, opts);
+    return std::make_shared<const PlannedProgram>(
+        a, analysis::inferProfiles(a, opts.infer), opts);
 }
 
 // ---------------------------------------------------------------------

@@ -35,8 +35,9 @@
  * caller's RunGuard every kGuardCheckIntervalSymbols stream symbols,
  * the serial engines' poll points, whatever the chunking and even
  * where every backend is absent or skipping, and stops every backend
- * at the same point; each backend group is one part of a PartMerger
- * over the consumed prefix.
+ * at the same point. Reports from every backend group are counted
+ * together by tallyReports() over the consumed prefix, in canonical
+ * order, as they settle.
  */
 
 #ifndef AZOO_ENGINE_PLANNER_HH
@@ -177,8 +178,12 @@ EnginePlan fixedPlan(EngineKind kind, const Automaton &a);
  * interpreter's, so a session hands a run from the DFA to the
  * interpreter exactly. Until it does, it runs the interpreter group
  * on its own tables, whose ids are the rest's shifted down by the
- * lazy-DFA group's size. Both are compiled straight from the
- * automaton's members, with no sub-automaton copy.
+ * lazy-DFA group's size. Every group compiles in place from its
+ * member list of the automaton (NfaEngine(a, members)); the
+ * automaton is never copied. Components the plan skips are in no
+ * group, so a plan with every component outside a set skipped is
+ * that set's program (ParallelRunner's shards, MultiDfaEngine's
+ * fallback).
  */
 class PlannedProgram
 {
@@ -234,13 +239,16 @@ class PlannedProgram
 };
 
 /**
- * The program @p kind runs @p a on: kAuto plans from inferred
- * profiles, kNfa and kLazyDfa compile fixedPlan(). panic()s on
- * kMultiDfa.
+ * The program @p kind runs @p a on: kAuto plans from @p profiles
+ * (inferProfiles(a), e.g. an artifact's PROF section), inferring
+ * them when none are given; kNfa and kLazyDfa compile fixedPlan()
+ * and ignore @p profiles. panic()s on kMultiDfa.
  */
 std::shared_ptr<const PlannedProgram>
 compileProgram(EngineKind kind, const Automaton &a,
-               const PlanOptions &opts = PlanOptions());
+               const PlanOptions &opts = PlanOptions(),
+               const std::vector<analysis::ComponentProfile> &profiles =
+                   {});
 
 /**
  * A cursor over one shared PlannedProgram, with the same canonical

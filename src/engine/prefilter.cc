@@ -111,11 +111,11 @@ LiteralScanner::findByte(const uint8_t *p, const uint8_t *end, uint8_t b)
 // ---------------------------------------------------------------------
 // PrefilteredNfa
 
-PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
-                               std::vector<ElementId> toGlobal,
+PrefilteredNfa::PrefilteredNfa(const Automaton &a,
+                               std::vector<ElementId> members,
                                std::vector<PrefilterPattern> patterns)
-    : engine_(sub)
-    , toGlobal_(std::move(toGlobal))
+    : engine_(a, members)
+    , toGlobal_(std::move(members))
     , scanner_([&patterns] {
         std::vector<std::string> lits;
         lits.reserve(patterns.size());
@@ -124,7 +124,10 @@ PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
         return lits;
     }())
 {
-    for (const Element &e : sub.elements()) {
+    if (toGlobal_.empty())
+        panic("PrefilteredNfa: no members");
+    for (ElementId id : toGlobal_) {
+        const Element &e = a.element(id);
         if (e.kind == ElementKind::kCounter)
             panic("PrefilteredNfa: counter elements in a prefilter "
                   "group");
@@ -132,8 +135,6 @@ PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
             panic("PrefilteredNfa: start-of-data starts in a prefilter "
                   "group (windowed replay would miss anchored matches)");
     }
-    if (toGlobal_.size() != sub.size())
-        panic("PrefilteredNfa: toGlobal size mismatch");
     radius_.reserve(patterns.size());
     for (const PrefilterPattern &p : patterns) {
         radius_.push_back(p.radius);
@@ -141,71 +142,68 @@ PrefilteredNfa::PrefilteredNfa(const Automaton &sub,
     }
 }
 
-void
-PrefilteredNfa::openRun(Exec &x, uint64_t lo) const
-{
-    engine_.begin(*x.scratch);
-    x.active = true;
-    x.runStart = lo;
-    x.windowEnd = lo;
-}
-
-void
-PrefilteredNfa::closeRun(Exec &x) const
-{
-    engine_.end(*x.scratch);
-    x.active = false;
-}
-
-void
-PrefilteredNfa::feedTo(Exec &x, uint64_t target, const uint8_t *bytes,
-                       uint64_t bytesBase) const
-{
-    const uint64_t from = x.fedEnd();
-    if (target <= from)
-        return;
-    // Cycle t of the window's cursor is absolute position runStart + t.
-    // No start-of-data seeding (the constructor rejects such groups);
-    // all-input states enter through the per-byte index, exactly as
-    // they would at these offsets in an unfiltered run.
-    const size_t first = x.out.reports.size();
-    engine_.feed(*x.scratch, bytes + (from - bytesBase),
-                 static_cast<size_t>(target - from), SimOptions(), x.out);
-    for (size_t k = first; k < x.out.reports.size(); ++k) {
-        Report &r = x.out.reports[k];
-        r.offset += x.runStart;
-        r.element = toGlobal_[r.element];
-    }
-    x.stats.windowBytes += target - from;
-}
-
-void
-PrefilteredNfa::applyHit(Exec &x, uint64_t e, uint32_t pat,
-                         uint64_t avail, const uint8_t *bytes,
-                         uint64_t bytesBase) const
-{
-    ++x.stats.candidates;
-    const uint64_t lo = e >= maxRadius_ ? e - maxRadius_ : 0;
-    const uint64_t hi = e + radius_[pat] + 1; // half-open right edge
-    if (x.active && lo > x.windowEnd) {
-        // Disjoint windows: drain the old engagement, then start
-        // fresh. lo is monotone in hit order (global left reach), so
-        // no later hit can need the closed window's state.
-        feedTo(x, std::min(x.windowEnd, avail), bytes, bytesBase);
-        closeRun(x);
-    }
-    if (!x.active)
-        openRun(x, lo);
-    x.windowEnd = std::max(x.windowEnd, hi);
-}
-
 // ---------------------------------------------------------------------
 // PrefilteredNfa::Session
 
-PrefilteredNfa::Session::Session(const PrefilteredNfa &pf)
-    : pf_(pf)
+PrefilteredNfa::Session::Session(const PrefilteredNfa &pf) : pf_(pf) {}
+
+void
+PrefilteredNfa::Session::openRun(uint64_t lo)
 {
-    x_.scratch = &scratch_;
+    pf_.engine_.begin(scratch_);
+    active_ = true;
+    runStart_ = lo;
+    windowEnd_ = lo;
+}
+
+void
+PrefilteredNfa::Session::closeRun()
+{
+    pf_.engine_.end(scratch_);
+    active_ = false;
+}
+
+void
+PrefilteredNfa::Session::feedTo(uint64_t target, const uint8_t *bytes,
+                                uint64_t bytesBase)
+{
+    const uint64_t from = fedEnd();
+    if (target <= from)
+        return;
+    // Cycle t of the window's cursor is absolute position runStart_ +
+    // t. No start-of-data seeding (the constructor rejects such
+    // groups); all-input states enter through the per-byte index,
+    // exactly as they would at these offsets in an unfiltered run.
+    const size_t first = out_.reports.size();
+    pf_.engine_.feed(scratch_, bytes + (from - bytesBase),
+                     static_cast<size_t>(target - from), SimOptions(),
+                     out_);
+    for (size_t k = first; k < out_.reports.size(); ++k) {
+        Report &r = out_.reports[k];
+        r.offset += runStart_;
+        r.element = pf_.toGlobal_[r.element];
+    }
+    stats_.windowBytes += target - from;
+}
+
+void
+PrefilteredNfa::Session::applyHit(uint64_t e, uint32_t pat,
+                                  uint64_t avail, const uint8_t *bytes,
+                                  uint64_t bytesBase)
+{
+    ++stats_.candidates;
+    const uint64_t lo = e >= pf_.maxRadius_ ? e - pf_.maxRadius_ : 0;
+    const uint64_t hi = e + pf_.radius_[pat] + 1; // half-open right edge
+    if (active_ && lo > windowEnd_) {
+        // Disjoint windows: drain the old engagement, then start
+        // fresh. lo is monotone in hit order (global left reach), so
+        // no later hit can need the closed window's state.
+        feedTo(std::min(windowEnd_, avail), bytes, bytesBase);
+        closeRun();
+    }
+    if (!active_)
+        openRun(lo);
+    windowEnd_ = std::max(windowEnd_, hi);
 }
 
 void
@@ -230,12 +228,11 @@ PrefilteredNfa::Session::feedPiece(const uint8_t *data, size_t len)
                       });
     std::sort(hits_.begin(), hits_.end());
     for (const auto &[e, pat] : hits_)
-        pf_.applyHit(x_, e, pat, avail, buf_.data(), bufBase_);
-    if (x_.active)
-        pf_.feedTo(x_, std::min(x_.windowEnd, avail), buf_.data(),
-                   bufBase_);
+        applyHit(e, pat, avail, buf_.data(), bufBase_);
+    if (active_)
+        feedTo(std::min(windowEnd_, avail), buf_.data(), bufBase_);
     pos_ = avail;
-    x_.stats.skippedBytes = pos_ - x_.stats.windowBytes;
+    stats_.skippedBytes = pos_ - stats_.windowBytes;
 
     // Compact the rolling buffer. Future work only back-reads
     //  - scanner starts >= pos_ + 1 - maxLen (straddling candidates),
@@ -257,7 +254,7 @@ void
 PrefilteredNfa::Session::takeReports(uint64_t offset,
                                      std::vector<Report> &out)
 {
-    std::vector<Report> &reps = x_.out.reports;
+    std::vector<Report> &reps = out_.reports;
     const auto end = std::partition_point(
         reps.begin(), reps.end(),
         [offset](const Report &r) { return r.offset < offset; });
@@ -268,23 +265,23 @@ PrefilteredNfa::Session::takeReports(uint64_t offset,
 void
 PrefilteredNfa::Session::noteStats()
 {
-    notePrefilter(x_.stats.candidates - flushedCandidates_,
-                  x_.stats.windowBytes - flushedWindowBytes_,
-                  x_.stats.skippedBytes - flushedSkipped_);
-    flushedCandidates_ = x_.stats.candidates;
-    flushedWindowBytes_ = x_.stats.windowBytes;
-    flushedSkipped_ = x_.stats.skippedBytes;
+    notePrefilter(stats_.candidates - flushedCandidates_,
+                  stats_.windowBytes - flushedWindowBytes_,
+                  stats_.skippedBytes - flushedSkipped_);
+    flushedCandidates_ = stats_.candidates;
+    flushedWindowBytes_ = stats_.windowBytes;
+    flushedSkipped_ = stats_.skippedBytes;
 }
 
 void
 PrefilteredNfa::Session::reset()
 {
-    if (x_.active)
-        pf_.closeRun(x_);
-    x_.runStart = x_.windowEnd = 0;
-    x_.out.reports.clear();
-    x_.out.totalEnabled = 0;
-    x_.stats = PrefilterStats();
+    if (active_)
+        closeRun();
+    runStart_ = windowEnd_ = 0;
+    out_.reports.clear();
+    out_.totalEnabled = 0;
+    stats_ = PrefilterStats();
     buf_.clear();
     bufBase_ = 0;
     pos_ = 0;

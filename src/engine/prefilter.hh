@@ -24,24 +24,24 @@
  *    2-byte grams, which on random input advances close to
  *    min-pattern-length bytes per probe.
  *
- * Exactness: PrefilteredNfa replays the sub-automaton inside a window
- * of global left reach `maxRadius` (>= the longest bounded match
- * length of any covered component, so the rewind covers any match
- * overlapping the candidate) and per-pattern right reach around each
- * candidate end; overlapping or adjacent windows are coalesced into
- * one engagement so interpreter state is continuous across them. The
- * covered components are counter-free, all-input-start, and bounded,
- * so simulation from a fresh enabled set at the window start is
- * exact: reports (element, offset, code) equal the unfiltered
+ * Exactness: PrefilteredNfa replays its group of components inside a
+ * window of global left reach `maxRadius` (>= the longest bounded
+ * match length of any covered component, so the rewind covers any
+ * match overlapping the candidate) and per-pattern right reach around
+ * each candidate end; overlapping or adjacent windows are coalesced
+ * into one engagement so interpreter state is continuous across them.
+ * The covered components are counter-free, all-input-start, and
+ * bounded, so simulation from a fresh enabled set at the window start
+ * is exact: reports (element, offset, code) equal the unfiltered
  * engine's over the same input. The replay is not a loop of its own:
- * PrefilteredNfa holds an NfaEngine over the group, each engagement
- * is a cursor on it (NfaEngine::begin at the window start, feed as
- * bytes arrive, end when the window closes), and report ids and
- * offsets are mapped through toGlobal and the window start. Windows
- * run only inside a PrefilteredNfa::Session, block runs included (a
- * block is a one-chunk stream), and the session is guard-free: the
- * planner's session owns the poll clock and slices its feeds at the
- * serial poll points, skipped regions included.
+ * PrefilteredNfa holds an NfaEngine over the group's members, each
+ * engagement is a cursor on it (NfaEngine::begin at the window start,
+ * feed as bytes arrive, end when the window closes), and report ids
+ * and offsets are mapped through the member list and the window
+ * start. Windows run only inside a PrefilteredNfa::Session, block
+ * runs included (a block is a one-chunk stream), and the session is
+ * guard-free: the planner's session owns the poll clock and slices
+ * its feeds at the serial poll points, skipped regions included.
  */
 
 #ifndef AZOO_ENGINE_PREFILTER_HH
@@ -213,18 +213,20 @@ class LiteralScanner
 /**
  * Windowed executor for a group of literal-chain components.
  *
- * The sub-automaton must be counter-free, with no start-of-data
- * elements (all starts all-input) — the planner guarantees this, the
- * constructor panics otherwise. One PrefilterPattern per covered
- * component; report element ids are remapped through @p toGlobal so
- * output refers to the original automaton.
+ * The group is @p members of the automaton, compiled in place
+ * (NfaEngine(a, members)); it must be counter-free, with no
+ * start-of-data elements (all starts all-input) — the planner
+ * guarantees this, the constructor panics otherwise. One
+ * PrefilterPattern per covered component; the group's report element
+ * ids are mapped back through @p members, so output refers to the
+ * automaton's own ids.
  *
  * Not copyable: sessions and window cursors refer back to it.
  */
 class PrefilteredNfa
 {
   public:
-    PrefilteredNfa(const Automaton &sub, std::vector<ElementId> toGlobal,
+    PrefilteredNfa(const Automaton &a, std::vector<ElementId> members,
                    std::vector<PrefilterPattern> patterns);
     PrefilteredNfa(const PrefilteredNfa &) = delete;
     PrefilteredNfa &operator=(const PrefilteredNfa &) = delete;
@@ -240,24 +242,6 @@ class PrefilteredNfa
      *  per-session state is Session::footprintBytes(). */
     size_t footprintBytes() const;
 
-  private:
-    /** A Session's mutable engagement state: the current window's
-     *  NfaEngine cursor (if any) and accumulated outputs. */
-    struct Exec {
-        EngineScratch *scratch = nullptr; ///< the window cursor
-        bool active = false;      ///< a window run is open
-        uint64_t runStart = 0;    ///< absolute offset of cycle 0
-        uint64_t windowEnd = 0;   ///< current window's right edge
-        /** Reports (global ids, absolute offsets) and totalEnabled;
-         *  the other SimResult fields are not read. */
-        SimResult out;
-        PrefilterStats stats;
-
-        /** Bytes simulated so far (absolute; valid while active). */
-        uint64_t fedEnd() const { return runStart + scratch->pos; }
-    };
-
-  public:
     /**
      * Streaming mode: feed() arbitrary chunks; candidates straddling
      * chunk boundaries are found by re-scanning a bounded tail of a
@@ -280,7 +264,7 @@ class PrefilteredNfa
          *  offset order: windows replay left to right. */
         const std::vector<Report> &reports() const
         {
-            return x_.out.reports;
+            return out_.reports;
         }
 
         /** The low-water mark: no later feed reports below it, as a
@@ -295,8 +279,8 @@ class PrefilteredNfa
         /** Move the reports below @p offset to the end of @p out. */
         void takeReports(uint64_t offset, std::vector<Report> &out);
 
-        uint64_t totalEnabled() const { return x_.out.totalEnabled; }
-        const PrefilterStats &stats() const { return x_.stats; }
+        uint64_t totalEnabled() const { return out_.totalEnabled; }
+        const PrefilterStats &stats() const { return stats_; }
         uint64_t offset() const { return pos_; }
 
         /** Flush the stats gathered since the last call to the
@@ -325,15 +309,37 @@ class PrefilteredNfa
                 buf_.capacity() +
                 hits_.capacity() *
                 sizeof(std::pair<uint64_t, uint32_t>) +
-                x_.out.reports.capacity() * sizeof(Report);
+                out_.reports.capacity() * sizeof(Report);
         }
 
       private:
         void feedPiece(const uint8_t *data, size_t len);
+        /** Open a window run at absolute offset @p lo. */
+        void openRun(uint64_t lo);
+        void closeRun();
+        /** Bytes simulated so far (absolute; valid while active_). */
+        uint64_t fedEnd() const { return runStart_ + scratch_.pos; }
+        /** Feed the window cursor absolute positions [fedEnd(),
+         *  target); bytes[i] is absolute offset bytesBase + i. */
+        void feedTo(uint64_t target, const uint8_t *bytes,
+                    uint64_t bytesBase);
+        /** Engage/extend the window for a candidate ending at @p e.
+         *  Hits must arrive in ascending @p e order; @p avail caps
+         *  how far feeding may proceed (bytes beyond it are not
+         *  readable yet). */
+        void applyHit(uint64_t e, uint32_t pat, uint64_t avail,
+                      const uint8_t *bytes, uint64_t bytesBase);
 
         const PrefilteredNfa &pf_;
+        /** The current window's NfaEngine cursor. */
         EngineScratch scratch_;
-        PrefilteredNfa::Exec x_;
+        bool active_ = false;    ///< a window run is open
+        uint64_t runStart_ = 0;  ///< absolute offset of cycle 0
+        uint64_t windowEnd_ = 0; ///< current window's right edge
+        /** Reports (automaton ids, absolute offsets) and
+         *  totalEnabled; the other SimResult fields are not read. */
+        SimResult out_;
+        PrefilterStats stats_;
         /** Rolling window of recent stream bytes; buf_[i] is absolute
          *  offset bufBase_ + i. */
         std::vector<uint8_t> buf_;
@@ -347,21 +353,9 @@ class PrefilteredNfa
     };
 
   private:
-    void openRun(Exec &x, uint64_t lo) const;
-    void closeRun(Exec &x) const;
-    /** Feed the window cursor absolute positions [x.fedEnd(),
-     *  target); bytes[i] is absolute offset bytesBase + i. */
-    void feedTo(Exec &x, uint64_t target, const uint8_t *bytes,
-                uint64_t bytesBase) const;
-    /** Engage/extend the window for a candidate ending at @p e.
-     *  Hits must arrive in ascending @p e order; @p avail caps how
-     *  far feeding may proceed (bytes beyond it are not readable
-     *  yet). */
-    void applyHit(Exec &x, uint64_t e, uint32_t pat, uint64_t avail,
-                  const uint8_t *bytes, uint64_t bytesBase) const;
-
     /** The group's interpreter; windows are cursors over it. */
     NfaEngine engine_;
+    /** The group's members: group id -> automaton id. */
     std::vector<ElementId> toGlobal_;
     LiteralScanner scanner_;
     /** Per-pattern right reach; the left reach is always maxRadius_

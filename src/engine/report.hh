@@ -157,9 +157,11 @@ tallyReports(const std::vector<Report> &batch, const SimOptions &opts,
  * The one merge rule of every composite engine: MultiDfaEngine's DFAs
  * and its planned fallback, and ParallelRunner's component shards,
  * are each a list of parts run with partOptions(), handed to add(),
- * and finished once with the caller's options. PlannedSession counts
- * its backends' reports with the same tallyReports(), batch by batch
- * as they settle.
+ * and finished once with the caller's options. Every part runs over
+ * the one automaton (a planned part skips the components of the
+ * others), so its reports already carry the merged element ids.
+ * PlannedSession counts its backends' reports with the same
+ * tallyReports(), batch by batch as they settle.
  *
  * Every part records its complete report stream over the prefix it
  * consumed, so the merged result is exact over the shortest prefix
@@ -186,16 +188,11 @@ class PartMerger
         return inner;
     }
 
-    /** Add one part's result. @p toGlobal maps its element ids to the
-     *  merged automaton's (empty: they already are). A part the guard
-     *  stopped records its stop. */
+    /** Add one part's result; its element ids are already the merged
+     *  automaton's. A part the guard stopped records its stop. */
     void
-    add(SimResult part, const std::vector<ElementId> &toGlobal = {})
+    add(SimResult part)
     {
-        if (!toGlobal.empty()) {
-            for (Report &r : part.reports)
-                r.element = toGlobal[r.element];
-        }
         if (reports_.empty()) {
             reports_ = std::move(part.reports);
         } else {

@@ -55,11 +55,8 @@ MatchSessionPool::acquire()
     // generation's profiles, inferred once at load.
     ++created_;
     if (!program_) {
-        program_ = gen_->spec.engine == EngineKind::kAuto
-            ? std::make_shared<const PlannedProgram>(
-                  gen_->automaton, gen_->profiles, gen_->spec.plan)
-            : compileProgram(gen_->spec.engine, gen_->automaton,
-                             gen_->spec.plan);
+        program_ = compileProgram(gen_->spec.engine, gen_->automaton,
+                                  gen_->spec.plan, gen_->profiles);
     }
     return std::make_unique<PlannedSession>(program_);
 }

@@ -151,6 +151,20 @@ TEST_P(ParallelVsSerial, ShardedMatchesSerial)
     EXPECT_EQ(lgot.reportingCycles, expect.reportingCycles);
     EXPECT_EQ(lgot.byCode, expect.byCode);
     EXPECT_EQ(lgot.reports, expect.reports);
+
+    // And planned: Snort's prefilter components land in shards whose
+    // plans skip every other component. totalEnabled is engine-defined
+    // under kAuto (skipped regions contribute nothing).
+    ParallelOptions autoOpts = popts;
+    autoOpts.engine = EngineKind::kAuto;
+    ParallelRunner autoRunner(b.automaton, autoOpts);
+    SimResult agot = autoRunner.simulateSharded(b.input.data(), simLen);
+    EXPECT_EQ(agot.symbols, expect.symbols);
+    EXPECT_EQ(agot.reportCount, expect.reportCount);
+    EXPECT_EQ(agot.reportingCycles, expect.reportingCycles);
+    EXPECT_EQ(agot.byCode, expect.byCode);
+    EXPECT_EQ(agot.reports, expect.reports);
+    EXPECT_EQ(agot.guardStatus.code(), expect.guardStatus.code());
 }
 
 TEST_P(ParallelVsSerial, BatchMatchesPerStreamSerial)
@@ -351,6 +365,35 @@ TEST(ParallelRunner, CompilesOnlyTheSelectedEngine)
             EXPECT_EQ(three, single);
         }
     }
+}
+
+TEST(ParallelRunner, AutoNotesItsPlanOnce)
+{
+    // The slots' program and the shards share one plan, inferred and
+    // noted once: one planner.assignments.* per component, not one
+    // per component for the slots and again for the shards.
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "AZOO_OBS=OFF: hooks compiled out";
+    zoo::Benchmark b = zoo::makeBenchmark("Snort", tinyConfig());
+    uint32_t components = 0;
+    b.automaton.connectedComponents(components);
+    obs::Registry &reg = obs::Registry::global();
+    auto assignments = [&] {
+        uint64_t n = 0;
+        for (size_t k = 0; k < kPlanBackends; ++k) {
+            n += reg.counterValue(
+                std::string("planner.assignments.") +
+                planBackendName(static_cast<PlanBackend>(k)));
+        }
+        return n;
+    };
+    const uint64_t before = assignments();
+    ParallelOptions popts;
+    popts.threads = 3;
+    popts.engine = EngineKind::kAuto;
+    ParallelRunner runner(b.automaton, popts);
+    EXPECT_EQ(runner.shardCount(), 3u);
+    EXPECT_EQ(assignments() - before, components);
 }
 
 TEST(ParallelRunner, ZeroLengthStreams)

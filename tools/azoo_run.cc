@@ -207,6 +207,12 @@ main(int argc, char **argv)
         return *mat;
     };
 
+    // An artifact's PROF section is inference already paid for: kAuto
+    // plans from it (empty without one, so compileProgram() infers).
+    const std::vector<analysis::ComponentProfile> noProfiles;
+    const std::vector<analysis::ComponentProfile> &artProfiles =
+        art ? art->componentProfiles() : noProfiles;
+
     if (cli.has("save")) {
         const std::string spath = cli.get("save");
         if (spath.empty() || spath == "true")
@@ -317,7 +323,8 @@ main(int argc, char **argv)
     if (chunkBytes != 0) {
         // Every streamed engine is a planned program; nfa's and
         // lazydfa's plans are fixed.
-        PlannedSession sess(compileProgram(engine, graph(), planOpts));
+        PlannedSession sess(
+            compileProgram(engine, graph(), planOpts, artProfiles));
         sess.options = opts;
         timer.reset();
         feedChunks(input.data(), input.size(), chunkBytes,
@@ -347,7 +354,8 @@ main(int argc, char **argv)
             r = e.simulate(input, opts);
         }
     } else if (engine != EngineKind::kMultiDfa) { // lazydfa, auto
-        PlannedEngine e(compileProgram(engine, graph(), planOpts));
+        PlannedEngine e(
+            compileProgram(engine, graph(), planOpts, artProfiles));
         std::cout << "planned " << e.plan().census() << " ("
                   << e.prefilterPatterns() << " scan literals)\n";
         timer.reset();
