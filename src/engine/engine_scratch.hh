@@ -8,7 +8,7 @@
  * position and the last reporting cycle. A run is opened with
  * NfaEngine::begin(), advanced by any number of NfaEngine::feed()
  * calls and closed with NfaEngine::end(); simulate() is one feed
- * between the two. Block runs, PlannedSession's interpreter groups
+ * between the two. Block runs, PlannedSession's interpreter cursor
  * and the prefilter's window replay are all such cursors over an
  * NfaEngine.
  *
@@ -24,7 +24,7 @@
  * be reused across different engines as long as the automata have
  * the same element count (otherwise it transparently reinitializes).
  * Every PlannedSession (ParallelRunner's worker slots and chunked
- * streams, served sessions) owns its interpreter cursors' scratches,
+ * streams, served sessions) owns its interpreter cursor's scratch,
  * and PrefilteredNfa::Session owns one for its windows.
  */
 
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "core/automaton.hh"
-#include "util/logging.hh"
 
 namespace azoo {
 
@@ -100,27 +99,6 @@ struct EngineScratch {
     {
         stamp[id] = base + pos + 1;
         next.push_back(id);
-    }
-
-    /** Add the state of @p from's run — its enabled set, counter
-     *  values and latches, @p counters being its counter ids — to
-     *  this open run, ids shifted up by @p offset. Both runs must
-     *  stand at the same stream position. */
-    void
-    absorb(const EngineScratch &from, std::span<const ElementId> counters,
-           ElementId offset)
-    {
-        if (from.pos != pos)
-            panic("EngineScratch::absorb: runs at different positions");
-        for (ElementId id : from.next)
-            enable(id + offset);
-        for (ElementId c : counters) {
-            value[c + offset] = from.value[c];
-            if (from.latched[c]) {
-                latched[c + offset] = 1;
-                latchedList.push_back(c + offset);
-            }
-        }
     }
 
     /** Retire the run: advance the epoch past every stamp value it

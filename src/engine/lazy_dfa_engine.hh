@@ -33,7 +33,8 @@
  * edge-enabled set for the next cycle (all-input starts, permanently
  * enabled, excluded). DFA ids *are* the image's ids, so a cursor's
  * member set seeds an interpreter cursor over the same image exactly
- * (NfaEngine::resume(), then EngineScratch::enable() per member).
+ * (EngineScratch::enable() per member), opened at the DFA's position
+ * or already running the ids above the DFA's.
  * LazyDfaProgram::feed() holds the only lazy symbol loop, and
  * PlannedSession is its only runner: `--engine lazydfa` is a planned
  * program with a fixed plan (fixedPlan() in planner.hh).

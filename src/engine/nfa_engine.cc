@@ -1,5 +1,7 @@
 #include "engine/nfa_engine.hh"
 
+#include <algorithm>
+
 #include "engine/run_guard.hh"
 #include "obs/obs.hh"
 #include "util/logging.hh"
@@ -57,6 +59,28 @@ NfaEngine::NfaEngine(const NfaExecImage &image)
     // image is used as-is, which is the artifact layer's mmap
     // cold-start contract (docs/ARTIFACT_FORMAT.md).
     noteConstruction("engine.nfa.image_adoptions");
+}
+
+NfaEngine::NfaEngine(const NfaEngine &base, ElementId first)
+    : owned_(std::make_unique<NfaExecTables>()), t_(base.t_)
+{
+    // Id lists are ascending: the ids from first up are suffixes.
+    auto from = [first](std::span<const ElementId> ids) {
+        return ids.subspan(static_cast<size_t>(
+            std::lower_bound(ids.begin(), ids.end(), first) - ids.begin()));
+    };
+    t_.allInput = from(t_.allInput);
+    t_.startOfData = from(t_.startOfData);
+    NfaExecTables &cut = *owned_;
+    cut.maiBegin.push_back(0);
+    for (uint32_t s = 0; s < 256; ++s) {
+        const auto run = from(t_.maiTarget.subspan(
+            t_.maiBegin[s], t_.maiBegin[s + 1] - t_.maiBegin[s]));
+        cut.maiTarget.insert(cut.maiTarget.end(), run.begin(), run.end());
+        cut.maiBegin.push_back(static_cast<uint32_t>(cut.maiTarget.size()));
+    }
+    t_.maiBegin = cut.maiBegin;
+    t_.maiTarget = cut.maiTarget;
 }
 
 void

@@ -28,7 +28,7 @@ namespace azoo {
 /**
  * Interpreter over compiled flat tables (an NfaExecImage).
  *
- * Two ways to build one:
+ * Three ways to build one:
  *
  *  - `NfaEngine(const Automaton &)` compiles the automaton into owned
  *    tables (CSR adjacency, hot-field copies, the per-byte all-input
@@ -39,13 +39,16 @@ namespace azoo {
  *    (src/artifact/) — in O(1) with no per-element work or
  *    allocation. The storage behind the image must outlive the
  *    engine.
+ *  - `NfaEngine(const NfaEngine &, ElementId)` runs another engine's
+ *    tables entered only at its upper ids (a PlannedProgram's
+ *    interpreter group beside the lazy DFA).
  *
  * All run state lives in an EngineScratch, driven as a resumable
  * cursor: begin() opens a run at stream position 0, feed() advances
  * it over any number of chunks, end() closes it. This cursor holds
  * the only copy of the per-symbol loop; simulate() is begin + one
  * feed + end (the serial reference run), a PlannedSession runs its
- * interpreter groups as cursors over shared engines, and the
+ * interpreter cursor over a shared engine, and the
  * prefilter replays its windows through one. The engine is never
  * mutated after construction, so one engine may be shared by any
  * number of threads running concurrently as long as each thread uses
@@ -65,15 +68,21 @@ class NfaEngine
     /** Adopt a precompiled execution image (zero-copy; O(1)). */
     explicit NfaEngine(const NfaExecImage &image);
 
+    /** Run @p base's tables (which must outlive this engine),
+     *  entered only at ids from @p first up: its start-of-data and
+     *  per-byte all-input lists are cut to those ids. Neither a
+     *  compile nor an adoption. */
+    NfaEngine(const NfaEngine &base, ElementId first);
+
     /** Open a run on @p scratch: stream position 0, start-of-data
      *  states enabled for the first symbol. */
     void begin(EngineScratch &scratch) const;
 
     /** Open a run on @p scratch mid-stream, at stream position
      *  @p pos, with nothing enabled and every counter at zero; seed it
-     *  with EngineScratch::enable() and absorb() before the first
-     *  feed(). The hand-off from other cursors (a lazy-DFA state-set
-     *  is an enabled set) to one interpreter cursor. */
+     *  with EngineScratch::enable() before the first feed(): the
+     *  hand-off from a lone lazy-DFA cursor (a state-set is an
+     *  enabled set). */
     void resume(EngineScratch &scratch, uint64_t pos) const;
 
     /**
@@ -135,8 +144,8 @@ class NfaEngine
     }
 
   private:
-    /** Owned tables when compiled from an Automaton; null when the
-     *  image is borrowed (artifact adoption). */
+    /** Owned tables (only the cut all-input index over another
+     *  engine's); null when the image is borrowed (adoption). */
     std::unique_ptr<NfaExecTables> owned_;
     /** The tables simulate() reads — views into owned_ or into
      *  caller-owned (typically mmap-ed) storage. */

@@ -38,7 +38,9 @@ failedRun(Status st)
 
 } // namespace
 
-ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
+ParallelRunner::ParallelRunner(
+    const Automaton &a, ParallelOptions opts,
+    const std::vector<analysis::ComponentProfile> &profiles)
     : opts_(std::move(opts))
 {
     const size_t threads =
@@ -52,17 +54,17 @@ ParallelRunner::ParallelRunner(const Automaton &a, ParallelOptions opts)
                           "multidfa");
         return;
     }
-    // kAuto infers profiles once: the slots' program plans from them,
-    // and the shards mask that plan.
-    const std::vector<analysis::ComponentProfile> profiles =
-        opts_.engine == EngineKind::kAuto
-        ? analysis::inferProfiles(a, opts_.plan.infer)
-        : std::vector<analysis::ComponentProfile>();
+    // kAuto infers profiles once, when none are given: the slots'
+    // program plans from them, and the shards mask that plan.
+    std::vector<analysis::ComponentProfile> inferred;
+    if (opts_.engine == EngineKind::kAuto && profiles.empty())
+        inferred = analysis::inferProfiles(a, opts_.plan.infer);
+    const auto &planned = inferred.empty() ? profiles : inferred;
     const auto program =
-        compileProgram(opts_.engine, a, opts_.plan, profiles);
+        compileProgram(opts_.engine, a, opts_.plan, planned);
     for (size_t s = 0; s < pool_->size(); ++s)
         slots_.push_back(std::make_unique<PlannedEngine>(program));
-    buildShards(a, threads, program->plan(), profiles);
+    buildShards(a, threads, program->plan(), planned);
 }
 
 ParallelRunner::~ParallelRunner() = default;

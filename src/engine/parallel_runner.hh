@@ -22,9 +22,9 @@
  *    per thread by size-balanced LPT, and each shard simulates the
  *    same input concurrently. Each shard is a PlannedEngine over the
  *    runner's plan with every component outside the shard skipped,
- *    compiled in place over the same automaton (kAuto infers its
- *    profiles once, for the slots and every shard), so shard reports
- *    already carry the automaton's element ids.
+ *    compiled in place over the same automaton (kAuto's profiles,
+ *    given or inferred once, serve the slots and every shard), so
+ *    shard reports already carry the automaton's element ids.
  *
  * Determinism guarantee: results are *canonical* — per stream,
  * reports are sorted by (offset, element, code); a batch is ordered
@@ -104,8 +104,11 @@ struct BatchResult {
 class ParallelRunner
 {
   public:
+    /** kAuto plans from @p profiles as compileProgram() does. */
     explicit ParallelRunner(const Automaton &a,
-                            ParallelOptions opts = ParallelOptions());
+                            ParallelOptions opts = ParallelOptions(),
+                            const std::vector<analysis::ComponentProfile>
+                                &profiles = {});
     ~ParallelRunner();
 
     /** Worker threads actually running. */

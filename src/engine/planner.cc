@@ -410,20 +410,18 @@ PlannedProgram::PlannedProgram(
         return;
     lazyDfa_ = std::make_unique<const LazyDfaProgram>(img, lazyCount_);
     if (!interp.empty()) {
-        interpToGlobal_ = std::move(interp);
-        interp_ = std::make_unique<const NfaEngine>(a, interpToGlobal_);
+        interpView_ = std::make_unique<const NfaEngine>(
+            *rest_, static_cast<ElementId>(lazyCount_));
     }
 }
 
 size_t
 PlannedProgram::footprintBytes() const
 {
-    size_t n = sizeof(*this) +
-        (restToGlobal_.capacity() + interpToGlobal_.capacity()) *
-        sizeof(ElementId);
+    size_t n = sizeof(*this) + restToGlobal_.capacity() * sizeof(ElementId);
     if (prefilter_)
         n += prefilter_->footprintBytes();
-    for (const NfaEngine *e : {rest_.get(), interp_.get()}) {
+    for (const NfaEngine *e : {rest_.get(), interpView_.get()}) {
         if (e)
             n += sizeof(NfaEngine) + e->footprintBytes();
     }
@@ -478,18 +476,12 @@ void
 PlannedSession::restart()
 {
     const PlannedProgram &p = *program_;
-    interpResult_ = SimResult();
     restResult_ = SimResult();
-    if (onDfa_) {
-        // The cache stays warm.
-        p.lazyDfa_->begin(lazyCache_, lazyCursor_);
-        if (p.interp_) {
-            p.interp_->end(interpScratch_);
-            p.interp_->begin(interpScratch_);
-        }
-    } else if (p.rest_) {
-        p.rest_->end(restScratch_);
-        p.rest_->begin(restScratch_);
+    if (onDfa_)
+        p.lazyDfa_->begin(lazyCache_, lazyCursor_); // the cache stays warm
+    if (const NfaEngine *e = onDfa_ ? p.interpView_.get() : p.rest_.get()) {
+        e->end(restScratch_);
+        e->begin(restScratch_);
     }
 }
 
@@ -499,14 +491,11 @@ PlannedSession::handOff()
     const PlannedProgram &p = *program_;
     lazyCache_.release();
     settled_.lazyStates = restResult_.lazyStates = 0; // none resident
-    p.rest_->resume(restScratch_, lazyCursor_.pos);
+    // An interpreter group's cursor already stands at the position.
+    if (!p.interpView_)
+        p.rest_->resume(restScratch_, lazyCursor_.pos);
     for (uint32_t id : lazyCursor_.members)
         restScratch_.enable(id);
-    if (p.interp_) {
-        restScratch_.absorb(interpScratch_, p.interp_->image().counters,
-                            static_cast<ElementId>(p.lazyCount_));
-        interpScratch_ = EngineScratch();
-    }
     lazyCursor_ = LazyDfaCursor();
     onDfa_ = false;
     noteHandoff();
@@ -523,7 +512,7 @@ PlannedSession::feed(const uint8_t *data, size_t len)
     // A DFA that is the plan's only backend reports alone and in
     // canonical order, so it counts and records straight into the
     // settled state under the caller's options (the guard aside).
-    const bool dfaAlone = !p.interp_ && !prefilterSession_;
+    const bool dfaAlone = !p.interpView_ && !prefilterSession_;
     SimOptions alone = options;
     alone.guard = nullptr;
     SimResult &dfaOut = dfaAlone ? settled_ : restResult_;
@@ -563,10 +552,10 @@ PlannedSession::feed(const uint8_t *data, size_t len)
                     dfaOut.reports[k].element =
                         p.restToGlobal_[dfaOut.reports[k].element];
             }
-            if (p.interp_) {
+            if (p.interpView_) {
                 clock.charge(PlanBackend::kInterpreter);
-                p.interp_->feed(interpScratch_, chunk, dfaBytes, inner,
-                                interpResult_);
+                p.interpView_->feed(restScratch_, chunk, dfaBytes, inner,
+                                    restResult_);
             }
             // inner carries no guard: a short feed is a full cache
             // that stops (a flushing one never does).
@@ -598,8 +587,7 @@ PlannedSession::feed(const uint8_t *data, size_t len)
         const uint64_t keep = std::max<uint64_t>(
             kKeptReports,
             options.recordReports ? options.reportRecordLimit : 0);
-        for (std::vector<Report> *v : {&restResult_.reports,
-                                       &interpResult_.reports, &settling_}) {
+        for (std::vector<Report> *v : {&restResult_.reports, &settling_}) {
             if (v->capacity() > keep)
                 std::vector<Report>(v->begin(), v->end()).swap(*v);
         }
@@ -613,25 +601,24 @@ PlannedSession::feed(const uint8_t *data, size_t len)
 bool
 PlannedSession::settle()
 {
-    if (restResult_.reports.empty() && interpResult_.reports.empty() &&
+    std::vector<Report> &rest = restResult_.reports;
+    if (rest.empty() &&
         (!prefilterSession_ || prefilterSession_->reports().empty()))
         return false;
-    const PlannedProgram &p = *program_;
-    // Cursor backends report in offset order up to t_; the prefilter
-    // may still report down to its low-water mark.
+    const std::vector<ElementId> &toGlobal = program_->restToGlobal_;
+    // Cursor backends report up to t_, the DFA's and the interpreter
+    // group's slices one after the other; the prefilter may still
+    // report down to its low-water mark.
     const uint64_t below =
         prefilterSession_ ? prefilterSession_->lowWater() : t_;
-    auto take = [&](std::vector<Report> &from,
-                    const std::vector<ElementId> &toGlobal) {
-        const auto end = std::partition_point(
-            from.begin(), from.end(),
-            [below](const Report &r) { return r.offset < below; });
-        for (auto r = from.begin(); r != end; ++r)
-            settling_.push_back({r->offset, toGlobal[r->element], r->code});
-        from.erase(from.begin(), end);
-    };
-    take(restResult_.reports, p.restToGlobal_);
-    take(interpResult_.reports, p.interpToGlobal_);
+    auto kept = rest.begin();
+    for (const Report &r : rest) {
+        if (r.offset < below)
+            settling_.push_back({r.offset, toGlobal[r.element], r.code});
+        else
+            *kept++ = r;
+    }
+    rest.erase(kept, rest.end());
     if (prefilterSession_)
         prefilterSession_->takeReports(below, settling_);
     if (!std::is_sorted(settling_.begin(), settling_.end()))
@@ -644,16 +631,11 @@ PlannedSession::settle()
 SimResult
 PlannedSession::collect(SimResult out) const
 {
-    const PlannedProgram &p = *program_;
+    const std::vector<ElementId> &toGlobal = program_->restToGlobal_;
     std::vector<Report> tail;
-    auto add = [&](const SimResult &part,
-                   const std::vector<ElementId> &toGlobal) {
-        for (const Report &r : part.reports)
-            tail.push_back({r.offset, toGlobal[r.element], r.code});
-        out.totalEnabled += part.totalEnabled;
-    };
-    add(restResult_, p.restToGlobal_);
-    add(interpResult_, p.interpToGlobal_);
+    for (const Report &r : restResult_.reports)
+        tail.push_back({r.offset, toGlobal[r.element], r.code});
+    out.totalEnabled += restResult_.totalEnabled;
     if (prefilterSession_) {
         tail.insert(tail.end(), prefilterSession_->reports().begin(),
                     prefilterSession_->reports().end());
@@ -692,9 +674,8 @@ PlannedSession::footprintBytes() const
 {
     size_t n = sizeof(*this) + lazyCache_.footprintBytes() +
         lazyCursor_.members.capacity() * sizeof(uint32_t) +
-        interpScratch_.footprintBytes() + restScratch_.footprintBytes() +
-        (interpResult_.reports.capacity() +
-         restResult_.reports.capacity() + settled_.reports.capacity() +
+        restScratch_.footprintBytes() +
+        (restResult_.reports.capacity() + settled_.reports.capacity() +
          settling_.capacity()) * sizeof(Report);
     if (prefilterSession_)
         n += prefilterSession_->footprintBytes();
@@ -707,28 +688,36 @@ PlannedSession::cursorBytes(
     const std::vector<analysis::ComponentProfile> &profiles,
     const PlanOptions &opts, size_t maxReportRecords)
 {
-    // The cursors' scratches together span at most every element (the
-    // lazy group's cache is budgeted at its scratch's bytes and freed
-    // before that scratch is allocated), their two worklists hold at
-    // most every element, and the window keeps at most the widest
-    // reach of any component the planner could route to the
-    // prefilter (decide() without the start-of-data veto, which only
-    // ever removes components) — so this needs no plan and no
-    // program. Fixed plans have no profiles, so route nothing there.
-    const size_t cursors = sizeof(PlannedSession) +
-        EngineScratch::elementBytes(a.size()) +
-        2 * a.size() * sizeof(ElementId) +
-        maxReportRecords * sizeof(Report);
+    // The scratch and its worklists span at most every element; on
+    // the DFA the lazy group's cache, budgeted at its share of them,
+    // sits beside (the cursor's member copy fits in that share of the
+    // worklists). Between feeds the unsettled and settling buffers
+    // keep at most max(maxReportRecords, kKeptReports) records each.
+    // The window keeps at most the widest reach of any component the
+    // planner could route to the prefilter (decide() without the
+    // start-of-data veto, which only ever removes components), so
+    // this needs no plan and no program.
+    size_t lazyElements = 0;
     bool prefilter = false;
     uint64_t radius = 0, literal = 0;
     for (const analysis::ComponentProfile &p : profiles) {
-        if (decide(p, false, opts) != PlanBackend::kPrefilter)
+        const PlanBackend b = decide(p, false, opts);
+        if (b == PlanBackend::kLazyDfa)
+            lazyElements += p.steCount + p.counterCount;
+        if (b != PlanBackend::kPrefilter)
             continue;
         prefilter = true;
         const PrefilterPattern pat = prefilterPattern(p);
         radius = std::max<uint64_t>(radius, pat.radius);
         literal = std::max<uint64_t>(literal, pat.literal.size());
     }
+    const size_t cursors = sizeof(PlannedSession) +
+        EngineScratch::elementBytes(a.size()) +
+        EngineScratch::elementBytes(lazyElements) +
+        2 * a.size() * sizeof(ElementId) +
+        (maxReportRecords +
+         2 * std::max<uint64_t>(maxReportRecords, kKeptReports)) *
+        sizeof(Report);
     if (!prefilter)
         return cursors;
     return cursors + sizeof(PrefilteredNfa::Session) +

@@ -174,11 +174,10 @@ EnginePlan fixedPlan(EngineKind kind, const Automaton &a);
  *
  * The prefilter group is one PrefilteredNfa. The lazy-DFA and
  * interpreter groups are one interpreter, lazy-DFA components first,
- * with a LazyDfaProgram over that first id range: DFA ids are the
- * interpreter's, so a session hands a run from the DFA to the
- * interpreter exactly. Until it does, it runs the interpreter group
- * on its own tables, whose ids are the rest's shifted down by the
- * lazy-DFA group's size. Every group compiles in place from its
+ * with a LazyDfaProgram over that first id range and a view of the
+ * interpreter entered only above it (the interpreter group): all
+ * three share ids, so a session hands a run from the DFA to the
+ * interpreter exactly. Every group compiles once, in place from its
  * member list of the automaton (NfaEngine(a, members)); the
  * automaton is never copied. Components the plan skips are in no
  * group, so a plan with every component outside a set skipped is
@@ -232,10 +231,9 @@ class PlannedProgram
      *  none, or when they hold a counter (profiles that disagree with
      *  the automaton): sessions then interpret rest_ from the start. */
     std::unique_ptr<const LazyDfaProgram> lazyDfa_;
-    /** The interpreter group alone, run beside the DFA (null without
-     *  a DFA or without interpreter components). */
-    std::unique_ptr<const NfaEngine> interp_;
-    std::vector<ElementId> interpToGlobal_; ///< empty without interp_
+    /** rest_ entered only from id lazyCount_ up: the interpreter
+     *  group beside the DFA (null without a DFA or without it). */
+    std::unique_ptr<const NfaEngine> interpView_;
 };
 
 /**
@@ -257,19 +255,17 @@ compileProgram(EngineKind kind, const Automaton &a,
  *
  * The prefilter group streams through a PrefilteredNfa::Session.
  * The lazy-DFA group streams through a LazyDfaCursor over a cache
- * the session owns, beside an interpreter cursor over the
- * interpreter group. That cache survives reset(), so a pooled or
- * reused session keeps it warm, and its budget is
- * EngineScratch::elementBytes() of the lazy-DFA group: the
- * interpreter scratch the cursor stands in for. A transition that
- * would exceed it hands the run off: one interpreter cursor over the
- * program's rest engine is opened at the same stream position
- * (NfaEngine::resume()) and seeded with the DFA state-set and the
- * interpreter group's state, the cache is freed, and the session
- * interprets both groups in that one cursor from then on, across
- * reset() too. The hand-off is exact, so results never depend on
- * where it happens. A kNfa program has neither a prefilter nor a
- * DFA: its session is one interpreter cursor over the rest engine.
+ * the session owns, beside one interpreter cursor over the rest
+ * engine's ids that runs the interpreter group. That cache survives
+ * reset(), so a pooled or reused session keeps it warm, and its
+ * budget is EngineScratch::elementBytes() of the lazy-DFA group: the
+ * part of that scratch the cursor stands in for. A transition that
+ * would exceed it hands the run off: the DFA state-set is enabled in
+ * the interpreter cursor at the same stream position, the cache is
+ * freed, and the session interprets both groups in that cursor from
+ * then on, across reset() too. The hand-off is exact, so results
+ * never depend on where it happens. A kNfa program has neither a
+ * prefilter nor a DFA: its session is the interpreter cursor.
  *
  * The session owns the guard poll clock: options.guard is polled
  * every kGuardCheckIntervalSymbols stream symbols regardless of
@@ -335,19 +331,18 @@ class PlannedSession
 
     /** Resident bytes of this session's own state: the prefilter
      *  window (scratch, rolling buffer, hits, reports), the
-     *  interpreter cursors, the lazy-DFA cache and cursor, and the
+     *  interpreter cursor, the lazy-DFA cache and cursor, and the
      *  settled and unsettled report records. The program's tables
      *  are shared and excluded (PlannedProgram::footprintBytes()). */
     size_t footprintBytes() const;
 
     /** Bytes a running session over a program of @p a holds, from
-     *  the cursor's layout: the scratches' per-element arrays (the
-     *  lazy cache is held to the lazy group's share of them) and
-     *  worklists (every element enabled), @p maxReportRecords
-     *  recorded reports and, when some component of @p profiles can
-     *  be routed to the prefilter, the prefilter window (a fixed
-     *  plan has no profiles, so none). The serve layer's admission
-     *  unit; computed without compiling the program. */
+     *  the cursor's layout: the scratches and worklists (every
+     *  element enabled), the report buffers' kept capacity and the
+     *  lazy cache and prefilter window of the components @p profiles
+     *  can route there (a fixed plan has no profiles, so none: kNfa's
+     *  unit, not kLazyDfa's). The serve layer's admission unit;
+     *  computed without compiling the program. */
     static size_t
     cursorBytes(const Automaton &a,
                 const std::vector<analysis::ComponentProfile> &profiles,
@@ -392,10 +387,10 @@ class PlannedSession
     PlannedSession(std::shared_ptr<const PlannedProgram> program,
                    LazyDfaCache::OnFull onFull);
 
-    /** Move the run from the DFA and interpreter-group cursors to one
-     *  rest cursor at the DFA's position; free the cache. */
+    /** Move the DFA's state-set into the interpreter cursor, which
+     *  then runs rest_; free the cache. */
     void handOff();
-    /** (Re)open the rest cursors at stream position 0. */
+    /** (Re)open the cursors at stream position 0. */
     void restart();
     /** Count every backend's reports below the watermark into
      *  settled_; false when no backend held a report. */
@@ -408,13 +403,10 @@ class PlannedSession
     std::shared_ptr<const PlannedProgram> program_;
     std::unique_ptr<PrefilteredNfa::Session> prefilterSession_;
 
-    /** On the DFA: the lazy-DFA cursor (its reports are rest ids and
-     *  land in restResult_) and the interpreter-group cursor. */
     LazyDfaCache lazyCache_;
     LazyDfaCursor lazyCursor_;
-    EngineScratch interpScratch_;
-    SimResult interpResult_;
-    /** Off the DFA: one cursor over the rest engine. */
+    /** The interpreter cursor: interpView_ while on the DFA, rest_
+     *  after. Its and the DFA's reports are rest ids. */
     EngineScratch restScratch_;
     SimResult restResult_;
     bool onDfa_ = false;

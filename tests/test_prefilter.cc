@@ -783,6 +783,43 @@ TEST(LazyHandoff, BlockRunsFlushAndNeverHandOff)
     }
 }
 
+TEST(LazyHandoff, InterpreterGroupRunsOnTheRestTables)
+{
+    // The interpreter group runs beside the DFA on the rest engine's
+    // own tables, entered only above the DFA's ids: a program with all
+    // three groups compiles two interpreters (the prefilter group's and
+    // the rest engine) and adopts no artifact image.
+    if (!obs::kEnabled)
+        GTEST_SKIP() << "AZOO_OBS=OFF: counters compiled out";
+    zoo::ZooConfig cfg = tinyConfig();
+    cfg.scale = 0.02; // the smallest Snort with a scan literal
+    zoo::Benchmark b = zoo::makeBenchmark("Snort", cfg);
+    const auto profiles = analysis::inferProfiles(b.automaton);
+    obs::Registry &reg = obs::Registry::global();
+    const uint64_t compiles = reg.counterValue("engine.nfa.compiles");
+    const uint64_t adoptions =
+        reg.counterValue("engine.nfa.image_adoptions");
+    const auto program = compileProgram(EngineKind::kAuto, b.automaton,
+                                        PlanOptions(), profiles);
+    for (PlanBackend g : {PlanBackend::kPrefilter, PlanBackend::kLazyDfa,
+                          PlanBackend::kInterpreter}) {
+        ASSERT_GT(program->plan().backendCount[static_cast<size_t>(g)], 0u)
+            << planBackendName(g);
+    }
+    EXPECT_EQ(reg.counterValue("engine.nfa.compiles") - compiles, 2u);
+    EXPECT_EQ(reg.counterValue("engine.nfa.image_adoptions"), adoptions);
+
+    SimOptions sim;
+    sim.countByCode = true;
+    PlannedSession sess(program);
+    sess.options = sim;
+    feedChunks(b.input.data(), b.input.size(), 1000,
+               [&](const uint8_t *p, size_t n) { return sess.feed(p, n); });
+    expectSemanticallyEqual(sess.results(),
+                            serialReference(b, b.input.size(), sim),
+                            "stream");
+}
+
 TEST(PlannedEngine, LiteralZooBenchmarksActuallyPrefilter)
 {
     // The planner must route the literal-dominated DPI benchmarks to

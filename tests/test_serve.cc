@@ -884,6 +884,36 @@ TEST(ServeSession, EstimateWithinOrderOfMagnitudeOfMeasured)
     }
 }
 
+/** A lazy-DFA group (a star feeding an a/b chain) beside interpreted
+ *  counters, as in LazyHandoff.InterpreterStateCrossesTheHandoff: a
+ *  stream without 'b' keeps the DFA in one state-set while the
+ *  counters count, latch and reset. */
+Automaton
+dfaBesideCounters()
+{
+    Automaton a("dfa-beside-counters");
+    ElementId prev = addStarState(a, CharSet::all());
+    for (int i = 0; i < 16; ++i) {
+        const ElementId s = a.addSte(CharSet::single(i % 3 ? 'a' : 'b'));
+        a.addEdge(prev, s);
+        prev = s;
+    }
+    a.element(prev).reporting = true;
+    a.element(prev).reportCode = 1;
+    uint32_t code = 10;
+    for (CounterMode mode : {CounterMode::kLatch, CounterMode::kRollover,
+                             CounterMode::kPulse}) {
+        const ElementId s =
+            a.addSte(CharSet::single('a'), StartType::kAllInput);
+        const ElementId c = a.addCounter(5, mode, true, code++);
+        const ElementId r =
+            a.addSte(CharSet::single('x'), StartType::kAllInput);
+        a.addEdge(s, c);
+        a.addResetEdge(r, c);
+    }
+    return a;
+}
+
 TEST(ServeSession, LazySessionFootprintWithinEstimate)
 {
     // A planned session's lazy-DFA cache is session state: counted in
@@ -931,6 +961,29 @@ TEST(ServeSession, LazySessionFootprintWithinEstimate)
             EXPECT_GT(cache, 0u);
         }
     }
+
+    // The admission peak: a session still on the DFA holds its cache
+    // beside one interpreter scratch over the whole rest group.
+    SCOPED_TRACE("DFA beside counters");
+    const Automaton a = dfaBesideCounters();
+    Rng rng(1);
+    std::vector<uint8_t> calm(600);
+    for (uint8_t &c : calm)
+        c = "aaaacx"[rng.nextBelow(6)];
+    SimResult ref = NfaEngine(a).simulate(calm);
+    canonicalizeReports(ref);
+    MatchSessionPool pool(a, EngineKind::kAuto, PlanOptions(), 256);
+    std::unique_ptr<PlannedSession> s = pool.acquire();
+    ASSERT_EQ(s->plan().census(), "D1/I3");
+    s->options.reportRecordLimit = 256;
+    ASSERT_EQ(s->feed(calm), calm.size());
+    ASSERT_FALSE(s->lazyInterpreted());
+    EXPECT_GT(s->lazyCache().bytesUsed(), 0u);
+    EXPECT_LE(s->footprintBytes(), pool.estimatedSessionBytes());
+    const SimResult got = s->results();
+    EXPECT_EQ(got.reportCount, ref.reportCount);
+    EXPECT_EQ(got.reports, ref.reports);
+    pool.release(std::move(s));
 }
 
 TEST(ServeSession, CappedRecordsAreTheCanonicalFirstOnEveryEngine)

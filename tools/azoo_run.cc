@@ -208,7 +208,8 @@ main(int argc, char **argv)
     };
 
     // An artifact's PROF section is inference already paid for: kAuto
-    // plans from it (empty without one, so compileProgram() infers).
+    // plans from it, serial, chunked, --threads or --batch, and
+    // multidfa compiles with it (empty without one, so each infers).
     const std::vector<analysis::ComponentProfile> noProfiles;
     const std::vector<analysis::ComponentProfile> &artProfiles =
         art ? art->componentProfiles() : noProfiles;
@@ -277,7 +278,7 @@ main(int argc, char **argv)
                                  "--input list (stray comma?)");
             streams.push_back(loadBytes(p));
         }
-        ParallelRunner runner(graph(), popts);
+        ParallelRunner runner(graph(), popts, artProfiles);
         Timer timer;
         BatchResult br = runner.runBatch(streams);
         const double secs = timer.seconds();
@@ -337,7 +338,7 @@ main(int argc, char **argv)
                   << pf.candidates << " prefilter candidates, "
                   << pf.skippedBytes << " bytes skipped\n";
     } else if (threads > 1) {
-        ParallelRunner runner(graph(), popts);
+        ParallelRunner runner(graph(), popts, artProfiles);
         std::cout << "sharded into " << runner.shardCount()
                   << " component groups on " << runner.threads()
                   << " threads\n";
@@ -374,11 +375,13 @@ main(int argc, char **argv)
     } else { // kMultiDfa
         // Profile facts let compilation skip subset constructions the
         // blowup estimate already rules out; results are unchanged.
-        const std::vector<analysis::ComponentProfile> profiles =
-            analysis::inferProfiles(graph());
+        // An artifact's PROF section spares the inference.
+        std::vector<analysis::ComponentProfile> inferred;
+        if (artProfiles.empty())
+            inferred = analysis::inferProfiles(graph());
         MultiDfaOptions mo;
         mo.lazyCacheBytes = cacheBytes;
-        mo.profiles = &profiles;
+        mo.profiles = artProfiles.empty() ? &inferred : &artProfiles;
         MultiDfaEngine e(graph(), mo);
         std::cout << "compiled " << e.compiledComponents()
                   << " DFAs (" << e.totalDfaStates() << " states), "
