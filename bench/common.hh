@@ -107,7 +107,8 @@ struct JsonRow {
     std::string engine;
     uint64_t threads = 1;
     double symbolsPerSec = 0;
-    uint64_t cacheFlushes = 0;
+    /** Lazy-DFA groups that handed off to the interpreter. */
+    uint64_t lazyHandoffs = 0;
     std::vector<std::pair<std::string, double>> extra;
 };
 
@@ -144,7 +145,7 @@ class JsonReport
             jsonEscape(os, r.engine);
             os << ", \"threads\": " << r.threads
                << ", \"symbols_per_sec\": " << jsonNum(r.symbolsPerSec)
-               << ", \"cache_flushes\": " << r.cacheFlushes;
+               << ", \"lazy_handoffs\": " << r.lazyHandoffs;
             for (const auto &[key, val] : r.extra) {
                 os << ", ";
                 jsonEscape(os, key);

@@ -11,7 +11,7 @@
  *
  * Extra flags beyond google-benchmark's own: --json PATH writes every
  * run as a bench::JsonReport row (benchmark name, engine label,
- * threads, symbols/sec, cache flushes) alongside the console table;
+ * threads, symbols/sec, lazy hand-offs) alongside the console table;
  * --metrics[=PATH] dumps the azoo::obs registry snapshot after the
  * runs (stdout, or PATH when given).
  */
@@ -154,8 +154,7 @@ BM_Engines_ApPrngFallback(benchmark::State &state)
         }
         state.counters["lazy_states"] =
             static_cast<double>(e.lazyCache().states());
-        state.counters["cache_flushes"] =
-            static_cast<double>(e.lazyCache().flushes());
+        state.counters["lazy_handoffs"] = e.lazyInterpreted();
     }
     state.SetBytesProcessed(
         static_cast<int64_t>(state.iterations() * kInput));
@@ -165,9 +164,11 @@ BENCHMARK(BM_Engines_ApPrngFallback)->Arg(0)->Arg(1);
 
 /**
  * Lazy-DFA cache-budget sweep on Seq Match (many distinct state-sets):
- * arg is the transition-cache byte budget. Small budgets force
- * whole-cache flushes mid-stream; the cache_flushes counter shows how
- * often, and the throughput column what each flush costs.
+ * arg is the transition-cache byte budget. A block run whose cache
+ * fills hands off to the interpreter there and interprets every
+ * later run; the lazy_handoffs counter shows at which budgets that
+ * happens, and the throughput column what the DFA buys over the
+ * interpreter where it does not.
  */
 void
 BM_LazyDfa_CacheBudget(benchmark::State &state)
@@ -187,8 +188,7 @@ BM_LazyDfa_CacheBudget(benchmark::State &state)
         benchmark::DoNotOptimize(e.simulate(b.input, opts).reportCount);
     state.SetBytesProcessed(
         static_cast<int64_t>(state.iterations() * kInput));
-    state.counters["cache_flushes"] =
-        static_cast<double>(e.lazyCache().flushes());
+    state.counters["lazy_handoffs"] = e.lazyInterpreted();
     state.counters["lazy_states"] =
         static_cast<double>(e.lazyCache().states());
     state.SetLabel("lazydfa");
@@ -271,12 +271,12 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter
             auto bps = run.counters.find("bytes_per_second");
             if (bps != run.counters.end())
                 row.symbolsPerSec = bps->second.value;
-            auto fl = run.counters.find("cache_flushes");
-            if (fl != run.counters.end())
-                row.cacheFlushes =
-                    static_cast<uint64_t>(fl->second.value);
+            auto ho = run.counters.find("lazy_handoffs");
+            if (ho != run.counters.end())
+                row.lazyHandoffs =
+                    static_cast<uint64_t>(ho->second.value);
             for (const auto &[key, c] : run.counters) {
-                if (key != "bytes_per_second" && key != "cache_flushes")
+                if (key != "bytes_per_second" && key != "lazy_handoffs")
                     row.extra.emplace_back(key, c.value);
             }
             report.add(std::move(row));

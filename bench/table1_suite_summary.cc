@@ -8,8 +8,9 @@
  * dynamic active set measured with the NFA interpreter on the
  * standard input. The Lazy.* columns characterize the same run under
  * `--engine lazydfa` (a PlannedEngine over fixedPlan(kLazyDfa)):
- * distinct state-sets interned, whole-cache flushes at the default
- * budget, counter components interpreted beside the DFA, and the
+ * distinct state-sets interned (0 once the run hands off), whether the
+ * cache filled at the default budget and handed the run off to the
+ * interpreter, counter components interpreted beside the DFA, and the
  * transition-cache hit rate (from the cache's own counts). Plan is the
  * per-component backend census under --engine auto (P/A/D/I/S, see
  * engine/planner.hh) and Pf.Skip% the input fraction the literal
@@ -147,7 +148,7 @@ main(int argc, char **argv)
     Table t({"Benchmark", "States", "Edges", "Edges/Node", "Subgraphs",
              "Avg.Size", "Std.Dev", "Compr.States", "Compr.Factor",
              "ActiveSet", "Lint", "Class", "Lit", "Plan", "Pf.Skip%",
-             "Lazy.Sets", "Lazy.Flush", "Lazy.FB", "Lazy.Hit%"});
+             "Lazy.Sets", "Lazy.HO", "Lazy.FB", "Lazy.Hit%"});
     Table shape({"Benchmark", "Avg.Size", "(paper)", "Edges/Node",
                  "(paper)", "Act/1kStates", "(paper)"});
 
@@ -205,7 +206,7 @@ main(int argc, char **argv)
                   plannedEngine.plan().census(),
                   Table::fixed(pfSkip, 1),
                   Table::num(cache.states()),
-                  Table::num(cache.flushes()),
+                  lazyEngine.lazyInterpreted() ? "yes" : "no",
                   Table::num(lazyEngine.plan().backendCount[size_t(
                       PlanBackend::kInterpreter)]),
                   Table::fixed(hitPct, 1)});

@@ -14,7 +14,9 @@
  * name is a usage error) picks the per-stream/per-shard engine and
  * --json PATH writes every measurement as a bench::JsonReport row
  * (benchmark "name/batch" or "name/sharded", engine, threads,
- * symbols/sec, lazy cache flushes).
+ * symbols/sec, and the lazy-DFA hand-offs its runs made: worker slots
+ * and shards whose cache filled and handed off to the interpreter,
+ * from engine.lazy.handoffs, so 0 under -DAZOO_OBS=OFF).
  *
  * Methodology (see docs/ARCHITECTURE.md): one untimed warmup run per
  * configuration, then --reps timed repetitions; the best repetition
@@ -112,7 +114,10 @@ main(int argc, char **argv)
     Table t({"Threads", "Batch MSym/s", "Speedup", "Shards",
              "Sharded MSym/s", "Speedup"});
     double batchBase = 0, shardBase = 0, serialRate = 0;
-    uint64_t serialFlushes = 0;
+    uint64_t serialHandoffs = 0;
+    const auto handoffs = [] {
+        return obs::Registry::global().counterValue("engine.lazy.handoffs");
+    };
     // Sanity anchor: the same engine serially, the whole input as one
     // stream on the one-thread runner.
     const std::vector<std::vector<uint8_t>> whole{input};
@@ -123,25 +128,26 @@ main(int argc, char **argv)
         popts.sim = sim;
         ParallelRunner runner(b.automaton, popts);
 
-        uint64_t batchFlushes = 0;
-        const double batchSecs = bestSeconds(reps, [&] {
-            batchFlushes = runner.runBatch(streams).totalLazyFlushes;
-        });
+        uint64_t before = handoffs();
+        const double batchSecs =
+            bestSeconds(reps, [&] { runner.runBatch(streams); });
         const double batchRate = input.size() / batchSecs / 1e6;
+        const uint64_t batchHandoffs = handoffs() - before;
 
-        uint64_t shardFlushes = 0;
-        const double shardSecs = bestSeconds(reps, [&] {
-            shardFlushes =
-                runner.simulateSharded(input).lazyFlushes;
-        });
+        before = handoffs();
+        const double shardSecs =
+            bestSeconds(reps, [&] { runner.simulateSharded(input); });
         const double shardRate = input.size() / shardSecs / 1e6;
+        const uint64_t shardHandoffs = handoffs() - before;
 
         if (threads == 1) {
             batchBase = batchRate;
             shardBase = shardRate;
+            before = handoffs();
             serialRate = input.size() / bestSeconds(reps, [&] {
-                serialFlushes = runner.runBatch(whole).totalLazyFlushes;
+                runner.runBatch(whole);
             }) / 1e6;
+            serialHandoffs = handoffs() - before;
         }
         t.addRow({std::to_string(threads),
                   Table::fixed(batchRate, 2),
@@ -150,9 +156,9 @@ main(int argc, char **argv)
                   Table::fixed(shardRate, 2),
                   Table::ratio(shardRate / shardBase, 2)});
         json.add({name + "/batch", engineName(engine), threads,
-                  batchRate * 1e6, batchFlushes, {}});
+                  batchRate * 1e6, batchHandoffs, {}});
         json.add({name + "/sharded", engineName(engine), threads,
-                  shardRate * 1e6, shardFlushes,
+                  shardRate * 1e6, shardHandoffs,
                   {{"shards", double(runner.shardCount())}}});
     }
     t.print(std::cout);
@@ -160,7 +166,7 @@ main(int argc, char **argv)
     std::cout << "\nserial " << engineName(engine) << ": "
               << Table::fixed(serialRate, 2) << " MSym/s\n";
     json.add({name + "/serial", engineName(engine), 1,
-              serialRate * 1e6, serialFlushes, {}});
+              serialRate * 1e6, serialHandoffs, {}});
     json.writeFile(cli.get("json"));
     return 0;
 }

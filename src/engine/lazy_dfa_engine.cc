@@ -15,8 +15,7 @@ namespace {
  *  per call. Components interpreted beside the DFA are accounted
  *  under engine.nfa.* by the interpreter. */
 void
-noteLazyFeed(uint64_t symbols, uint64_t hits, uint64_t misses,
-             uint64_t flushes)
+noteLazyFeed(uint64_t symbols, uint64_t hits, uint64_t misses)
 {
     if (!obs::kEnabled)
         return;
@@ -26,12 +25,9 @@ noteLazyFeed(uint64_t symbols, uint64_t hits, uint64_t misses,
         reg.counter("engine.lazy.cache_hits");
     static obs::Counter &cacheMisses =
         reg.counter("engine.lazy.cache_misses");
-    static obs::Counter &cacheFlushes =
-        reg.counter("engine.lazy.cache_flushes");
     symbolsC.add(symbols);
     cacheHits.add(hits);
     cacheMisses.add(misses);
-    cacheFlushes.add(flushes);
 }
 
 /** FNV-1a over the raw words of a sorted local-id set. */
@@ -88,11 +84,12 @@ LazyDfaProgram::LazyDfaProgram(const NfaExecImage &image, size_t count)
 void
 LazyDfaProgram::begin(LazyDfaCache &c, LazyDfaCursor &cur) const
 {
-    cur.members.assign(start_.begin(), start_.end());
-    if (c.startState_ == LazyDfaCache::kUnknown)
-        c.startState_ = c.intern(*this, cur.members);
+    if (c.startState_ == LazyDfaCache::kUnknown) {
+        c.startState_ =
+            c.intern(*this, std::vector<uint32_t>(start_.begin(),
+                                                  start_.end()));
+    }
     cur.state = c.startState_;
-    cur.epoch = c.epoch_;
     cur.pos = 0;
 }
 
@@ -101,31 +98,24 @@ LazyDfaProgram::feed(LazyDfaCache &c, LazyDfaCursor &cur,
                      const uint8_t *data, size_t len,
                      const SimOptions &opts, SimResult &res) const
 {
-    if (cur.epoch != c.epoch_) {
-        // Flushed or released since this cursor last ran.
-        cur.state = c.intern(*this, cur.members);
-        cur.epoch = c.epoch_;
-    }
     const uint64_t t0 = cur.pos;
-    const uint64_t flushesBefore = c.flushes_;
+    // Loop-invariant options in locals: the stores into res would
+    // otherwise reload them every symbol and crowd the cache out of
+    // the registers.
+    const RunGuard *const guard = opts.guard;
+    const bool countActive = opts.computeActiveSet;
     uint64_t hits = 0, misses = 0, enabled = 0;
     uint32_t s = cur.state;
     size_t i = 0;
     for (; i < len; ++i) {
         const uint64_t t = t0 + i;
-        if (opts.guard && (t & (kGuardCheckIntervalSymbols - 1)) == 0) {
-            Status st = opts.guard->check(t);
+        if (guard && (t & (kGuardCheckIntervalSymbols - 1)) == 0) {
+            Status st = guard->check(t);
             if (!st.ok()) {
                 res.guardStatus = std::move(st);
                 break;
             }
         }
-        // The state-set is exactly NfaEngine's edge-enabled set
-        // (all-input starts excluded), so its size *is* the active
-        // set for this cycle.
-        if (opts.computeActiveSet)
-            enabled += c.members_[s].size();
-
         const uint32_t cls = classes_.classOf[data[i]];
         size_t cell = static_cast<size_t>(s) * numClasses_ + cls;
         if (c.next_[cell] == LazyDfaCache::kUnknown) {
@@ -136,6 +126,11 @@ LazyDfaProgram::feed(LazyDfaCache &c, LazyDfaCursor &cur,
         } else {
             ++hits;
         }
+        // The state-set is exactly NfaEngine's edge-enabled set
+        // (all-input starts excluded), so its size *is* the active
+        // set for this cycle.
+        if (countActive)
+            enabled += c.members_[s].size();
 
         const uint32_t ridx = c.reportIdx_[cell];
         if (ridx) {
@@ -157,16 +152,13 @@ LazyDfaProgram::feed(LazyDfaCache &c, LazyDfaCursor &cur,
         s = c.next_[cell];
     }
     cur.state = s;
-    cur.epoch = c.epoch_;
-    cur.members = c.members_[s];
     cur.pos = t0 + i;
     res.symbols += i;
     res.totalEnabled += enabled;
-    res.lazyFlushes += c.flushes_ - flushesBefore;
     res.lazyStates = c.members_.size();
     c.hits_ += hits;
     c.misses_ += misses;
-    noteLazyFeed(i, hits, misses, c.flushes_ - flushesBefore);
+    noteLazyFeed(i, hits, misses);
     return i;
 }
 
@@ -207,35 +199,16 @@ LazyDfaCache::internReports(
 }
 
 void
-LazyDfaCache::flush()
-{
-    members_.clear();
-    buckets_.clear();
-    next_.clear();
-    reportIdx_.clear();
-    pool_.clear();
-    pool_.emplace_back();
-    poolIds_.clear();
-    cachedTransitions_ = 0;
-    bytesUsed_ = inNext_.size();
-    startState_ = kUnknown;
-    ++flushes_;
-    ++epoch_;
-}
-
-void
 LazyDfaCache::release()
 {
-    LazyDfaCache empty(budget_, onFull_);
-    empty.flushes_ = flushes_;
+    LazyDfaCache empty(budget_);
     empty.hits_ = hits_;
     empty.misses_ = misses_;
-    empty.epoch_ = epoch_ + 1;
     *this = std::move(empty);
 }
 
 size_t
-LazyDfaCache::fill(const LazyDfaProgram &p, uint32_t &cur, uint32_t cls)
+LazyDfaCache::fill(const LazyDfaProgram &p, uint32_t cur, uint32_t cls)
 {
     const NfaExecImage &t = p.t_;
     if (inNext_.size() != p.count_) {
@@ -278,17 +251,8 @@ LazyDfaCache::fill(const LazyDfaProgram &p, uint32_t &cur, uint32_t cls)
     // Budget check with a worst-case (both inserts are new) estimate.
     const size_t need = stateBytes(succ_.size(), p.numClasses_) +
         poolBytes(reps_.size());
-    if (bytesUsed_ + need > budget_) {
-        if (onFull_ == OnFull::kStop)
-            return kNoCell;
-        // Keeping at least the current and next state guarantees
-        // forward progress even when one transition overshoots.
-        if (members_.size() > 2) {
-            const std::vector<uint32_t> keep = std::move(members_[cur]);
-            flush();
-            cur = intern(p, keep);
-        }
-    }
+    if (bytesUsed_ + need > budget_)
+        return kNoCell;
 
     const uint32_t tgt = intern(p, succ_);
     const uint32_t ridx = reps_.empty() ? 0 : internReports(reps_);

@@ -22,19 +22,20 @@
  *    of cursors on any threads may run over one program.
  *  - LazyDfaCache is mutable and owned by one runner at a time: the
  *    interned state-sets, their transition rows and the report pool,
- *    charged against a byte budget. On overflow it either flushes
- *    (RE2's policy, what block runs use) or refuses the transition so
- *    its owner can hand the run to the interpreter.
- *  - LazyDfaCursor is one run's position: a state id, the cache epoch
- *    it is valid for, a copy of the state's member set and the
- *    stream position.
+ *    charged against a byte budget. It never evicts: a transition
+ *    that would exceed the budget is refused, and its owner hands
+ *    the run to the interpreter and frees the cache. Block and
+ *    streamed runs share this one policy and differ only in budget.
+ *  - LazyDfaCursor is one run's position: a state id, valid until
+ *    the cache is released, and the stream position.
  *
  * A DFA state is a sorted set of image ids: exactly NfaEngine's
  * edge-enabled set for the next cycle (all-input starts, permanently
  * enabled, excluded). DFA ids *are* the image's ids, so a cursor's
- * member set seeds an interpreter cursor over the same image exactly
- * (EngineScratch::enable() per member), opened at the DFA's position
- * or already running the ids above the DFA's.
+ * member set (LazyDfaCache::members()) seeds an interpreter cursor
+ * over the same image exactly (EngineScratch::enable() per member),
+ * opened at the DFA's position or already running the ids above the
+ * DFA's.
  * LazyDfaProgram::feed() holds the only lazy symbol loop, and
  * PlannedSession is its only runner: `--engine lazydfa` is a planned
  * program with a fixed plan (fixedPlan() in planner.hh).
@@ -70,12 +71,6 @@ class LazyDfaCache;
 struct LazyDfaCursor {
     /** Current DFA state id in the cache. */
     uint32_t state = ~uint32_t(0);
-    /** Cache epoch @p state belongs to; a flush or release since
-     *  makes the next feed re-intern @p members. */
-    uint64_t epoch = 0;
-    /** The current state's member set, refreshed at the end of each
-     *  feed: what survives the cache. */
-    std::vector<uint32_t> members;
     /** Symbols fed since begin() (the stream position). */
     uint64_t pos = 0;
 };
@@ -102,10 +97,10 @@ class LazyDfaProgram
      * accumulate into @p result. opts.guard is polled every
      * kGuardCheckIntervalSymbols symbols of stream position. Returns
      * the bytes consumed: short when the guard stopped the run
-     * (result.guardStatus says so) or when a cache that stops on
-     * overflow could not take the next transition (the cursor then
-     * sits before the symbol that did not fit). Cache hits and misses
-     * are flushed to the metrics once per call.
+     * (result.guardStatus says so) or when the full cache could not
+     * take the next transition (the cursor then sits before the
+     * symbol that did not fit). Cache hits and misses are flushed to
+     * the metrics once per call.
      */
     size_t feed(LazyDfaCache &cache, LazyDfaCursor &cursor,
                 const uint8_t *data, size_t len, const SimOptions &opts,
@@ -132,32 +127,27 @@ class LazyDfaProgram
 class LazyDfaCache
 {
   public:
-    /** What a transition that would exceed the budget does. */
-    enum class OnFull : uint8_t {
-        /** Drop every interned state and rebuild from the in-flight
-         *  state-set (RE2's policy: O(1) amortized bookkeeping, no
-         *  LRU lists on the hot path). The budget is then a target,
-         *  not a hard cap: the cache always keeps at least the
-         *  current and next state-set so the run makes progress. */
-        kFlush,
-        /** Refuse the transition: feed() stops before the symbol and
-         *  the owner hands the run to the interpreter. A hard cap. */
-        kStop,
-    };
-
-    LazyDfaCache(size_t budgetBytes, OnFull onFull)
-        : budget_(budgetBytes), onFull_(onFull)
+    /** A cache whose transitions stop at @p budgetBytes: a hard cap
+     *  on what transitions charge (begin() interns the start state
+     *  regardless). */
+    explicit LazyDfaCache(size_t budgetBytes) : budget_(budgetBytes)
     {
         pool_.emplace_back(); // index 0 = the empty report list
     }
 
     /** Free every interned state and all storage (a stopped cache's
-     *  owner no longer needs it); cursors re-intern on their next
-     *  feed. */
+     *  owner no longer needs it); the hit and miss counts stay.
+     *  Cursors over it are invalid from then on. */
     void release();
 
-    /** Whole-cache flushes (cumulative). */
-    uint64_t flushes() const { return flushes_; }
+    /** The sorted member set of DFA state @p state (valid until
+     *  release()). */
+    const std::vector<uint32_t> &
+    members(uint32_t state) const
+    {
+        return members_[state];
+    }
+
     /** State-sets currently interned. */
     uint64_t states() const { return members_.size(); }
     /** Computed (state, class) transition cells currently cached. */
@@ -184,17 +174,13 @@ class LazyDfaCache
     uint32_t internReports(
         const std::vector<std::pair<ElementId, uint32_t>> &reps);
 
-    /** Drop every interned state/transition/report list. */
-    void flush();
-
-    /** Compute and cache the transition of (@p cur, @p cls); a flush
-     *  re-interns @p cur in place. Returns the filled cell, or
-     *  kNoCell when an OnFull::kStop cache is full. */
+    /** Compute and cache the transition of (@p cur, @p cls).
+     *  Returns the filled cell, or kNoCell when it would exceed the
+     *  budget. */
     static constexpr size_t kNoCell = ~size_t(0);
-    size_t fill(const LazyDfaProgram &p, uint32_t &cur, uint32_t cls);
+    size_t fill(const LazyDfaProgram &p, uint32_t cur, uint32_t cls);
 
     size_t budget_;
-    OnFull onFull_;
 
     /** members_[sid] = sorted local-id set of DFA state sid. */
     std::vector<std::vector<uint32_t>> members_;
@@ -210,14 +196,10 @@ class LazyDfaCache
     /** FNV hash of members -> state ids with that hash. */
     std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
     uint64_t bytesUsed_ = 0;
-    uint64_t flushes_ = 0;
     uint64_t cachedTransitions_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-    /** Bumped by every flush and release: cursor state ids from an
-     *  older epoch are stale. */
-    uint64_t epoch_ = 1;
-    /** Cached start-state id (re-interned after each flush). */
+    /** Cached start-state id. */
     uint32_t startState_ = kUnknown;
 
     // Transition-computation scratch, charged to the budget.

@@ -16,14 +16,18 @@
  * lazydfa's fixedPlan() over them (every compiled component is kSkip
  * in its plan), mirroring how hybrid engines mix DFA and NFA subsystems:
  * counter-free over-budget components still get DFA-speed execution
- * on hot input regions (subset construction runs lazily under a byte
- * budget), and only counter components drop all the way to the
- * enabled-set interpreter.
+ * on hot input regions (subset construction runs lazily under the
+ * MultiDfaOptions::lazyCacheBytes budget), and only counter
+ * components drop all the way to the enabled-set interpreter. As in
+ * Hyperscan, the DFA runs only while it fits: a fallback whose cache
+ * fills hands its run off to the interpreter, exactly, and stays
+ * there.
  *
  * Because the fallback's transition cache warms up across simulate()
- * calls, an engine with fallbackComponents() > 0 must not be shared
- * by concurrently simulating threads (a fully compiled engine remains
- * freely shareable).
+ * calls (and its hand-off is sticky), an engine with
+ * fallbackComponents() > 0 must not be shared by concurrently
+ * simulating threads (a fully compiled engine remains freely
+ * shareable).
  */
 
 #ifndef AZOO_ENGINE_MULTIDFA_ENGINE_HH
@@ -44,7 +48,8 @@ struct MultiDfaOptions {
     /** Determinization budget per component; beyond it the component
      *  is simulated by the lazy-DFA fallback instead. */
     uint32_t maxDfaStatesPerComponent = 4096;
-    /** Transition-cache byte budget of the lazy-DFA fallback. */
+    /** Transition-cache byte budget of the lazy-DFA fallback; a run
+     *  that fills it hands off to the interpreter. */
     size_t lazyCacheBytes = 8u << 20;
     /** Optional analysis facts (inferProfiles() on the same
      *  automaton). When set, components whose blowupLog2 estimate

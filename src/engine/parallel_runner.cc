@@ -175,7 +175,6 @@ ParallelRunner::runBatch(
         const SimResult &r = out.perStream[i];
         out.totalSymbols += r.symbols;
         out.totalReports += r.reportCount;
-        out.totalLazyFlushes += r.lazyFlushes;
     }
     if (obs::kEnabled) {
         obs::Registry &reg = obs::Registry::global();

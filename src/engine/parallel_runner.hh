@@ -12,7 +12,8 @@
  *    selected EngineKind (compileProgram(): kNfa's and kLazyDfa's
  *    fixed plans, or kAuto's profile plan), and each worker slot
  *    owns a PlannedEngine cursor over it, whose scratch and lazy
- *    cache are reused across the slot's streams. A chunked stream is
+ *    cache are reused across the slot's streams (once the cache
+ *    fills, the slot interprets from then on). A chunked stream is
  *    a PlannedSession over the same program: nothing compiles per
  *    slot or per stream.
  *
@@ -83,8 +84,6 @@ struct BatchResult {
     std::vector<Status> perStreamStatus;
     uint64_t totalSymbols = 0;
     uint64_t totalReports = 0;
-    /** Lazy-DFA cache flushes summed over streams (0 for kNfa). */
-    uint64_t totalLazyFlushes = 0;
     /** Streams whose perStreamStatus is non-OK. */
     uint64_t failedStreams = 0;
 

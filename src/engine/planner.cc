@@ -449,17 +449,15 @@ PlannedSession::PlannedSession(
 }
 
 PlannedSession::PlannedSession(std::shared_ptr<const PlannedProgram> program)
-    : PlannedSession(std::move(program), LazyDfaCache::OnFull::kStop)
+    : PlannedSession(program,
+                     EngineScratch::elementBytes(program->lazyCount_))
 {
 }
 
 PlannedSession::PlannedSession(std::shared_ptr<const PlannedProgram> program,
-                               LazyDfaCache::OnFull onFull)
+                               size_t cacheBytes)
     : program_(std::move(program))
-    , lazyCache_(onFull == LazyDfaCache::OnFull::kFlush
-                     ? program_->lazyCacheBytes_
-                     : EngineScratch::elementBytes(program_->lazyCount_),
-                 onFull)
+    , lazyCache_(cacheBytes)
     , onDfa_(program_->lazyDfa_ != nullptr)
 {
     // Every cursor keeps default options — record every report, no
@@ -489,13 +487,13 @@ void
 PlannedSession::handOff()
 {
     const PlannedProgram &p = *program_;
-    lazyCache_.release();
-    settled_.lazyStates = restResult_.lazyStates = 0; // none resident
     // An interpreter group's cursor already stands at the position.
     if (!p.interpView_)
         p.rest_->resume(restScratch_, lazyCursor_.pos);
-    for (uint32_t id : lazyCursor_.members)
+    for (uint32_t id : lazyCache_.members(lazyCursor_.state))
         restScratch_.enable(id);
+    lazyCache_.release();
+    settled_.lazyStates = restResult_.lazyStates = 0; // none resident
     lazyCursor_ = LazyDfaCursor();
     onDfa_ = false;
     noteHandoff();
@@ -557,8 +555,7 @@ PlannedSession::feed(const uint8_t *data, size_t len)
                 p.interpView_->feed(restScratch_, chunk, dfaBytes, inner,
                                     restResult_);
             }
-            // inner carries no guard: a short feed is a full cache
-            // that stops (a flushing one never does).
+            // inner carries no guard: a short feed is a full cache.
             if (dfaBytes < step)
                 handOff();
         }
@@ -646,7 +643,6 @@ PlannedSession::collect(SimResult out) const
     tallyReports(tail, options, out, lastOffset);
     out.symbols = t_;
     out.guardStatus = guardStatus_;
-    out.lazyFlushes += restResult_.lazyFlushes;
     out.lazyStates += restResult_.lazyStates;
     return out;
 }
@@ -673,7 +669,6 @@ size_t
 PlannedSession::footprintBytes() const
 {
     size_t n = sizeof(*this) + lazyCache_.footprintBytes() +
-        lazyCursor_.members.capacity() * sizeof(uint32_t) +
         restScratch_.footprintBytes() +
         (restResult_.reports.capacity() + settled_.reports.capacity() +
          settling_.capacity()) * sizeof(Report);
@@ -690,8 +685,7 @@ PlannedSession::cursorBytes(
 {
     // The scratch and its worklists span at most every element; on
     // the DFA the lazy group's cache, budgeted at its share of them,
-    // sits beside (the cursor's member copy fits in that share of the
-    // worklists). Between feeds the unsettled and settling buffers
+    // sits beside. Between feeds the unsettled and settling buffers
     // keep at most max(maxReportRecords, kKeptReports) records each.
     // The window keeps at most the widest reach of any component the
     // planner could route to the prefilter (decide() without the
@@ -742,7 +736,7 @@ PlannedEngine::PlannedEngine(
 }
 
 PlannedEngine::PlannedEngine(std::shared_ptr<const PlannedProgram> program)
-    : session_(std::move(program), LazyDfaCache::OnFull::kFlush)
+    : session_(program, program->lazyCacheBytes_)
 {
 }
 

@@ -116,9 +116,10 @@ struct PlanOptions {
      *  literal chains to the interpreter instead). */
     bool enablePrefilter = true;
     /** Transition-cache budget of the lazy-DFA backend's block runs
-     *  (PlannedEngine's flushing cache, kept by the PlannedProgram).
-     *  A streamed PlannedSession's cache budget is derived from the
-     *  lazy group's size instead; see PlannedSession. */
+     *  (PlannedEngine's cache, kept by the PlannedProgram), beyond
+     *  which the run hands off to the interpreter. A streamed
+     *  PlannedSession's budget is derived from the lazy group's size
+     *  instead; see PlannedSession. */
     size_t lazyCacheBytes = 8u << 20;
     /** Profile-inference knobs (when the planner infers them). */
     analysis::InferOptions infer;
@@ -216,6 +217,7 @@ class PlannedProgram
 
   private:
     friend class PlannedSession;
+    friend class PlannedEngine;
 
     EnginePlan plan_;
     /** PlanOptions::lazyCacheBytes: block runs' cache budget. */
@@ -287,9 +289,9 @@ compileProgram(EngineKind kind, const Automaton &a,
  * order, so it counts straight into the settled state. results()
  * adds the unsettled tail.
  *
- * A PlannedEngine's session differs in data only: its cache flushes
- * at the program's PlanOptions::lazyCacheBytes instead (RE2's
- * policy), so a feed never stops short on it and never hands off.
+ * A PlannedEngine's session differs in data only: its cache budget
+ * is the program's PlanOptions::lazyCacheBytes, and it hands off at
+ * that budget in the same way.
  */
 class PlannedSession
 {
@@ -331,7 +333,7 @@ class PlannedSession
 
     /** Resident bytes of this session's own state: the prefilter
      *  window (scratch, rolling buffer, hits, reports), the
-     *  interpreter cursor, the lazy-DFA cache and cursor, and the
+     *  interpreter cursor, the lazy-DFA cache, and the
      *  settled and unsettled report records. The program's tables
      *  are shared and excluded (PlannedProgram::footprintBytes()). */
     size_t footprintBytes() const;
@@ -381,11 +383,11 @@ class PlannedSession
   private:
     friend class PlannedEngine;
 
-    /** A cursor whose lazy cache does @p onFull on overflow: kStop
-     *  at the lazy group's scratch bytes (streams), kFlush at the
-     *  program's lazyCacheBytes_ (blocks). */
+    /** A cursor whose lazy cache hands off at @p cacheBytes: the
+     *  lazy group's scratch bytes (streams) or the program's
+     *  lazyCacheBytes_ (blocks). */
     PlannedSession(std::shared_ptr<const PlannedProgram> program,
-                   LazyDfaCache::OnFull onFull);
+                   size_t cacheBytes);
 
     /** Move the DFA's state-set into the interpreter cursor, which
      *  then runs rest_; free the cache. */
@@ -425,8 +427,10 @@ class PlannedSession
 /**
  * Block mode: one input is a one-chunk stream. A PlannedEngine is a
  * PlannedSession over a shared PlannedProgram, and simulate() is
- * reset(), one feed() and results(); the session's lazy cache
- * flushes instead of handing off and stays warm across calls.
+ * reset(), one feed() and results(). The session's lazy cache, with
+ * the block budget PlanOptions::lazyCacheBytes, stays warm across
+ * calls until it fills; the run then hands off to the interpreter
+ * mid-input, exactly, and later calls interpret from the start.
  *
  * simulate() mutates the session, so a PlannedEngine must not be
  * shared by concurrently simulating threads; ParallelRunner gives
@@ -484,9 +488,14 @@ class PlannedEngine
         return session_.prefilterStats();
     }
 
-    /** The lazy-DFA group's flushing cache, warm across simulate()
-     *  calls: its state, transition, hit, miss and flush counts. */
+    /** The lazy-DFA group's cache, warm across simulate() calls
+     *  until a hand-off frees it: its state, transition, hit and miss
+     *  counts. */
     const LazyDfaCache &lazyCache() const { return session_.lazyCache(); }
+
+    /** True once the lazy-DFA group runs on the interpreter; see
+     *  PlannedSession::lazyInterpreted(). */
+    bool lazyInterpreted() const { return session_.lazyInterpreted(); }
 
   private:
     PlannedSession session_;

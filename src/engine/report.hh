@@ -86,8 +86,6 @@ struct SimResult {
     // are *not* part of the semantic result (two engines producing
     // identical reports may differ here), so equivalence checks must
     // compare the fields above, never the whole struct.
-    /** Whole-cache flushes the transition cache took during this run. */
-    uint64_t lazyFlushes = 0;
     /** Interned state-sets resident in the cache after this run. */
     uint64_t lazyStates = 0;
 
@@ -200,7 +198,6 @@ class PartMerger
                             part.reports.end());
         }
         out_.totalEnabled += part.totalEnabled;
-        out_.lazyFlushes += part.lazyFlushes;
         out_.lazyStates += part.lazyStates;
         if (part.truncated())
             stop(part.symbols, part.guardStatus);

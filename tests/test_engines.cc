@@ -308,7 +308,7 @@ TEST(MultiDfa, StateBudgetForcesFallback)
 }
 
 /** `--engine lazydfa`: a block PlannedEngine over
- *  fixedPlan(kLazyDfa), its cache flushing at @p cacheBytes. */
+ *  fixedPlan(kLazyDfa), handing off at a @p cacheBytes cache. */
 PlannedEngine
 lazyEngine(const Automaton &a,
            size_t cacheBytes = PlanOptions().lazyCacheBytes)
@@ -337,7 +337,7 @@ TEST(LazyDfa, MatchesNfaOnLiterals)
     auto r = lazy.simulate(in, fullOptions());
     expectSameSemantics(nfa.simulate(in, fullOptions()), r);
     EXPECT_GT(lazy.lazyCache().states(), 0u);
-    EXPECT_EQ(r.lazyFlushes, 0u);
+    EXPECT_FALSE(lazy.lazyInterpreted());
 }
 
 TEST(LazyDfa, CounterComponentsRunOnFallback)
@@ -404,11 +404,12 @@ boundedRepeatAutomaton(int depth)
     return a;
 }
 
-TEST(LazyDfa, TinyBudgetFlushesMidStreamAndStaysExact)
+TEST(LazyDfa, TinyBudgetHandsOffMidBlockAndStaysExact)
 {
     Automaton a = boundedRepeatAutomaton(24);
     NfaEngine nfa(a);
-    // An absurdly small budget forces eviction.
+    // An absurdly small budget fills mid-block: the run hands off to
+    // the interpreter there and frees the cache.
     PlannedEngine lazy = lazyEngine(a, 2048);
 
     Rng rng(3);
@@ -419,8 +420,10 @@ TEST(LazyDfa, TinyBudgetFlushesMidStreamAndStaysExact)
     auto r = lazy.simulate(in, fullOptions());
     expectSameSemantics(nfa.simulate(in.data(), in.size(),
                                      fullOptions()), r);
-    EXPECT_GT(r.lazyFlushes, 0u);
-    EXPECT_EQ(r.lazyFlushes, lazy.lazyCache().flushes());
+    EXPECT_TRUE(lazy.lazyInterpreted());
+    EXPECT_GT(lazy.lazyCache().misses(), 0u) << "the DFA ran first";
+    EXPECT_EQ(lazy.lazyCache().states(), 0u);
+    EXPECT_EQ(r.lazyStates, 0u);
 }
 
 TEST(LazyDfa, WarmCacheSecondRunIsIdentical)
@@ -484,7 +487,7 @@ TEST_P(EngineEquivalence, RandomAutomata)
     NfaEngine nfa(a);
     MultiDfaEngine dfa(a);
     PlannedEngine lazy = lazyEngine(a);
-    PlannedEngine tiny = lazyEngine(a, 1); // every insertion over budget
+    PlannedEngine tiny = lazyEngine(a, 1); // hands off at its first miss
     for (int trial = 0; trial < 5; ++trial) {
         std::string text = rng.randomString(1 + rng.nextBelow(80),
                                             "abcd");

@@ -140,7 +140,8 @@ TEST_P(ParallelVsSerial, ShardedMatchesSerial)
     EXPECT_EQ(got.reports, expect.reports);
 
     // Same run on the lazy-DFA engine, with a budget small enough
-    // that large components flush mid-stream: still bit-identical.
+    // that shards over large components hand off to the interpreter
+    // mid-input: still bit-identical.
     ParallelOptions lazyOpts = popts;
     lazyOpts.engine = EngineKind::kLazyDfa;
     lazyOpts.plan.lazyCacheBytes = 64 * 1024;
@@ -189,8 +190,11 @@ TEST_P(ParallelVsSerial, BatchMatchesPerStreamSerial)
     ParallelRunner runner(b.automaton, popts);
     BatchResult got = runner.runBatch(streams);
 
+    // A budget small enough that slots over large components hand
+    // off mid-stream and interpret their later streams.
     ParallelOptions lazyOpts = popts;
     lazyOpts.engine = EngineKind::kLazyDfa;
+    lazyOpts.plan.lazyCacheBytes = 64 * 1024;
     ParallelRunner lazyRunner(b.automaton, lazyOpts);
     BatchResult lgot = lazyRunner.runBatch(streams);
 

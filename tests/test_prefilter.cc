@@ -751,35 +751,59 @@ TEST(LazyHandoff, InterpreterStateCrossesTheHandoff)
     }
 }
 
-TEST(LazyHandoff, BlockRunsFlushAndNeverHandOff)
+TEST(LazyHandoff, BlockRunsHandOffAtTheirBudget)
 {
-    // A block run's cache flushes at PlanOptions::lazyCacheBytes
-    // instead of handing off, so the lazy-DFA group stays on the DFA
-    // where a stream over the same program leaves it.
-    for (const char *name : {"Random Forest A", "Brill"}) {
+    // A block run's cache hands off at PlanOptions::lazyCacheBytes as
+    // a stream's does at its smaller budget. At the default budget
+    // the warm block rows stay on the DFA pass after pass.
+    SimOptions sim;
+    sim.countByCode = true;
+    zoo::ZooConfig snort = tinyConfig();
+    snort.scale = 0.05; // the serve-snort row's shape
+    snort.inputBytes = 256 * 1024;
+    for (const auto &[name, cfg] :
+         {std::pair{"Snort", snort}, std::pair{"Brill", tinyConfig()},
+          std::pair{"AP PRNG 8-sided", tinyConfig()}}) {
         SCOPED_TRACE(name);
-        zoo::Benchmark b = zoo::makeBenchmark(name, tinyConfig());
-        const size_t simLen = std::min<size_t>(b.input.size(), 16 * 1024);
-        SimOptions sim;
-        sim.countByCode = true;
+        zoo::Benchmark b = zoo::makeBenchmark(name, cfg);
         PlannedEngine e(b.automaton);
         ASSERT_GT(e.plan().backendCount[static_cast<size_t>(
                       PlanBackend::kLazyDfa)],
                   0u);
-        const SimResult want = serialReference(b, simLen, sim);
+        const SimResult want = serialReference(b, b.input.size(), sim);
         const uint64_t handoffs = handoffCount();
-        for (int pass = 0; pass < 2; ++pass) {
-            const SimResult got = e.simulate(b.input.data(), simLen, sim);
+        for (int pass = 1; pass <= 3; ++pass) {
+            const SimResult got = e.simulate(b.input, sim);
+            EXPECT_FALSE(e.lazyInterpreted()) << "pass " << pass;
             EXPECT_GT(got.lazyStates, 0u) << "the DFA must run";
             expectSemanticallyEqual(got, want, cat("block pass ", pass));
         }
         if (obs::kEnabled) {
             EXPECT_EQ(handoffCount(), handoffs);
         }
+    }
 
-        PlannedSession sess(e.program());
-        EXPECT_EQ(sess.feed(b.input.data(), simLen), simLen);
-        EXPECT_TRUE(sess.lazyInterpreted()) << "a stream hands off";
+    // Random Forest A outgrows a 64 KiB cache in its first pass: the
+    // run hands off mid-input, exactly, the cache is freed, and later
+    // passes interpret from the start.
+    zoo::Benchmark b = zoo::makeBenchmark("Random Forest A", tinyConfig());
+    PlanOptions small;
+    small.lazyCacheBytes = 64 * 1024;
+    PlannedEngine e(b.automaton, small);
+    const SimResult want = serialReference(b, b.input.size(), sim);
+    const uint64_t handoffs = handoffCount();
+    for (int pass = 1; pass <= 3; ++pass) {
+        const SimResult got = e.simulate(b.input, sim);
+        EXPECT_TRUE(e.lazyInterpreted()) << "pass " << pass;
+        expectSemanticallyEqual(got, want, cat("block pass ", pass));
+        if (pass == 1) {
+            EXPECT_GT(e.lazyCache().misses(), 0u) << "the DFA ran first";
+            EXPECT_EQ(e.lazyCache().states(), 0u);
+            EXPECT_EQ(e.lazyCache().bytesUsed(), 0u);
+        }
+    }
+    if (obs::kEnabled) {
+        EXPECT_EQ(handoffCount(), handoffs + 1);
     }
 }
 

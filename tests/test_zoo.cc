@@ -109,7 +109,9 @@ INSTANTIATE_TEST_SUITE_P(
         return id;
     });
 
-/** Both CPU engines agree on every benchmark (report-for-report). */
+/** Both CPU engines agree on every benchmark (report-for-report), the
+ *  multi-DFA engine also with a lazy-DFA fallback whose tiny cache
+ *  hands off to the interpreter mid-input. */
 class ZooEngineEquivalence
     : public testing::TestWithParam<std::string>
 {
@@ -125,21 +127,25 @@ TEST_P(ZooEngineEquivalence, NfaAndDfaReportIdentically)
     SimOptions opts;
     opts.countByCode = true;
     NfaEngine nfa(b.automaton);
-    MultiDfaEngine dfa(b.automaton);
     SimResult ref = nfa.simulate(b.input, opts);
     std::sort(ref.reports.begin(), ref.reports.end());
-    const SimResult got = dfa.simulate(b.input, opts);
-    EXPECT_EQ(ref.reports, got.reports);
-    // totalEnabled is engine-defined for the multi-DFA engine.
-    EXPECT_EQ(ref.reportCount, got.reportCount);
-    EXPECT_EQ(ref.reportingCycles, got.reportingCycles);
-    EXPECT_EQ(ref.byCode, got.byCode);
+    MultiDfaOptions tiny;
+    tiny.lazyCacheBytes = 4096;
+    for (const MultiDfaOptions &mopts : {MultiDfaOptions(), tiny}) {
+        MultiDfaEngine dfa(b.automaton, mopts);
+        const SimResult got = dfa.simulate(b.input, opts);
+        EXPECT_EQ(ref.reports, got.reports);
+        // totalEnabled is engine-defined for the multi-DFA engine.
+        EXPECT_EQ(ref.reportCount, got.reportCount);
+        EXPECT_EQ(ref.reportingCycles, got.reportingCycles);
+        EXPECT_EQ(ref.byCode, got.byCode);
+    }
 }
 
 /** `--engine lazydfa` (a PlannedEngine over fixedPlan(kLazyDfa)) is
  *  bit-identical to the interpreter on every benchmark -- at the
- *  default budget and at a deliberately tiny one that forces
- *  whole-cache flushes mid-stream. */
+ *  default budget and at a deliberately tiny one that hands the run
+ *  off to the interpreter mid-input. */
 TEST_P(ZooEngineEquivalence, LazyDfaIsBitIdenticalToNfa)
 {
     zoo::ZooConfig cfg;

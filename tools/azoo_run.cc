@@ -26,7 +26,8 @@
  * lazydfa|auto; any other name is a usage error listing these): nfa
  * is the enabled-set interpreter; multidfa (alias: dfa) determinizes
  * each component eagerly; lazydfa runs subset construction on the
- * fly, memoizing transitions in a cache bounded by --cache-bytes,
+ * fly, memoizing transitions in a cache bounded by --cache-bytes
+ * (a block run that fills it hands off to the interpreter there),
  * and interprets counter components beside it; auto profiles the
  * automaton and plans each component onto the cheapest exact backend
  * (literal prefilter, lazy DFA, or interpreter — see
@@ -122,6 +123,14 @@ dumpMetrics(const Cli &cli)
     if (!f)
         fatal(cat("cannot open for write: ", dest));
     f << json << "\n";
+}
+
+/** engine.lazy.handoffs: lazy-DFA groups that handed off to the
+ *  interpreter so far (0 under -DAZOO_OBS=OFF). */
+uint64_t
+lazyHandoffs()
+{
+    return obs::Registry::global().counterValue("engine.lazy.handoffs");
 }
 
 } // namespace
@@ -279,6 +288,7 @@ main(int argc, char **argv)
             streams.push_back(loadBytes(p));
         }
         ParallelRunner runner(graph(), popts, artProfiles);
+        const uint64_t handoffs = lazyHandoffs();
         Timer timer;
         BatchResult br = runner.runBatch(streams);
         const double secs = timer.seconds();
@@ -298,9 +308,9 @@ main(int argc, char **argv)
                   << Table::fixed(br.totalSymbols / secs / 1e6, 1)
                   << " MB/s aggregate, " << runner.threads()
                   << " threads), " << br.totalReports << " reports\n";
-        if (br.totalLazyFlushes) {
-            std::cout << "lazy cache: " << br.totalLazyFlushes
-                      << " flushes across streams\n";
+        if (lazyHandoffs() != handoffs) {
+            std::cout << "lazy cache: full in " << lazyHandoffs() - handoffs
+                      << " sessions, handed off to the interpreter\n";
         }
         dumpMetrics(cli);
         return br.allOk() ? tool::kExitOk : tool::kExitBadData;
@@ -319,6 +329,7 @@ main(int argc, char **argv)
     }
 
     auto input = loadBytes(ipath);
+    const uint64_t handoffs = lazyHandoffs();
     Timer timer;
     SimResult r;
     if (chunkBytes != 0) {
@@ -404,9 +415,11 @@ main(int argc, char **argv)
                   << Table::fixed(r.avgActiveSet(), 1);
     }
     std::cout << "\n";
-    if (r.lazyStates) {
-        std::cout << "lazy cache: " << r.lazyStates << " state-sets, "
-                  << r.lazyFlushes << " flushes\n";
+    if (lazyHandoffs() != handoffs) {
+        std::cout << "lazy cache: full in " << lazyHandoffs() - handoffs
+                  << " sessions, handed off to the interpreter\n";
+    } else if (r.lazyStates) {
+        std::cout << "lazy cache: " << r.lazyStates << " state-sets\n";
     }
 
     for (size_t i = 0; i < r.reports.size() && i < show; ++i) {
